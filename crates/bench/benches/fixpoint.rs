@@ -23,7 +23,7 @@
 //! Run with: `cargo bench -p bench --bench fixpoint`
 //!
 //! Set `BENCH_JSON=path.json` to also write the machine-readable
-//! baseline (`BENCH_PR9.json` in the repo root is the committed one).
+//! baseline (`BENCH_PR13.json` in the repo root is the committed one).
 
 use bench::fixpoint_suite;
 use bench::harness::Group;
@@ -73,7 +73,8 @@ fn main() {
     let stats = fixpoint_suite::collect_stats();
 
     // The batched-throughput family: the 64-program mixed batch at each
-    // worker count, cold memo cache per configuration.
+    // worker count on default (memo-off) sessions, plus one memo-on row
+    // through a cold, explicitly shared cache.
     let throughput = fixpoint_suite::throughput_rows();
 
     // The parallel-exploration family: branchy-tree and deep-unroll

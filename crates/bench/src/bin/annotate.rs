@@ -16,11 +16,11 @@
 //!     [--strategy fixpoint|path|parshard] [--ctx-size 64] \
 //!     [--strict-alignment] [--no-refine] [--reject-loops] \
 //!     [--widen-delay 16] [--unroll-k 32] [--visited-cap 32] \
-//!     [--no-thresholds] [--budget 1000000] [--no-memo] [--no-liveness] \
+//!     [--no-thresholds] [--budget 1000000] [--memo] [--no-liveness] \
 //!     [--explore-jobs 4] [--spawn-depth 2] [--deadline-ms 5000] \
 //!     [--fail-fast]
 //! cargo run -p bench --release --bin annotate -- --dir fixtures \
-//!     [--jobs 4] [--strategy path] [--no-memo] [--no-liveness] \
+//!     [--jobs 4] [--strategy path] [--memo] [--no-liveness] \
 //!     [--deadline-ms 5000] [--fail-fast]
 //! cargo run -p bench --release --bin annotate -- --passes --file prog.s
 //! cargo run -p bench --release --bin annotate -- --passes --dir fixtures
@@ -28,6 +28,10 @@
 //! echo 'r0 = 0
 //! exit' | cargo run -p bench --release --bin annotate
 //! ```
+//!
+//! `--memo` opts into one transfer memo cache ([`TransferMemo`]) shared
+//! by every program of the run; it is off by default, as in
+//! [`AnalyzerOptions::default`].
 //!
 //! `--deadline-ms N` bounds each program's analysis wall clock
 //! ([`AnalyzerOptions::deadline`]); governance failures — blown
@@ -49,6 +53,7 @@ use std::sync::Arc;
 use bench::cli::Args;
 use ebpf::asm::assemble;
 use ebpf::Program;
+use verifier::passes::reaching_def_counts;
 use verifier::{
     AnalyzerOptions, Cfg, DegradationPolicy, ProgramPasses, Strategy, TransferMemo,
     VerificationSession,
@@ -108,11 +113,7 @@ fn main() -> ExitCode {
         visited_cap: args
             .get_u64("visited-cap", u64::from(defaults.visited_cap))
             .min(u64::from(u32::MAX)) as u32,
-        memo_cache: if args.has("no-memo") {
-            None
-        } else {
-            Some(Arc::new(TransferMemo::new()))
-        },
+        memo_cache: args.has("memo").then(|| Arc::new(TransferMemo::new())),
         liveness_pruning: !args.has("no-liveness"),
         explore_jobs: args
             .get_u64("explore-jobs", u64::from(defaults.explore_jobs))
@@ -260,10 +261,10 @@ fn collect_fixtures(dir: &str) -> Result<(Vec<String>, Vec<Program>), ExitCode> 
 }
 
 /// The per-pc pass dump of one program: live registers, live stack-slot
-/// and reaching-definition counts, and dead-code diagnostics.
-fn dump_passes(prog: &Program) {
-    let cfg = Cfg::build(prog);
-    let passes = ProgramPasses::compute(prog, &cfg);
+/// and reaching-definition counts, and dead-code diagnostics. Reaching
+/// definitions are solved here, on demand; the engines never need them.
+fn dump_passes(prog: &Program, cfg: &Cfg, passes: &ProgramPasses) {
+    let reach = reaching_def_counts(prog, cfg);
     for (pc, insn) in prog.insns().iter().enumerate() {
         if passes.is_unreachable(pc) {
             println!("{pc:>3}: {insn:<32} [unreachable]");
@@ -283,7 +284,7 @@ fn dump_passes(prog: &Program) {
             "{pc:>3}: {insn:<32} live={{{}}} slots={} reach={}{note}",
             regs.join(","),
             live.slot_count(),
-            passes.reaching_defs_in(pc),
+            reach[pc],
         );
     }
 }
@@ -304,7 +305,7 @@ fn run_passes_single(source: &str) -> ExitCode {
         prog.len(),
         passes.dead_insns()
     );
-    dump_passes(&prog);
+    dump_passes(&prog, &cfg, &passes);
     ExitCode::SUCCESS
 }
 
@@ -319,7 +320,7 @@ fn run_passes_dir(names: &[String], progs: &[Program]) -> ExitCode {
             prog.len(),
             passes.dead_insns()
         );
-        dump_passes(prog);
+        dump_passes(prog, &cfg, &passes);
         println!();
     }
     ExitCode::SUCCESS

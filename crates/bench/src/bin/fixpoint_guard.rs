@@ -1,6 +1,6 @@
 //! `fixpoint_guard` — the CI smoke check for the exploration engines:
 //! re-runs the strategy sweep (`bench::fixpoint_suite`), compares the
-//! totals against the committed `BENCH_PR10.json` baseline, and fails
+//! totals against the committed `BENCH_PR13.json` baseline, and fails
 //! when any of the gated quantities regresses by more than 20%:
 //!
 //! * **`states_allocated`** (absolute total): a refactor that quietly
@@ -22,9 +22,12 @@
 //!   unmasked twin recorded in the baseline — a change that quietly
 //!   defeats checkpoint cleaning or the strict-budget-0 masked probe
 //!   (so masked states stop fingerprinting equally) fails CI;
-//! * **`memo_hits`** (absolute total): the transfer-memo counters the
-//!   sweep reports deterministically — a change that silently disables
-//!   or misses the cache fails CI;
+//! * **`memo_hits`** (absolute, on the one memo-on row
+//!   `throughput/batch=64/memo=on/jobs=1`): the memo is opt-in, so the
+//!   default sweep never touches it; this row opts in explicitly and,
+//!   on one worker, counts its hits deterministically — a change that
+//!   silently disables the opted-in cache or makes its keys stop
+//!   matching fails CI;
 //! * **`maps/` family `subset_checks`** (absolute total over the
 //!   family's rows): helper transfers are never memoized, so the
 //!   map-helper workloads pay full per-visit cost — a change that makes
@@ -37,7 +40,8 @@
 //!   the precise instrument; this one only catches a helper-path
 //!   verification cost blow-up too large for noise to explain;
 //! * **batched `programs_per_sec` at jobs=4** (wall-clock, best of
-//!   three runs of the 64-program mixed batch): a timing-based gate,
+//!   three runs of the 64-program mixed batch, the same best-of-three
+//!   the baseline records): a timing-based gate,
 //!   guarding the batch engine's throughput against a >20%
 //!   regression on the same runner class that produced the baseline;
 //! * **parallel path exploration at jobs=4** (wall-clock, best of
@@ -63,7 +67,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p bench --bin fixpoint_guard -- [--baseline BENCH_PR10.json]
+//! cargo run --release -p bench --bin fixpoint_guard -- [--baseline BENCH_PR13.json]
 //! ```
 //!
 //! Exit status: 0 when within budget, 1 on regression or a missing/old
@@ -127,7 +131,7 @@ fn main() -> ExitCode {
     let args = Args::parse();
     let path = args
         .get_str("baseline")
-        .unwrap_or("BENCH_PR10.json")
+        .unwrap_or("BENCH_PR13.json")
         .to_string();
 
     let stats = fixpoint_suite::collect_stats();
@@ -141,8 +145,6 @@ fn main() -> ExitCode {
     let checks: u64 = stats.iter().map(|(_, s)| s.subset_checks).sum();
     let fp_rejects: u64 = stats.iter().map(|(_, s)| s.fingerprint_rejects).sum();
     let evicted: u64 = stats.iter().map(|(_, s)| s.visited_evicted).sum();
-    let memo_hits: u64 = stats.iter().map(|(_, s)| s.memo_hits).sum();
-    let memo_misses: u64 = stats.iter().map(|(_, s)| s.memo_misses).sum();
     let deep_checks = stats
         .iter()
         .find(|(label, _)| label == DEEP_UNROLL_LABEL)
@@ -162,8 +164,6 @@ fn main() -> ExitCode {
         vec!["subset checks".to_string(), checks.to_string()],
         vec!["fingerprint rejects".to_string(), fp_rejects.to_string()],
         vec!["visited evicted".to_string(), evicted.to_string()],
-        vec!["memo hits".to_string(), memo_hits.to_string()],
-        vec!["memo misses".to_string(), memo_misses.to_string()],
     ];
     println!(
         "{}",
@@ -268,17 +268,22 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Memo-hit gate: a change that silently disables the transfer memo
-    // (or makes its keys stop matching) drops the deterministic
-    // per-sweep hit total.
-    let Some(base_hits) = fixpoint_suite::total_field_in_json(&doc, "memo_hits") else {
-        eprintln!("fixpoint_guard: {path} carries no memo_hits stats");
+    // Memo-hit gate: a change that silently disables an opted-in
+    // transfer memo (or makes its keys stop matching) drops the
+    // deterministic hit count of the one memo-on throughput row.
+    let memo_label = fixpoint_suite::throughput_memo_label();
+    let Some(base_hits) = fixpoint_suite::label_float_in_json(&doc, &memo_label, "batch_memo_hits")
+        .map(|hits| hits as u64)
+    else {
+        eprintln!("fixpoint_guard: {path} carries no {memo_label} batch_memo_hits");
         return ExitCode::FAILURE;
     };
+    let (_, memo) = fixpoint_suite::throughput_memo_row();
+    let memo_hits = memo.memo_hits;
     println!(
-        "baseline memo {base_hits} hits, current {memo_hits}/{} lookups \
+        "baseline {memo_label} memo {base_hits} hits, current {memo_hits}/{} lookups \
          (tolerance -{TOLERANCE_PERCENT}%)",
-        memo_hits + memo_misses
+        memo_hits + memo.memo_misses
     );
     if memo_hits * 100 < base_hits * (100 - TOLERANCE_PERCENT) {
         eprintln!(
@@ -365,7 +370,8 @@ fn main() -> ExitCode {
     }
 
     // Batched-throughput gate: replay the 64-program mixed batch at
-    // jobs=4, best of three, against the baseline rate.
+    // jobs=4, best of three as the baseline recorded it, against the
+    // baseline rate.
     let gate_label = fixpoint_suite::throughput_label(THROUGHPUT_GATE_JOBS);
     let Some(base_rate) =
         fixpoint_suite::label_float_in_json(&doc, &gate_label, "programs_per_sec")
@@ -374,18 +380,15 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let batch = fixpoint_suite::throughput_batch();
-    let rate = (0..3)
-        .map(|_| {
-            let report = VerificationSession::new().run_batch(&batch, THROUGHPUT_GATE_JOBS);
-            assert_eq!(report.stats.rejected, 0, "throughput batch stays safe");
-            report.stats.programs_per_sec()
-        })
-        .fold(0.0f64, f64::max);
+    let rate =
+        fixpoint_suite::throughput_run(VerificationSession::new, &batch, THROUGHPUT_GATE_JOBS)
+            .programs_per_sec();
     let floor =
         base_rate * f64::from(100 - u32::try_from(TOLERANCE_PERCENT).expect("small")) / 100.0;
     println!(
         "baseline {gate_label} {base_rate:.1} programs/sec, floor {floor:.1} \
-         (-{TOLERANCE_PERCENT}%), current {rate:.1} (best of 3)"
+         (-{TOLERANCE_PERCENT}%), current {rate:.1} (best of {})",
+        fixpoint_suite::THROUGHPUT_RUNS
     );
     if rate < floor {
         eprintln!(

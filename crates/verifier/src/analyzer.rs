@@ -91,8 +91,14 @@ pub struct AnalyzerOptions {
     /// shared — across the programs of a [`batch`](crate::batch) run
     /// when sessions share one `Arc` — with full operand equality
     /// verified before every reuse, so hits can never change a verdict.
-    /// `Some` (a fresh cache) by default; `None` disables memoization
-    /// entirely (for ablations and differential tests).
+    /// `None` by default: opt in by passing an explicit
+    /// `Some(Arc::new(TransferMemo::new()))`. Every lookup pays a
+    /// fingerprint, a hash, a shard lock and an insert, and a fresh
+    /// per-session cache hits too rarely to earn that back. No measured
+    /// workload (single programs, the benchmark corpus, the mixed
+    /// throughput batch) ran faster with it. It can only pay when many
+    /// sessions share one long-lived cache over programs that repeat
+    /// the same scalar operands.
     pub memo_cache: Option<Arc<TransferMemo>>,
     /// Liveness-aware state pruning (on by default): run the
     /// [`crate::passes`] framework before exploration and *clean* dead
@@ -151,7 +157,7 @@ impl Default for AnalyzerOptions {
             analysis_budget: 1_000_000,
             unroll_k: 32,
             visited_cap: 32,
-            memo_cache: Some(Arc::new(TransferMemo::new())),
+            memo_cache: None,
             liveness_pruning: true,
             explore_jobs: 0,
             spawn_depth: 2,
@@ -498,9 +504,10 @@ impl VerificationSession {
     /// (programs/sec, per-worker distribution, memo traffic).
     ///
     /// Every program runs under this session's options and strategy; in
-    /// particular all workers share the session's
-    /// [`AnalyzerOptions::memo_cache`], so scalar transfer results
-    /// computed for one program are reused by the others. Parallelism is
+    /// particular, when the session opted into
+    /// [`AnalyzerOptions::memo_cache`], all workers share that one cache,
+    /// so scalar transfer results computed for one program are reused by
+    /// the others. Parallelism is
     /// program-granular (abstract states are `Rc`-backed and never cross
     /// threads); workers claim programs from a shared queue, so a worker
     /// that drew cheap programs steals the remaining ones. `jobs == 0`

@@ -15,12 +15,11 @@
 //!   cheap acyclic programs immediately steals the remaining loopy
 //!   ones. Analysis costs within one batch differ by orders of
 //!   magnitude, which is exactly when static chunking idles.
-//! * **Cross-program memoization.** All items can share one
-//!   [`TransferMemo`](crate::memo::TransferMemo) (the default when
-//!   batching through
-//!   [`VerificationSession::run_batch`]): pure scalar transfer results
-//!   computed while verifying one program are reused by every other,
-//!   with full operand equality checked before each reuse.
+//! * **Cross-program memoization (opt-in).** Items whose options hold
+//!   one shared [`TransferMemo`](crate::memo::TransferMemo) `Arc` reuse
+//!   each other's pure scalar transfer results, with full operand
+//!   equality checked before each reuse. Off by default: see
+//!   [`AnalyzerOptions::memo_cache`] for when it pays.
 //!
 //! Results come back **in submission order** as real
 //! [`Analysis`] values: each worker flattens its per-instruction states
@@ -43,7 +42,7 @@ use crate::value::RegValue;
 /// One unit of batch work: a program with its own options and strategy.
 /// Heterogeneous batches (per-program configuration) are first-class;
 /// [`VerificationSession::run_batch`] builds homogeneous ones sharing
-/// the session's options — including its memo cache `Arc`.
+/// the session's options — including its memo cache `Arc`, if any.
 #[derive(Clone, Debug)]
 pub struct BatchItem {
     /// The program to verify.
@@ -312,6 +311,15 @@ mod tests {
         srcs.iter().map(|s| assemble(s).unwrap()).collect()
     }
 
+    /// A session that opts into one explicit memo cache, shared by every
+    /// program of its batches.
+    fn memo_session() -> VerificationSession {
+        VerificationSession::new().with_options(AnalyzerOptions {
+            memo_cache: Some(std::sync::Arc::new(crate::memo::TransferMemo::new())),
+            ..AnalyzerOptions::default()
+        })
+    }
+
     #[test]
     fn dense_snapshots_are_send() {
         fn assert_send<T: Send>() {}
@@ -368,7 +376,7 @@ mod tests {
             ",
         )
         .unwrap();
-        let session = VerificationSession::new();
+        let session = memo_session();
         let direct = session.run(&prog).unwrap();
         let report = session.run_batch(std::slice::from_ref(&prog), 1);
         let batched = report.results[0].as_ref().unwrap();
@@ -383,6 +391,7 @@ mod tests {
             s
         };
         assert_eq!(neutral(batched.stats()), neutral(direct.stats()));
+        assert!(direct.stats().memo_misses > 0, "{:?}", direct.stats());
         assert_eq!(
             batched.stats().memo_hits + batched.stats().memo_misses,
             direct.stats().memo_hits + direct.stats().memo_misses,
@@ -440,7 +449,7 @@ mod tests {
         // Two identical programs through one session: on jobs=1 the
         // second run must hit the entries the first one inserted.
         let batch = progs(&["r2 = 5\nr2 += 3\nr2 *= 2\nr0 = r2\nexit"; 2]);
-        let report = VerificationSession::new().run_batch(&batch, 1);
+        let report = memo_session().run_batch(&batch, 1);
         assert!(
             report.stats.memo_hits > 0,
             "second program reuses the first's transfer results: {:?}",
@@ -459,7 +468,7 @@ mod tests {
         // scalar×scalar ALU, no scalar branch. The second identical
         // program must hit the first one's cached region verdict.
         let batch = progs(&["r3 = 1\n*(u64 *)(r10 - 8) = r3\nr0 = 0\nexit"; 2]);
-        let report = VerificationSession::new().run_batch(&batch, 1);
+        let report = memo_session().run_batch(&batch, 1);
         assert!(
             report.stats.memo_hits > 0,
             "second program reuses the first's region-check verdict: {:?}",

@@ -41,6 +41,22 @@
 //! exploration engines snapshot into
 //! [`AnalysisStats`](crate::AnalysisStats)
 //! (`memo_hits` / `memo_misses` / `memo_evicted`).
+//!
+//! **The memo is opt-in.** [`AnalyzerOptions::memo_cache`] is `None` by
+//! default; a caller that wants it passes an explicit
+//! `Some(Arc::new(TransferMemo::new()))`, typically one `Arc` shared by
+//! every program of a batch. Every memoized transfer pays a fingerprint,
+//! a SipHash, a shard lock and a map insert, while a recomputed tnum or
+//! bounds operation costs a few dozen nanoseconds. The memo only pays
+//! when one long-lived cache sees the same scalar operands again and
+//! again, across many programs, and most lookups hit. No committed
+//! workload shows it winning: on the per-program benchmark corpus only
+//! about a third of lookups hit and the memo-off run is far faster,
+//! single loopy programs run faster without it, and even the mixed
+//! throughput batch, where one shared cache hits 93% of lookups, runs
+//! no faster with it on one worker and slower on two.
+//!
+//! [`AnalyzerOptions::memo_cache`]: crate::AnalyzerOptions::memo_cache
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;

@@ -206,6 +206,10 @@ impl ExplorationStrategy for PathParallel {
                 depth: 0,
             },
         );
+        // Worker 0 claims the root before any worker polls, so an idle
+        // worker can never steal it: steals count only spawned subtrees.
+        // Claimed, it stays outstanding until worker 0 completes it.
+        let root = Mutex::new(ctx.pool.pop(0));
 
         // The coordinator thread's own state traffic (the merge below)
         // must be counted too: reset here, snapshot after merging.
@@ -214,7 +218,12 @@ impl ExplorationStrategy for PathParallel {
         let worker_stats = par_workers(jobs, |worker| {
             stats::reset();
             crate::memo::counters::reset();
-            while let Some(job) = ctx.pool.pop(worker) {
+            let mut claimed = if worker == 0 {
+                lock_recover(&root).take()
+            } else {
+                None
+            };
+            while let Some(job) = claimed.take().or_else(|| ctx.pool.pop(worker)) {
                 let job_id = job.id;
                 let result = if ctx.errored.load(Ordering::SeqCst) {
                     // The run is already doomed to the sequential rerun:

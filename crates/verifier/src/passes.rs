@@ -3,6 +3,13 @@
 //! per-pc register/stack-slot **liveness**, **reaching definitions**,
 //! and **unreachable/dead-code** detection.
 //!
+//! Only what the exploration engines consume is computed per analysis:
+//! [`ProgramPasses::compute`] runs liveness (with its [`StackTaint`]
+//! prerequisite) and derives the unreachable pcs and dead definitions
+//! from it. Reaching definitions feed nothing in the engines; they are
+//! computed only on demand, by [`reaching_def_counts`], for the
+//! `annotate --passes` dump.
+//!
 //! The kernel's eBPF verifier owes its single biggest pruning lever not
 //! to a smarter join but to a *static* fact: per-pc liveness marks
 //! (`mark_reg_read` / `clean_verifier_state`) let `is_state_visited`
@@ -474,7 +481,8 @@ impl DataflowPass for Liveness {
 /// Forward reaching-definitions pass over register definition sites.
 /// Fact: `Vec<u64>` bitset with one bit per definition site (an
 /// instruction with a `def_reg`); a set bit means that definition may
-/// reach the point uncobbered.
+/// reach the point uncobbered. Diagnostic only: no engine reads it, so
+/// it runs on demand through [`reaching_def_counts`].
 ///
 /// A helper call is the definition site of `r0` and additionally kills
 /// every reaching definition of the clobbered `r1`–`r5`.
@@ -576,31 +584,42 @@ impl DataflowPass for ReachingDefs {
     }
 }
 
+/// How many register definitions may reach the point before each pc
+/// (zero at unreachable pcs): the [`ReachingDefs`] solution, counted.
+/// Computed on demand for the `annotate --passes` dump; the engines
+/// never need it.
+#[must_use]
+pub fn reaching_def_counts(prog: &Program, cfg: &Cfg) -> Vec<u32> {
+    solve(&ReachingDefs::new(prog), prog, cfg)
+        .before
+        .iter()
+        .map(|f| f.iter().map(|w| w.count_ones()).sum())
+        .collect()
+}
+
 // ---------------------------------------------------------------------
 // The bundled per-program pass results
 // ---------------------------------------------------------------------
 
-/// The stabilized results of every built-in pass over one program — the
-/// package the exploration engines and the `annotate --passes` dump
-/// consume. Computed once per analysis, before exploration starts.
+/// The per-program pass results the exploration engines consume:
+/// liveness, unreachable pcs and dead definitions. Computed once per
+/// analysis, before exploration starts.
 #[derive(Clone, Debug)]
 pub struct ProgramPasses {
     live_in: Vec<LiveSet>,
     live_out: Vec<LiveSet>,
-    reach_counts: Vec<u32>,
     unreachable: Vec<bool>,
     dead_def: Vec<bool>,
     dead_insns: u64,
 }
 
 impl ProgramPasses {
-    /// Runs liveness (with its [`StackTaint`] prerequisite), reaching
-    /// definitions, and dead-code detection over `prog`.
+    /// Runs liveness (with its [`StackTaint`] prerequisite) and
+    /// dead-code detection over `prog`.
     #[must_use]
     pub fn compute(prog: &Program, cfg: &Cfg) -> ProgramPasses {
         let liveness = Liveness::new(prog, cfg);
         let live = solve(&liveness, prog, cfg);
-        let reach = solve(&ReachingDefs::new(prog), prog, cfg);
 
         let mut live_in = live.before;
         let live_out = live.after;
@@ -627,15 +646,9 @@ impl ProgramPasses {
                 }
             }
         }
-        let reach_counts = reach
-            .before
-            .iter()
-            .map(|f| f.iter().map(|w| w.count_ones()).sum())
-            .collect();
         ProgramPasses {
             live_in,
             live_out,
-            reach_counts,
             unreachable,
             dead_def,
             dead_insns,
@@ -654,12 +667,6 @@ impl ProgramPasses {
     #[must_use]
     pub fn live_out(&self, pc: usize) -> LiveSet {
         self.live_out.get(pc).copied().unwrap_or(LiveSet::ALL)
-    }
-
-    /// How many register definitions may reach the point before `pc`.
-    #[must_use]
-    pub fn reaching_defs_in(&self, pc: usize) -> u32 {
-        self.reach_counts.get(pc).copied().unwrap_or(0)
     }
 
     /// Whether `pc` is statically unreachable from the entry.
@@ -806,18 +813,20 @@ mod tests {
 
     #[test]
     fn reaching_defs_count_joined_paths() {
-        let (_, p) = passes(
+        let prog = assemble(
             "r0 = 1\n\
              if r1 > 0 goto other\n\
              r0 = 2\n\
              other:\n\
              exit",
-        );
+        )
+        .expect("assembles");
+        let counts = reaching_def_counts(&prog, &Cfg::build(&prog));
         // Before exit both r0 definitions may reach (taken edge keeps
         // pc 0, fall-through replaced it at pc 2).
-        assert_eq!(p.reaching_defs_in(3), 2);
-        assert_eq!(p.reaching_defs_in(2), 1);
-        assert_eq!(p.reaching_defs_in(0), 0, "entry has no sites");
+        assert_eq!(counts[3], 2);
+        assert_eq!(counts[2], 1);
+        assert_eq!(counts[0], 0, "entry has no sites");
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! entry points (fixpoint, path-sensitive, parshard, batch) on the map
 //! fixtures, and the memo-cache exclusion for helper transfers.
 
+use std::sync::Arc;
+
 use ebpf::asm::assemble;
 use ebpf::{Program, Reg};
-use verifier::{Strategy, VerificationSession, VerifierError};
+use verifier::{AnalyzerOptions, Strategy, TransferMemo, VerificationSession, VerifierError};
 
 fn session(strategy: Strategy) -> VerificationSession {
     VerificationSession::new().with_strategy(strategy)
@@ -231,13 +233,19 @@ fn map_value_accesses_are_bounds_checked_and_leak_free() {
 
 #[test]
 fn helper_transfers_are_never_memoized() {
-    // A program of nothing but helper calls: with the memo cache on (the
-    // default), the analysis must record zero cache traffic — helper
-    // transfers produce pointers and model impure runtime behaviour, so
-    // they are structurally outside the memo's domain.
+    // A program of nothing but helper calls: with the memo cache on (an
+    // explicit opt-in), the analysis must record zero cache traffic —
+    // helper transfers produce pointers and model impure runtime
+    // behaviour, so they are structurally outside the memo's domain.
     let prog = assemble("call 7\ncall 7\ncall 7\nexit").expect("assembles");
     for strategy in ALL_STRATEGIES {
-        let analysis = session(strategy).run(&prog).expect("accepts");
+        let analysis = session(strategy)
+            .with_options(AnalyzerOptions {
+                memo_cache: Some(Arc::new(TransferMemo::new())),
+                ..AnalyzerOptions::default()
+            })
+            .run(&prog)
+            .expect("accepts");
         let stats = analysis.stats();
         assert_eq!(
             (stats.memo_hits, stats.memo_misses),
