@@ -325,46 +325,94 @@ impl Insn {
         }
     }
 
-    /// The registers read by this instruction.
+    /// The registers read by this instruction, in operand order: the
+    /// destination (for ALU ops other than `mov`, and for conditional
+    /// jumps) or the memory base comes first, then a register source.
+    /// Calls read the argument registers `r1`–`r5` in order.
+    ///
+    /// The iterator is `Copy` and holds at most five registers inline,
+    /// so the verifier's per-visit read checks allocate nothing.
     #[must_use]
-    pub fn use_regs(self) -> Vec<Reg> {
-        fn push_src(out: &mut Vec<Reg>, src: Src) {
-            if let Src::Reg(r) = src {
-                out.push(r);
-            }
-        }
-        let mut out = Vec::new();
+    pub fn use_regs(self) -> UseRegs {
+        let mut out = UseRegs::EMPTY;
         match self {
             Insn::Alu {
                 op: AluOp::Mov,
                 src,
                 ..
-            } => push_src(&mut out, src),
+            } => out.push_src(src),
             Insn::Alu {
                 op: AluOp::Neg,
                 dst,
                 ..
             } => out.push(dst),
-            Insn::Alu { dst, src, .. } => {
+            Insn::Alu { dst, src, .. } | Insn::Jmp { dst, src, .. } => {
                 out.push(dst);
-                push_src(&mut out, src);
+                out.push_src(src);
             }
             Insn::LoadImm64 { .. } | Insn::Ja { .. } | Insn::Exit => {}
             Insn::Load { base, .. } => out.push(base),
             Insn::Store { base, src, .. } => {
                 out.push(base);
-                push_src(&mut out, src);
+                out.push_src(src);
             }
-            Insn::Jmp { dst, src, .. } => {
-                out.push(dst);
-                push_src(&mut out, src);
+            Insn::Call { .. } => {
+                for r in [Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5] {
+                    out.push(r);
+                }
             }
-            // Calls read the argument registers r1–r5.
-            Insn::Call { .. } => out.extend([Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5]),
         }
         out
     }
 }
+
+/// The registers an instruction reads, as returned by
+/// [`Insn::use_regs`]: an inline iterator over at most five registers.
+#[derive(Clone, Copy, Debug)]
+pub struct UseRegs {
+    regs: [Reg; 5],
+    len: u8,
+    next: u8,
+}
+
+impl UseRegs {
+    const EMPTY: UseRegs = UseRegs {
+        regs: [Reg::R0; 5],
+        len: 0,
+        next: 0,
+    };
+
+    fn push(&mut self, r: Reg) {
+        self.regs[self.len as usize] = r;
+        self.len += 1;
+    }
+
+    fn push_src(&mut self, src: Src) {
+        if let Src::Reg(r) = src {
+            self.push(r);
+        }
+    }
+}
+
+impl Iterator for UseRegs {
+    type Item = Reg;
+
+    fn next(&mut self) -> Option<Reg> {
+        if self.next == self.len {
+            return None;
+        }
+        let r = self.regs[self.next as usize];
+        self.next += 1;
+        Some(r)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.len - self.next) as usize;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for UseRegs {}
 
 #[cfg(test)]
 mod tests {
@@ -430,7 +478,7 @@ mod tests {
             src: Src::Reg(Reg::R2),
         };
         assert_eq!(add.def_reg(), Some(Reg::R1));
-        assert_eq!(add.use_regs(), vec![Reg::R1, Reg::R2]);
+        assert_eq!(add.use_regs().collect::<Vec<_>>(), [Reg::R1, Reg::R2]);
 
         let mov = Insn::Alu {
             width: Width::W64,
@@ -438,7 +486,7 @@ mod tests {
             dst: Reg::R1,
             src: Src::Imm(7),
         };
-        assert_eq!(mov.use_regs(), Vec::<Reg>::new());
+        assert_eq!(mov.use_regs().count(), 0);
 
         let store = Insn::Store {
             size: MemSize::W,
@@ -447,11 +495,14 @@ mod tests {
             src: Src::Reg(Reg::R0),
         };
         assert_eq!(store.def_reg(), None);
-        assert_eq!(store.use_regs(), vec![Reg::R10, Reg::R0]);
+        assert_eq!(store.use_regs().collect::<Vec<_>>(), [Reg::R10, Reg::R0]);
 
         let call = Insn::Call { helper: 1 };
         assert_eq!(call.def_reg(), Some(Reg::R0));
-        assert_eq!(call.use_regs().len(), 5);
+        assert_eq!(
+            call.use_regs().collect::<Vec<_>>(),
+            [Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5]
+        );
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use helpers::{
     helper_sig, map_def, map_handle_imm, map_id_of_imm, ArgKind, HelperSig, MapDef, RegionSize,
     RetKind, DEFAULT_MAPS, HELPERS,
 };
-pub use insn::{AluOp, Insn, JmpOp, MemSize, Src, Width};
+pub use insn::{AluOp, Insn, JmpOp, MemSize, Src, UseRegs, Width};
 pub use program::Program;
 pub use reg::Reg;
 pub use vm::{HelperFn, MapStore, Vm, VmOptions, CTX_BASE, MAP_BASE, STACK_SIZE, STACK_TOP};

@@ -650,6 +650,26 @@ mod tests {
     }
 
     #[test]
+    fn uninit_read_names_the_first_operand() {
+        // With several operands uninitialized, the rejection names the
+        // first in `use_regs` order: the destination before the source.
+        assert!(matches!(
+            reject("r3 += r1\nexit"),
+            VerifierError::UninitRead {
+                reg: Reg::R3,
+                pc: 0
+            }
+        ));
+        assert!(matches!(
+            reject("if r5 > r6 goto +1\nr0 = 0\nexit"),
+            VerifierError::UninitRead {
+                reg: Reg::R5,
+                pc: 0
+            }
+        ));
+    }
+
+    #[test]
     fn rejects_pointer_return() {
         assert!(matches!(
             reject("r0 = r10\nexit"),

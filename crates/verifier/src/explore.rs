@@ -228,14 +228,6 @@ impl ExplorationStrategy for PathSensitive {
         // their unroll budget reset when an earlier head takes a trip —
         // an inner loop is unrolled per *entry*, not once per program.
         let head_rpo: Vec<usize> = heads.iter().map(|&h| cfg.rpo_pos(h)).collect();
-        // Checkpoints — where paths can re-converge, so where pruning
-        // can fire: loop heads plus merge points (≥ 2 predecessors).
-        let mut preds = vec![0u32; prog.len()];
-        for &pc in cfg.rpo() {
-            for &s in cfg.successors(pc) {
-                preds[s] += 1;
-            }
-        }
         // The pass framework feeds checkpoint cleaning: every arrival
         // at a checkpoint drops its dead components (kernel
         // `clean_verifier_state`) *before* the summary join and the
@@ -274,7 +266,9 @@ impl ExplorationStrategy for PathSensitive {
             crate::analyzer::check_deadline(start, options, pc)?;
             crate::failpoint::fire(crate::failpoint::FaultSite::PathVisit);
             let h = head_idx[pc];
-            let checkpoint = h != usize::MAX || preds[pc] > 1;
+            // Checkpoints — where paths can re-converge, so where
+            // pruning can fire: loop heads plus merge points.
+            let checkpoint = cfg.is_checkpoint(pc);
             if checkpoint {
                 if let Some(p) = &passes {
                     let mask = p.live_in(pc);

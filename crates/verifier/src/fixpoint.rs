@@ -12,14 +12,11 @@
 //! the program's comparison immediates, and one narrowing pass after
 //! stabilization.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use ebpf::{Insn, Program, Src};
 use interval_domain::WidenThresholds;
 
 use crate::analyzer::AnalyzerOptions;
-use crate::cfg::Cfg;
+use crate::cfg::{Cfg, RpoWorklist};
 use crate::error::VerifierError;
 use crate::state::{stats, AbsState, JoinCounters, WidenCtx};
 use crate::transfer::Transfer;
@@ -272,17 +269,11 @@ pub fn run(
     let passes = options
         .liveness_pruning
         .then(|| crate::passes::ProgramPasses::compute(prog, cfg));
-    let mut preds = vec![0u32; prog.len()];
-    for &pc in cfg.rpo() {
-        for &s in cfg.successors(pc) {
-            preds[s] += 1;
-        }
-    }
     let mut dead_components_cleared: u64 = 0;
 
     let mut entry = AbsState::entry();
     if let Some(p) = &passes {
-        if cfg.is_loop_head(0) || preds[0] > 1 {
+        if cfg.is_checkpoint(0) {
             let mask = p.live_in(0);
             dead_components_cleared += u64::from(entry.clear_dead(mask.regs, mask.slots));
         }
@@ -296,15 +287,13 @@ pub fn run(
     // Priority worklist: always pop the pending instruction earliest
     // in reverse postorder, so inner regions settle before outer ones
     // re-fire (the classic weak-topological iteration strategy).
-    let mut queue: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::new();
-    let mut queued = vec![false; prog.len()];
-    queue.push(Reverse((cfg.rpo_pos(0), 0)));
-    queued[0] = true;
+    let mut queue = RpoWorklist::new(cfg.rpo().len());
+    queue.push(cfg.rpo_pos(0));
 
     let start = std::time::Instant::now();
     let mut visits: u64 = 0;
-    while let Some(Reverse((_, pc))) = queue.pop() {
-        queued[pc] = false;
+    while let Some(pos) = queue.pop() {
+        let pc = cfg.rpo()[pos];
         visits += 1;
         ledger::bump();
         if visits > options.analysis_budget {
@@ -320,7 +309,7 @@ pub fn run(
             .expect("queued instructions have a state");
         for (succ, mut out) in transfer.step(prog, state, pc)? {
             if let Some(p) = &passes {
-                if cfg.is_loop_head(succ) || preds[succ] > 1 {
+                if cfg.is_checkpoint(succ) {
                     let mask = p.live_in(succ);
                     dead_components_cleared += u64::from(out.clear_dead(mask.regs, mask.slots));
                 }
@@ -343,9 +332,8 @@ pub fn run(
                     }
                 }
             };
-            if changed && !queued[succ] {
-                queued[succ] = true;
-                queue.push(Reverse((cfg.rpo_pos(succ), succ)));
+            if changed {
+                queue.push(cfg.rpo_pos(succ));
             }
         }
     }
@@ -362,7 +350,6 @@ pub fn run(
             cfg,
             &states,
             passes.as_ref(),
-            &preds,
             &mut dead_components_cleared,
         )?
     };
@@ -413,13 +400,12 @@ fn narrow(
     cfg: &Cfg,
     states: &[Option<AbsState>],
     passes: Option<&crate::passes::ProgramPasses>,
-    preds: &[u32],
     dead_components_cleared: &mut u64,
 ) -> Result<Vec<Option<AbsState>>, VerifierError> {
     let mut narrowed: Vec<Option<AbsState>> = vec![None; prog.len()];
     let mut entry = AbsState::entry();
     if let Some(p) = passes {
-        if cfg.is_loop_head(0) || preds[0] > 1 {
+        if cfg.is_checkpoint(0) {
             let mask = p.live_in(0);
             *dead_components_cleared += u64::from(entry.clear_dead(mask.regs, mask.slots));
         }
@@ -434,7 +420,7 @@ fn narrow(
             // narrowing must not resurrect dead components the
             // fixpoint already dropped.
             if let Some(p) = passes {
-                if cfg.is_loop_head(succ) || preds[succ] > 1 {
+                if cfg.is_checkpoint(succ) {
                     let mask = p.live_in(succ);
                     *dead_components_cleared += u64::from(out.clear_dead(mask.regs, mask.slots));
                 }

@@ -120,12 +120,11 @@ struct SharedCtx<'a> {
     head_idx: Vec<usize>,
     head_rpo: Vec<usize>,
     heads: usize,
-    /// Predecessor counts — checkpoint = loop head or merge point.
-    preds: Vec<u32>,
     passes: Option<crate::passes::ProgramPasses>,
-    /// `(from, to)` back edges: a fall-through successor reached over a
-    /// back edge is never spawned, keeping every cycle inside one job.
-    back_edges: Vec<(usize, usize)>,
+    /// Checkpoints (loop heads and merge points), and the back edges:
+    /// a fall-through successor reached over a back edge is never
+    /// spawned, keeping every cycle inside one job.
+    cfg: Cfg,
 }
 
 /// The work-stealing path-parallel strategy. Reads
@@ -163,12 +162,6 @@ impl ExplorationStrategy for PathParallel {
             head_idx[h] = i;
         }
         let head_rpo: Vec<usize> = heads.iter().map(|&h| cfg.rpo_pos(h)).collect();
-        let mut preds = vec![0u32; prog.len()];
-        for &pc in cfg.rpo() {
-            for &s in cfg.successors(pc) {
-                preds[s] += 1;
-            }
-        }
         let passes = options
             .liveness_pruning
             .then(|| crate::passes::ProgramPasses::compute(prog, &cfg));
@@ -190,9 +183,8 @@ impl ExplorationStrategy for PathParallel {
             head_idx,
             head_rpo,
             heads: heads.len(),
-            preds,
             passes,
-            back_edges: cfg.back_edges().to_vec(),
+            cfg,
         };
         let (entry_regs, entry_chunks) = AbsState::entry().to_parts();
         ctx.pool.push(
@@ -435,7 +427,7 @@ fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
         }
         crate::failpoint::fire(crate::failpoint::FaultSite::ParshardJob);
         let h = ctx.head_idx[pc];
-        let checkpoint = h != usize::MAX || ctx.preds[pc] > 1;
+        let checkpoint = ctx.cfg.is_checkpoint(pc);
         if checkpoint {
             if let Some(p) = &ctx.passes {
                 let mask = p.live_in(pc);
@@ -520,8 +512,7 @@ fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
             let ndepth = depth + 1;
             let (taken_pc, taken_state) = outs.pop().expect("two successors");
             let (fall_pc, fall_state) = outs.pop().expect("two successors");
-            let spawn =
-                depth >= ctx.options.spawn_depth && !ctx.back_edges.contains(&(pc, fall_pc));
+            let spawn = depth >= ctx.options.spawn_depth && !ctx.cfg.is_back_edge(pc, fall_pc);
             if spawn {
                 let (regs, chunks) = fall_state.to_parts();
                 let child = ctx.next_id.fetch_add(1, Ordering::Relaxed);

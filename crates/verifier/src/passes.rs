@@ -27,9 +27,13 @@
 //! a per-point fact with a join and a transfer, and [`solve`] runs the
 //! classic priority worklist — reverse postorder for forward passes,
 //! post-order (reversed RPO priority) for backward ones — until the
-//! facts stabilize. All built-in passes use bitset facts (`u16` over
-//! registers, `u64` over the 64 stack slots, `Vec<u64>` over definition
-//! sites), so one solver iteration is a handful of word operations.
+//! facts stabilize. The worklist is the bitset `RpoWorklist` the
+//! fixpoint engine also iterates with, and the edges come from the
+//! [`Cfg`]'s own successor and CSR predecessor arrays, so the solver
+//! itself allocates only the fact vectors and one worklist word per 64 pcs.
+//! All built-in passes use bitset facts (`u16` over registers, `u64`
+//! over the 64 stack slots, `Vec<u64>` over definition sites), so one
+//! solver iteration is a handful of word operations.
 //!
 //! Soundness of the liveness facts is calibrated against the transfer
 //! layer's *actual* read surface, over-approximated where the static
@@ -54,12 +58,9 @@
 //! * `r10` is pinned live everywhere — it is the frame pointer every
 //!   stack access re-derives from.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use ebpf::{AluOp, Insn, Program, Reg, Src, Width, STACK_SIZE};
 
-use crate::cfg::Cfg;
+use crate::cfg::{Cfg, RpoWorklist};
 use crate::state::SLOTS;
 
 /// Bitmask of all architectural registers (`r0`–`r10`).
@@ -121,35 +122,29 @@ pub struct Solution<F> {
 /// reverse-postorder order for forward passes, reversed-RPO (post-order)
 /// for backward ones, so facts propagate in long runs instead of
 /// ping-ponging across back edges.
+///
+/// The worklist is a bitset over priorities (`RpoWorklist`) that starts
+/// with every reachable pc pending and always pops the lowest pending
+/// priority. Forward passes join over
+/// [`Cfg::predecessors`] and re-queue successors; backward passes join
+/// over [`Cfg::successors`] and re-queue predecessors. Both adjacency
+/// lists cover the reachable subgraph only.
 pub fn solve<P: DataflowPass>(pass: &P, prog: &Program, cfg: &Cfg) -> Solution<P::Fact> {
     let n = prog.len();
     let mut before = vec![pass.empty_fact(); n];
     let mut after = vec![pass.empty_fact(); n];
 
-    // Predecessor lists over the *reachable* subgraph (successors of
-    // reachable instructions are reachable by construction).
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &pc in cfg.rpo() {
-        for &s in cfg.successors(pc) {
-            preds[s].push(pc);
-        }
-    }
-
+    // Priorities are RPO positions, mirrored for backward passes; the
+    // mirror is an involution, so it maps a priority back to its pc too.
     let total = cfg.rpo().len();
-    let priority = |pc: usize| match P::DIRECTION {
-        Direction::Forward => cfg.rpo_pos(pc),
-        Direction::Backward => total - 1 - cfg.rpo_pos(pc),
+    let priority = |pos: usize| match P::DIRECTION {
+        Direction::Forward => pos,
+        Direction::Backward => total - 1 - pos,
     };
 
-    let mut queue: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::new();
-    let mut queued = vec![false; n];
-    for &pc in cfg.rpo() {
-        queue.push(Reverse((priority(pc), pc)));
-        queued[pc] = true;
-    }
-
-    while let Some(Reverse((_, pc))) = queue.pop() {
-        queued[pc] = false;
+    let mut queue = RpoWorklist::full(total);
+    while let Some(prio) = queue.pop() {
+        let pc = cfg.rpo()[priority(prio)];
         let insn = prog.insns()[pc];
         match P::DIRECTION {
             Direction::Forward => {
@@ -158,7 +153,7 @@ pub fn solve<P: DataflowPass>(pass: &P, prog: &Program, cfg: &Cfg) -> Solution<P
                 } else {
                     pass.empty_fact()
                 };
-                for &p in &preds[pc] {
+                for &p in cfg.predecessors(pc) {
                     pass.join(&mut input, &after[p]);
                 }
                 let output = pass.transfer(pc, insn, &input);
@@ -166,10 +161,7 @@ pub fn solve<P: DataflowPass>(pass: &P, prog: &Program, cfg: &Cfg) -> Solution<P
                 if output != after[pc] {
                     after[pc] = output;
                     for &s in cfg.successors(pc) {
-                        if !queued[s] {
-                            queued[s] = true;
-                            queue.push(Reverse((priority(s), s)));
-                        }
+                        queue.push(priority(cfg.rpo_pos(s)));
                     }
                 }
             }
@@ -187,11 +179,8 @@ pub fn solve<P: DataflowPass>(pass: &P, prog: &Program, cfg: &Cfg) -> Solution<P
                 after[pc] = output;
                 if input != before[pc] {
                     before[pc] = input;
-                    for &p in &preds[pc] {
-                        if !queued[p] {
-                            queued[p] = true;
-                            queue.push(Reverse((priority(p), p)));
-                        }
+                    for &p in cfg.predecessors(pc) {
+                        queue.push(priority(cfg.rpo_pos(p)));
                     }
                 }
             }
