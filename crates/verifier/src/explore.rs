@@ -182,8 +182,12 @@ impl ExplorationStrategy for WideningFixpoint {
 ///    [`AnalyzerOptions::visited_cap`] chain cap;
 /// 3. joins the arrival into the per-pc reported state (so
 ///    [`Analysis::state_before`](crate::Analysis::state_before) is the
-///    join over explored paths), then steps the transfer layer and
-///    pushes every successor contribution with an O(1) state clone.
+///    join over explored paths), then steps the transfer layer. A single
+///    successor is visited next in place, without touching the DFS
+///    stack; a fork pushes both edges (fall-through below taken, so the
+///    taken edge is walked first), each carrying the path's `Rc`'d trip
+///    vector. The reported-state join skips, by write stamp, every
+///    register and slot the arrival still shares with the accumulator.
 ///
 /// Termination: acyclic path segments are finite, every cycle passes a
 /// loop head, and past the unroll bound the head's summary chain is a
@@ -246,15 +250,18 @@ impl ExplorationStrategy for PathSensitive {
         let mut unrolled_trips: u64 = 0;
 
         // The DFS worklist: `(pc, in-state, per-head trip counts)`.
-        // Pushing a fork clones the state (two refcount bumps) and the
-        // `Rc`'d trip vector (one more) — the copy-on-write layer is
-        // what makes the multiplied live states affordable; the trip
-        // counts only materialize at loop heads, where they change.
-        let mut stack: Vec<(usize, AbsState, std::rc::Rc<Vec<u32>>)> =
-            vec![(0, AbsState::entry(), std::rc::Rc::new(vec![0; heads.len()]))];
+        // Only forks touch it: a step with one successor continues in
+        // place (`next`) with the moved state and trip vector, a fork
+        // pushes both edges (the second takes the moved trip vector, the
+        // first an `Rc` clone), and a dead end or a pruned arrival pops.
+        // The copy-on-write layer is what makes the multiplied live
+        // states affordable; the trip counts only materialize at loop
+        // heads, where they change.
+        let mut stack: Vec<(usize, AbsState, std::rc::Rc<Vec<u32>>)> = Vec::new();
+        let mut next = Some((0, AbsState::entry(), std::rc::Rc::new(vec![0; heads.len()])));
         let start = std::time::Instant::now();
         let mut visits: u64 = 0;
-        while let Some((pc, mut state, mut trips)) = stack.pop() {
+        while let Some((pc, mut state, mut trips)) = next.take().or_else(|| stack.pop()) {
             visits += 1;
             crate::fixpoint::ledger::bump();
             if visits > options.analysis_budget {
@@ -358,8 +365,14 @@ impl ExplorationStrategy for PathSensitive {
                     existing.flow_join(&state, None);
                 }
             }
-            for (succ, out) in transfer.step(prog, state, pc)? {
-                stack.push((succ, out, trips.clone()));
+            let mut succs = transfer.step(prog, state, pc)?.into_iter();
+            match (succs.next(), succs.next()) {
+                (Some((succ, out)), None) => next = Some((succ, out, trips)),
+                (Some((fall, fall_out)), Some((taken, taken_out))) => {
+                    stack.push((fall, fall_out, trips.clone()));
+                    stack.push((taken, taken_out, trips));
+                }
+                _ => {}
             }
         }
 

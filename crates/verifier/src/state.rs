@@ -28,6 +28,17 @@
 //!   O(1) on fingerprint mismatch before falling back to the pointwise
 //!   comparison; [`crate::VisitedTable`] indexes its pruning chains by
 //!   exactly this fingerprint.
+//! * **Write stamps.** Every register and stack slot also carries a
+//!   64-bit stamp, drawn fresh — unique across the whole process — each
+//!   time a value is written, and copied unchanged by copy-on-write
+//!   materialization. So **equal stamps ⟹ equal values**, even between
+//!   components that no longer share a pointer: two states forked from
+//!   one ancestor keep the stamps of every position neither path wrote.
+//!   [`AbsState::flow_join`] (with or without widening),
+//!   [`AbsState::is_subset_of`] and `==` skip a position whose stamps
+//!   match before touching its value. The `Send` snapshots of
+//!   [`AbsState::to_parts`] carry no stamps, so
+//!   [`AbsState::is_subset_of_parts`] compares values throughout.
 //!
 //! Those properties are what make the path-sensitive exploration
 //! strategy ([`crate::explore::PathSensitive`]) viable: forking a state
@@ -326,20 +337,64 @@ impl Component for StackSlot {
     }
 }
 
-/// One fingerprinted, generation-counted array of components — the
-/// representation of both the register file and each stack chunk.
+/// Process-unique write stamps: every value written into a [`Cells`]
+/// position gets a stamp no other write — on any thread, in any
+/// analysis — ever draws. Each thread hands stamps out of a private
+/// block it takes from a global counter, so a draw is a thread-local
+/// bump; the counter is never reset (2^64 stamps do not run out).
+mod stamp {
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Stamps a thread takes from the global counter at a time.
+    const BLOCK: u64 = 1 << 16;
+
+    static NEXT_BLOCK: AtomicU64 = AtomicU64::new(0);
+
+    thread_local! {
+        /// This thread's next stamp. A multiple of [`BLOCK`] means the
+        /// current block is used up (or none was taken yet).
+        static NEXT: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// A stamp no earlier draw returned.
+    pub(super) fn fresh() -> u64 {
+        NEXT.with(|next| {
+            let mut stamp = next.get();
+            if stamp % BLOCK == 0 {
+                // A new block, minus its first stamp, the used-up marker.
+                // `Relaxed` suffices: the counter publishes no other
+                // data, and `fetch_add` alone makes the blocks disjoint.
+                stamp = NEXT_BLOCK.fetch_add(BLOCK, Ordering::Relaxed) + 1;
+            }
+            next.set(stamp + 1);
+            stamp
+        })
+    }
+}
+
+/// One fingerprinted, write-stamped, generation-counted array of
+/// components — the representation of both the register file and each
+/// stack chunk.
 ///
 /// `fp` is the XOR over all positions of the position-salted value hash;
 /// the per-position hashes are cached in `hashes`, so a write re-hashes
 /// only the *new* value and folds the cached old hash out of `fp` in
-/// O(1). `generation` counts the copy-on-write materializations in this
-/// component's history (pure diagnostics — it never feeds a semantic
-/// decision).
+/// O(1). `stamps` holds each position's write stamp: [`Cells::new`] and
+/// [`Cells::set`] are the only writers and draw a fresh process-unique
+/// stamp per written position, while copy-on-write materialization
+/// copies values and stamps together. Hence **equal stamps ⟹ equal
+/// values**, at any positions of any two cells of one type, which lets
+/// the joins and inclusion tests skip a position whose stamps match
+/// before touching the values. `generation` counts the copy-on-write
+/// materializations in this component's history (pure diagnostics — it
+/// never feeds a semantic decision).
 #[derive(Clone, Debug)]
 struct Cells<T, const N: usize> {
     fp: u64,
     generation: u64,
     hashes: [u64; N],
+    stamps: [u64; N],
     vals: [T; N],
 }
 
@@ -355,16 +410,30 @@ impl<T: Component, const N: usize> Cells<T, N> {
             fp,
             generation: 0,
             hashes,
+            stamps: std::array::from_fn(|_| stamp::fresh()),
             vals,
         }
     }
 
-    /// Writes position `i`, updating the fingerprint in O(1).
+    /// Writes position `i` under a fresh stamp, updating the fingerprint
+    /// in O(1).
     fn set(&mut self, i: usize, v: T) {
         let new = mix(v.content_hash() ^ pos_salt(T::DOMAIN, i));
         self.fp ^= self.hashes[i] ^ new;
         self.hashes[i] = new;
+        self.stamps[i] = stamp::fresh();
         self.vals[i] = v;
+    }
+
+    /// Pointwise equality, skipping positions whose stamps match.
+    fn vals_eq(&self, other: &Cells<T, N>) -> bool {
+        (0..N).all(|i| self.stamps[i] == other.stamps[i] || self.vals[i] == other.vals[i])
+    }
+
+    /// Pointwise inclusion, skipping positions whose stamps match.
+    fn vals_subset_of(&self, other: &Cells<T, N>) -> bool {
+        (0..N)
+            .all(|i| self.stamps[i] == other.stamps[i] || self.vals[i].is_subset_of(other.vals[i]))
     }
 
     #[cfg(test)]
@@ -569,7 +638,7 @@ impl PartialEq for AbsState {
         if self.fingerprint() != other.fingerprint() {
             return false;
         }
-        let regs_eq = Rc::ptr_eq(&self.regs, &other.regs) || self.regs.vals == other.regs.vals;
+        let regs_eq = Rc::ptr_eq(&self.regs, &other.regs) || self.regs.vals_eq(&other.regs);
         regs_eq
             && (Rc::ptr_eq(&self.stack, &other.stack)
                 || self
@@ -577,7 +646,7 @@ impl PartialEq for AbsState {
                     .chunks
                     .iter()
                     .zip(other.stack.chunks.iter())
-                    .all(|(a, b)| Rc::ptr_eq(a, b) || a.vals == b.vals))
+                    .all(|(a, b)| Rc::ptr_eq(a, b) || a.vals_eq(b)))
     }
 }
 
@@ -714,11 +783,23 @@ impl AbsState {
                 cleared += 1;
             }
         }
-        if live_slots != u64::MAX {
-            for i in 0..SLOTS {
-                if live_slots & (1 << i) == 0 && self.stack.slot(i) != StackSlot::Uninit {
-                    self.frame_mut().set_slot(i, StackSlot::Uninit);
-                    cleared += 1;
+        // Walk only the dead slot bits, chunk by chunk; a chunk still
+        // shared with the empty frame is all-`Uninit` already.
+        let dead = !live_slots;
+        if dead != 0 {
+            let empty = EMPTY_FRAME.with(|f| Rc::as_ptr(&f.chunks[0]));
+            for c in 0..STACK_CHUNKS {
+                let mut bits = (dead >> (c * CHUNK_SLOTS)) & ((1 << CHUNK_SLOTS) - 1);
+                if bits == 0 || std::ptr::eq(Rc::as_ptr(&self.stack.chunks[c]), empty) {
+                    continue;
+                }
+                while bits != 0 {
+                    let i = c * CHUNK_SLOTS + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if self.stack.slot(i) != StackSlot::Uninit {
+                        self.frame_mut().set_slot(i, StackSlot::Uninit);
+                        cleared += 1;
+                    }
                 }
             }
         }
@@ -800,12 +881,11 @@ impl AbsState {
 
     /// Pointwise abstract-order test (state inclusion), with whole
     /// components — and individual stack chunks — short-circuited on
-    /// `Rc` identity.
+    /// `Rc` identity, and single registers and slots on equal write
+    /// stamps.
     #[must_use]
     pub fn is_subset_of(&self, other: &AbsState) -> bool {
-        let regs_ok = Rc::ptr_eq(&self.regs, &other.regs) || {
-            (0..REGS).all(|i| self.regs.vals[i].is_subset_of(other.regs.vals[i]))
-        };
+        let regs_ok = Rc::ptr_eq(&self.regs, &other.regs) || self.regs.vals_subset_of(&other.regs);
         if !regs_ok {
             return false;
         }
@@ -815,13 +895,7 @@ impl AbsState {
                 .chunks
                 .iter()
                 .zip(other.stack.chunks.iter())
-                .all(|(a, b)| {
-                    Rc::ptr_eq(a, b)
-                        || a.vals
-                            .iter()
-                            .zip(b.vals.iter())
-                            .all(|(x, y)| x.is_subset_of(*y))
-                })
+                .all(|(a, b)| Rc::ptr_eq(a, b) || a.vals_subset_of(b))
     }
 
     /// Whether the two states share their register file (used by tests
@@ -1028,6 +1102,10 @@ fn flow_cells<T: Component, const N: usize>(
     }
     let mut changed = false;
     for i in 0..N {
+        // Equal stamps are equal values: nothing can flow.
+        if dst.stamps[i] == inc.stamps[i] {
+            continue;
+        }
         let cur = dst.vals[i];
         let incoming = inc.vals[i];
         if incoming == cur || incoming.is_subset_of(cur) {
@@ -1160,6 +1238,7 @@ impl fmt::Debug for AbsState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use domain::rng::SplitMix64;
 
     #[test]
     fn slot_index_covers_frame() {
@@ -1368,6 +1447,201 @@ mod tests {
             (0, 1),
             "precise join, not a widening jump"
         );
+    }
+
+    /// A small pool of register values, so equal values written under
+    /// different stamps are common.
+    fn random_value(rng: &mut SplitMix64) -> RegValue {
+        match rng.below(6) {
+            0 => RegValue::Uninit,
+            1 => RegValue::unknown_scalar(),
+            2 => RegValue::StackPtr {
+                offset: Scalar::constant(rng.below(3).wrapping_neg()),
+            },
+            3 => RegValue::Scalar(Scalar::from_tnum(tnum::Tnum::masked(rng.below(4), 3))),
+            _ => RegValue::Scalar(Scalar::constant(rng.below(4))),
+        }
+    }
+
+    fn random_slot(rng: &mut SplitMix64) -> StackSlot {
+        match rng.below(4) {
+            0 => StackSlot::Uninit,
+            1 => StackSlot::Misc,
+            _ => StackSlot::Spill(random_value(rng)),
+        }
+    }
+
+    /// The stamp-free view of a state: its register and slot values.
+    fn values(s: &AbsState) -> ([RegValue; REGS], [StackSlot; SLOTS]) {
+        (s.regs.vals, std::array::from_fn(|i| s.stack.slot(i)))
+    }
+
+    /// Pointwise reference of one array's half of `flow_join`, blind to
+    /// stamps and `Rc` identity.
+    fn reference_flow<T: Component>(
+        cur: &mut [T],
+        inc: &[T],
+        mut widen: Option<(&mut [u32], u32)>,
+    ) -> bool {
+        let mut changed = false;
+        for i in 0..cur.len() {
+            if inc[i] == cur[i] || inc[i].is_subset_of(cur[i]) {
+                continue;
+            }
+            let grown = cur[i].union(inc[i]);
+            let next = match &mut widen {
+                Some((counters, delay)) => {
+                    let next = if counters[i] >= *delay {
+                        cur[i].widen_with(grown, &WidenThresholds::EMPTY)
+                    } else {
+                        grown
+                    };
+                    counters[i] += 1;
+                    next
+                }
+                None => grown,
+            };
+            if next != cur[i] {
+                cur[i] = next;
+                changed = true;
+            }
+        }
+        changed
+    }
+
+    /// Flows `inc` into a copy of `dst` both ways — through the stamped
+    /// state layer and through the reference — and checks that result,
+    /// grew flag and widening counters agree. Returns the stamped result.
+    fn checked_flow(
+        dst: &AbsState,
+        inc: &AbsState,
+        widen: Option<(&JoinCounters, u32)>,
+    ) -> (AbsState, Option<JoinCounters>) {
+        let (mut want_regs, mut want_slots) = values(dst);
+        let (inc_regs, inc_slots) = values(inc);
+        let mut out = dst.clone();
+        let (grew, want_grew, counters) = match widen {
+            None => {
+                let grew = out.flow_join(inc, None);
+                let want = reference_flow(&mut want_regs, &inc_regs, None)
+                    | reference_flow(&mut want_slots, &inc_slots, None);
+                (grew, want, None)
+            }
+            Some((counters, delay)) => {
+                let mut got = counters.clone();
+                let grew = out.flow_join(
+                    inc,
+                    Some(WidenCtx {
+                        counters: &mut got,
+                        delay,
+                        thresholds: &WidenThresholds::EMPTY,
+                    }),
+                );
+                let mut want = counters.clone();
+                let want_grew =
+                    reference_flow(&mut want_regs, &inc_regs, Some((&mut want.regs, delay)))
+                        | reference_flow(
+                            &mut want_slots,
+                            &inc_slots,
+                            Some((&mut want.slots, delay)),
+                        );
+                assert_eq!(got, want, "widening counters diverge");
+                (grew, want_grew, Some(got))
+            }
+        };
+        assert_eq!(grew, want_grew, "flow_join grew flag diverges");
+        assert_eq!(
+            values(&out),
+            (want_regs, want_slots),
+            "flow_join result diverges"
+        );
+        (out, counters)
+    }
+
+    /// Every live cell's stamp maps to exactly one value.
+    fn assert_stamps_determine_values(pool: &[AbsState]) {
+        let mut regs = std::collections::HashMap::new();
+        let mut slots = std::collections::HashMap::new();
+        for s in pool {
+            for (stamp, v) in s.regs.stamps.iter().zip(s.regs.vals) {
+                assert_eq!(
+                    *regs.entry(*stamp).or_insert(v),
+                    v,
+                    "register stamp {stamp} reused"
+                );
+            }
+            for chunk in &s.stack.chunks {
+                for (stamp, v) in chunk.stamps.iter().zip(chunk.vals) {
+                    assert_eq!(
+                        *slots.entry(*stamp).or_insert(v),
+                        v,
+                        "slot stamp {stamp} reused"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stamp_fast_paths_match_stamp_free_reference() {
+        // Random writes, smears, cleanings, clones and joins over a pool
+        // of states that share components and stamps. After every step,
+        // inclusion, equality and both flows of every ordered pair must
+        // agree with the pointwise reference, and no stamp may label two
+        // different values.
+        const POOL: usize = 4;
+        let mut rng = SplitMix64::new(0x57A4);
+        for _ in 0..24 {
+            let mut pool: Vec<AbsState> = (0..POOL).map(|_| AbsState::entry()).collect();
+            let mut counters: Vec<JoinCounters> = (0..POOL).map(|_| JoinCounters::new()).collect();
+            for _ in 0..48 {
+                let a = rng.below(POOL as u64) as usize;
+                let b = rng.below(POOL as u64) as usize;
+                match rng.below(6) {
+                    0 => {
+                        let reg = Reg::ALL[rng.below(REGS as u64) as usize];
+                        pool[a].set_reg(reg, random_value(&mut rng));
+                    }
+                    1 => {
+                        let slot = random_slot(&mut rng);
+                        let off = rng.below(SLOTS as u64) as i64 * 8 - 512;
+                        pool[a].set_stack_slot(off, slot);
+                    }
+                    2 => {
+                        let start = -(rng.range(1, 512) as i64);
+                        pool[a].smear_stack(start, (start + rng.range(1, 40) as i64).min(0));
+                    }
+                    3 => {
+                        // Mostly-live masks: about one dead bit in four.
+                        let regs = (rng.next_u32() | rng.next_u32()) as u16;
+                        let slots = rng.next_u64() | rng.next_u64();
+                        pool[a].clear_dead(regs, slots);
+                    }
+                    4 => pool[a] = pool[b].clone(),
+                    _ => {
+                        let widen = rng.coin().then(|| (&counters[a], rng.below(3) as u32));
+                        let (out, got) = checked_flow(&pool[a], &pool[b], widen);
+                        pool[a] = out;
+                        if let Some(got) = got {
+                            counters[a] = got;
+                        }
+                    }
+                }
+                for x in &pool {
+                    for y in &pool {
+                        let (xr, xs) = values(x);
+                        let (yr, ys) = values(y);
+                        let subset = xr.iter().zip(yr).all(|(p, q)| p.is_subset_of(q))
+                            && xs.iter().zip(ys).all(|(p, q)| p.is_subset_of(q));
+                        assert_eq!(x.is_subset_of(y), subset, "inclusion diverges");
+                        assert_eq!(x == y, (xr, xs) == (yr, ys), "equality diverges");
+                        checked_flow(x, y, None);
+                        checked_flow(x, y, Some((&JoinCounters::new(), 1)));
+                    }
+                }
+                assert_stamps_determine_values(&pool);
+            }
+        }
     }
 
     #[test]
