@@ -7,7 +7,7 @@
 use bench::harness::Group;
 use ebpf::asm::assemble;
 use ebpf::{Program, Vm};
-use verifier::{Analyzer, AnalyzerOptions};
+use verifier::{AnalyzerOptions, VerificationSession};
 
 fn sample_programs() -> Vec<(&'static str, Program)> {
     let masked_index = assemble(
@@ -70,15 +70,13 @@ fn bench_analyze() {
     let programs = sample_programs();
     let mut group = Group::new("verifier_analyze");
     for (name, prog) in &programs {
-        let refined = Analyzer::new(AnalyzerOptions::default());
-        group.bench(&format!("refined/{name}"), || refined.analyze(prog).is_ok());
-        let unrefined = Analyzer::new(AnalyzerOptions {
+        let refined = VerificationSession::new().with_options(AnalyzerOptions::default());
+        group.bench(&format!("refined/{name}"), || refined.run(prog).is_ok());
+        let unrefined = VerificationSession::new().with_options(AnalyzerOptions {
             refine_branches: false,
             ..AnalyzerOptions::default()
         });
-        group.bench(&format!("unrefined/{name}"), || {
-            unrefined.analyze(prog).is_ok()
-        });
+        group.bench(&format!("unrefined/{name}"), || unrefined.run(prog).is_ok());
     }
     group.finish();
 }

@@ -284,7 +284,7 @@ impl Vm {
         self.execute(prog, ctx, None)
     }
 
-    /// Runs the program, recording a [`Snapshot`] of the registers before
+    /// Runs the program, recording a `Snapshot` of the registers before
     /// every executed instruction. Used by differential tests that check
     /// concrete states against the abstract interpreter's invariants.
     ///

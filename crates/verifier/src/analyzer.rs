@@ -1,8 +1,7 @@
 //! The driver API: configuration ([`AnalyzerOptions`]), the
 //! builder-style [`VerificationSession`] entry point that selects an
 //! exploration [`Strategy`], the strategy-tagged [`Analysis`] result
-//! with its annotated verifier log and statistics, and the thin
-//! [`Analyzer`] compatibility facade.
+//! with its annotated verifier log and statistics.
 //!
 //! The actual work is split across three layers, mirroring the kernel's
 //! separation of `check_*` semantics from the verifier's state graph:
@@ -11,11 +10,11 @@
 //!   (ALU, branches with two-sided 64-*and* 32-bit refinement, memory
 //!   safety checks);
 //! * [`crate::explore`] — the pluggable exploration strategies driving
-//!   those steps: the widening fixpoint worklist and the path-sensitive
-//!   pruning explorer;
+//!   those steps: the widening fixpoint worklist and the sequential and
+//!   parallel path explorers, which share one path walk;
 //! * [`crate::fixpoint`] — the reverse-postorder worklist engine behind
 //!   [`Strategy::WideningFixpoint`], and the [`AnalysisStats`]
-//!   accounting both strategies report.
+//!   accounting every strategy reports.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -345,10 +344,8 @@ impl Analysis {
 /// [`AnalyzerOptions`], selects the exploration [`Strategy`], and runs
 /// programs into strategy-tagged [`Analysis`] results.
 ///
-/// This replaces the bare `Analyzer::new(options).analyze(prog)` pair
-/// as the primary API (that pair survives as a thin facade); it is the
-/// seam future scaling directions — sharded exploration, per-function
-/// caching, multi-strategy portfolios — plug into via
+/// It is the seam future scaling directions — sharded exploration,
+/// per-function caching, multi-strategy portfolios — plug into via
 /// [`ExplorationStrategy`].
 ///
 /// # Examples
@@ -549,7 +546,7 @@ impl VerificationSession {
 
     /// Explores the program with a caller-supplied
     /// [`ExplorationStrategy`] — the plug-in seam for strategies beyond
-    /// the built-in [`Strategy`] pair — returning the raw
+    /// the three built-in [`Strategy`] variants — returning the raw
     /// [`Exploration`].
     ///
     /// The session-level policy checks (currently
@@ -574,54 +571,22 @@ impl VerificationSession {
     }
 }
 
-/// The classic two-call facade over [`VerificationSession`], kept for
-/// compatibility with pre-session callers. Soft-deprecated: prefer
-/// `VerificationSession::new().with_options(..).run(prog)`, which also
-/// exposes strategy selection — `Analyzer` always runs the default
-/// [`Strategy::WideningFixpoint`].
-///
-/// See the crate docs for an end-to-end example.
-#[derive(Clone, Debug, Default)]
-pub struct Analyzer {
-    options: AnalyzerOptions,
-}
-
-impl Analyzer {
-    /// Creates an analyzer with the given options.
-    #[must_use]
-    pub fn new(options: AnalyzerOptions) -> Analyzer {
-        Analyzer { options }
-    }
-
-    /// Abstractly interprets the program with the widening fixpoint,
-    /// returning the (narrowed) per-instruction states on acceptance.
-    /// Equivalent to `VerificationSession::new().with_options(..).run`.
-    ///
-    /// # Errors
-    ///
-    /// A [`VerifierError`] describing the first problem found; the
-    /// program must be rejected.
-    pub fn analyze(&self, prog: &Program) -> Result<Analysis, VerifierError> {
-        VerificationSession::new()
-            .with_options(self.options.clone())
-            .run(prog)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ebpf::asm::assemble;
 
     fn accept(src: &str) -> Analysis {
-        Analyzer::new(AnalyzerOptions::default())
-            .analyze(&assemble(src).unwrap())
+        VerificationSession::new()
+            .with_options(AnalyzerOptions::default())
+            .run(&assemble(src).unwrap())
             .unwrap_or_else(|e| panic!("expected accept, got: {e}"))
     }
 
     fn reject(src: &str) -> VerifierError {
-        Analyzer::new(AnalyzerOptions::default())
-            .analyze(&assemble(src).unwrap())
+        VerificationSession::new()
+            .with_options(AnalyzerOptions::default())
+            .run(&assemble(src).unwrap())
             .expect_err("expected reject")
     }
 
@@ -680,12 +645,12 @@ mod tests {
     #[test]
     fn reject_loops_flag_preserves_classic_behaviour() {
         let prog = assemble("l:\nr0 = 0\ngoto l").unwrap();
-        let classic = Analyzer::new(AnalyzerOptions {
+        let classic = VerificationSession::new().with_options(AnalyzerOptions {
             reject_loops: true,
             ..AnalyzerOptions::default()
         });
         assert!(matches!(
-            classic.analyze(&prog).unwrap_err(),
+            classic.run(&prog).unwrap_err(),
             VerifierError::LoopDetected { .. }
         ));
         // The default engine instead runs the loop to a fixpoint; this
@@ -694,7 +659,7 @@ mod tests {
         assert!(analysis.unreachable().contains(&2));
         // Loop-free programs are unaffected by the flag.
         classic
-            .analyze(&assemble("r0 = 0\nexit").unwrap())
+            .run(&assemble("r0 = 0\nexit").unwrap())
             .expect("acyclic program accepted under reject_loops");
     }
 
@@ -749,13 +714,13 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_reported() {
-        let tiny = Analyzer::new(AnalyzerOptions {
+        let tiny = VerificationSession::new().with_options(AnalyzerOptions {
             analysis_budget: 4,
             ..AnalyzerOptions::default()
         });
         let prog = assemble("r1 = 0\nloop:\nr1 += 1\nif r2 > 0 goto loop\nr0 = 0\nexit").unwrap();
         assert!(matches!(
-            tiny.analyze(&prog).unwrap_err(),
+            tiny.run(&prog).unwrap_err(),
             VerifierError::AnalysisBudgetExhausted { budget: 4, .. }
         ));
     }
@@ -783,24 +748,25 @@ mod tests {
         // interval to the built-in ladder before the test can cap it, so
         // the store check fails; the default delay keeps the bound.
         let prog = assemble(MEMSET_13).unwrap();
-        let eager = Analyzer::new(AnalyzerOptions {
+        let eager = VerificationSession::new().with_options(AnalyzerOptions {
             widen_delay: 0,
             harvest_thresholds: false,
             ..AnalyzerOptions::default()
         });
         assert!(matches!(
-            eager.analyze(&prog).unwrap_err(),
+            eager.run(&prog).unwrap_err(),
             VerifierError::OutOfBounds {
                 region: "stack",
                 ..
             }
         ));
-        Analyzer::new(AnalyzerOptions {
-            harvest_thresholds: false,
-            ..AnalyzerOptions::default()
-        })
-        .analyze(&prog)
-        .expect("delayed widening keeps the bound");
+        VerificationSession::new()
+            .with_options(AnalyzerOptions {
+                harvest_thresholds: false,
+                ..AnalyzerOptions::default()
+            })
+            .run(&prog)
+            .expect("delayed widening keeps the bound");
     }
 
     #[test]
@@ -810,12 +776,12 @@ mod tests {
         // the counter on [0, 12] instead of [0, i32::MAX] — the same
         // program the previous test shows eager widening losing.
         let prog = assemble(MEMSET_13).unwrap();
-        let eager = Analyzer::new(AnalyzerOptions {
+        let eager = VerificationSession::new().with_options(AnalyzerOptions {
             widen_delay: 0,
             ..AnalyzerOptions::default()
         });
         let analysis = eager
-            .analyze(&prog)
+            .run(&prog)
             .expect("thresholds recover the bound without any delay");
         assert!(analysis.stats().widenings_applied > 0, "widening did fire");
         let head = analysis.state_before(1).unwrap();
@@ -855,12 +821,12 @@ mod tests {
             ",
         )
         .unwrap();
-        let analyzer = Analyzer::new(AnalyzerOptions {
+        let analyzer = VerificationSession::new().with_options(AnalyzerOptions {
             harvest_thresholds: false,
             ..AnalyzerOptions::default()
         });
         let analysis = analyzer
-            .analyze(&prog)
+            .run(&prog)
             .expect("per-register delay keeps the counter bound");
         let exit_state = analysis.state_before(prog.len() - 1).unwrap();
         let r0 = exit_state.reg(Reg::R0).as_scalar().unwrap();
@@ -868,13 +834,13 @@ mod tests {
         // Sanity: the delay still matters — a tiny per-register budget
         // widens the counter before its 12 precise joins and loses the
         // proof, exactly as the shared counter did.
-        let tiny = Analyzer::new(AnalyzerOptions {
+        let tiny = VerificationSession::new().with_options(AnalyzerOptions {
             widen_delay: 4,
             harvest_thresholds: false,
             ..AnalyzerOptions::default()
         });
         assert!(matches!(
-            tiny.analyze(&prog).unwrap_err(),
+            tiny.run(&prog).unwrap_err(),
             VerifierError::OutOfBounds {
                 region: "stack",
                 ..
@@ -905,22 +871,23 @@ mod tests {
             ",
         )
         .unwrap();
-        let analysis = Analyzer::new(AnalyzerOptions {
-            harvest_thresholds: false,
-            ..AnalyzerOptions::default()
-        })
-        .analyze(&prog)
-        .expect("32-bit guard refines the counter");
+        let analysis = VerificationSession::new()
+            .with_options(AnalyzerOptions {
+                harvest_thresholds: false,
+                ..AnalyzerOptions::default()
+            })
+            .run(&prog)
+            .expect("32-bit guard refines the counter");
         let head = analysis.state_before(1).unwrap();
         let i = head.reg(Reg::R1).as_scalar().unwrap();
         assert_eq!((i.bounds().umin(), i.bounds().umax()), (0, 12));
         // And the refinement is ablatable like its 64-bit sibling.
-        let unrefined = Analyzer::new(AnalyzerOptions {
+        let unrefined = VerificationSession::new().with_options(AnalyzerOptions {
             refine_branches: false,
             harvest_thresholds: false,
             ..AnalyzerOptions::default()
         });
-        assert!(unrefined.analyze(&prog).is_err());
+        assert!(unrefined.run(&prog).is_err());
     }
 
     #[test]
@@ -1147,9 +1114,13 @@ mod tests {
             ",
         )
         .unwrap();
-        assert!(Analyzer::new(opts).analyze(&prog).is_err());
-        assert!(Analyzer::new(AnalyzerOptions::default())
-            .analyze(&prog)
+        assert!(VerificationSession::new()
+            .with_options(opts)
+            .run(&prog)
+            .is_err());
+        assert!(VerificationSession::new()
+            .with_options(AnalyzerOptions::default())
+            .run(&prog)
             .is_ok());
     }
 
@@ -1171,12 +1142,13 @@ mod tests {
             ",
         )
         .unwrap();
-        Analyzer::new(AnalyzerOptions {
-            ctx_size: 64,
-            ..strict.clone()
-        })
-        .analyze(&aligned)
-        .expect("aligned access accepted");
+        VerificationSession::new()
+            .with_options(AnalyzerOptions {
+                ctx_size: 64,
+                ..strict.clone()
+            })
+            .run(&aligned)
+            .expect("aligned access accepted");
 
         // Without the mask's low bits cleared, alignment is unprovable.
         let misaligned = assemble(
@@ -1190,12 +1162,13 @@ mod tests {
             ",
         )
         .unwrap();
-        let err = Analyzer::new(AnalyzerOptions {
-            ctx_size: 68,
-            ..strict
-        })
-        .analyze(&misaligned)
-        .unwrap_err();
+        let err = VerificationSession::new()
+            .with_options(AnalyzerOptions {
+                ctx_size: 68,
+                ..strict
+            })
+            .run(&misaligned)
+            .unwrap_err();
         assert!(matches!(err, VerifierError::Misaligned { size: 4, .. }));
     }
 
@@ -1336,8 +1309,9 @@ mod tests {
     #[test]
     fn facade_and_session_agree_and_tag_strategies() {
         let prog = assemble("r0 = 3\nexit").unwrap();
-        let via_facade = Analyzer::new(AnalyzerOptions::default())
-            .analyze(&prog)
+        let via_facade = VerificationSession::new()
+            .with_options(AnalyzerOptions::default())
+            .run(&prog)
             .unwrap();
         assert_eq!(via_facade.strategy(), Strategy::WideningFixpoint);
         let via_session = path_session().run(&prog).unwrap();

@@ -5,7 +5,7 @@
 //! ROADMAP: a load-time verifier is rarely handed one program at a time
 //! — it sees fleets (every variant of a packet filter, a CI sweep of
 //! fixtures) — and the per-program analyses are independent. Because
-//! [`AbsState`](crate::AbsState) is `Rc`-backed and `!Send`,
+//! [`AbsState`] is `Rc`-backed and `!Send`,
 //! parallelism is **program-granular**: each worker owns every state it
 //! allocates, and nothing `Rc`-backed ever crosses a thread boundary.
 //! Two mechanisms make the pool more than N independent loops:

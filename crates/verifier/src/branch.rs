@@ -47,7 +47,7 @@ pub fn refine(op: JmpOp, taken: bool, dst: Scalar, src: Scalar) -> Option<(Scala
 /// A 32-bit comparison reads only the zero-extended low halves, so the
 /// full [`refine`] machinery runs on [`Scalar::subreg`] of both sides and
 /// the refined low-32 knowledge is merged back into the 64-bit values by
-/// [`merge_subreg`]: tnum low bits always transfer; range facts transfer
+/// `merge_subreg`: tnum low bits always transfer; range facts transfer
 /// exactly when the 64-bit value provably fits in the low word (then the
 /// value *is* its sub-register). `None` still means the edge is
 /// infeasible — sound, because an unsigned/equality 32-bit compare is

@@ -7,7 +7,8 @@
 //! instructions, and every *retreating* edge with respect to that order
 //! — an edge from a later to an earlier position, which every cycle must
 //! contain — is classified as a back-edge whose target is a **loop
-//! head**, the widening point of [`crate::Analyzer`]'s worklist. The
+//! head**, the widening point of the fixpoint worklist
+//! ([`crate::fixpoint`]). The
 //! classic all-loops-rejected behaviour survives behind
 //! [`crate::AnalyzerOptions::reject_loops`].
 

@@ -4,7 +4,8 @@ use core::fmt;
 
 use ebpf::Reg;
 
-/// Why a program was rejected by the [`Analyzer`](crate::Analyzer).
+/// Why a program was rejected by a
+/// [`VerificationSession`](crate::VerificationSession).
 ///
 /// Every variant carries the instruction index (`pc`) at fault, so callers
 /// can point at the offending line of disassembly.

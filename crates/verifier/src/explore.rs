@@ -3,8 +3,8 @@
 //!
 //! The [`ExplorationStrategy`] trait is the seam between the transfer
 //! layer (one abstract instruction step, [`crate::transfer`]) and the
-//! driver that schedules those steps. Two built-in strategies implement
-//! it, selectable through [`Strategy`] on a
+//! driver that schedules those steps. Three built-in strategies
+//! implement it, selectable through [`Strategy`] on a
 //! [`VerificationSession`](crate::VerificationSession):
 //!
 //! * [`WideningFixpoint`] — the reverse-postorder priority worklist of
@@ -14,21 +14,27 @@
 //!   program, precision pays the join/widening toll.
 //! * [`PathSensitive`] — a kernel-style depth-first branch walker: each
 //!   conditional forks an O(1) copy-on-write state, a per-pc
-//!   [`VisitedTable`](crate::visited::VisitedTable) prunes any arrival
-//!   included in an already-explored state (the kernel's
-//!   `is_state_visited`), the first
-//!   [`AnalyzerOptions::unroll_k`](crate::AnalyzerOptions::unroll_k)
-//!   trips of every loop are unrolled with full per-trip precision, and
-//!   past the bound the loop head falls back to widening (with the same
-//!   harvested thresholds), so unbounded loops still terminate.
+//!   [`VisitedTable`] prunes any arrival included in an already-explored
+//!   state (the kernel's `is_state_visited`), the first
+//!   [`AnalyzerOptions::unroll_k`] trips of every loop are unrolled with
+//!   full per-trip precision, and past the bound the loop head falls
+//!   back to widening (with the same harvested thresholds), so unbounded
+//!   loops still terminate.
+//! * [`PathParallel`](crate::parshard::PathParallel) — the work-stealing
+//!   sibling of [`PathSensitive`]: past a fork depth the fall-through
+//!   subtrees become stealable jobs, pruning runs against one shared
+//!   striped table, and verdicts/errors/reported joins stay
+//!   bit-identical to the sequential walk — see [`crate::parshard`].
 //!
-//! A third strategy, [`PathParallel`](crate::parshard::PathParallel)
-//! (`Strategy::PathParallel`), is the work-stealing parallel sibling of
-//! [`PathSensitive`]: independent DFS subtrees become stealable jobs,
-//! pruning runs against a shared
-//! [`ConcurrentVisitedTable`](crate::visited::ConcurrentVisitedTable),
-//! and verdicts/errors/reported joins stay bit-identical to the
-//! sequential walk — see [`crate::parshard`].
+//! Both path explorers run **one walk**: the crate-private `Walk` owns
+//! the per-walk accumulators (reported joins, loop-head summaries and
+//! their widening counters, trip and cleaning totals) and runs the
+//! arrival protocol documented on [`PathSensitive`]. What differs between
+//! the two — how a visit is charged against the budget, which fail-point
+//! site fires, which visited table prunes, and what happens to a fork's
+//! fall-through arm — is a `WalkPolicy` resolved at compile time. Both
+//! build the same per-program `Plan` (CFG, thresholds, loop-head index,
+//! passes) first.
 //!
 //! All return an [`Exploration`] — per-instruction states plus
 //! [`AnalysisStats`] — which the session tags with its [`Strategy`] into
@@ -36,13 +42,18 @@
 //! (per-function caching, strategy portfolios) plugs in behind the same
 //! trait.
 
+use std::rc::Rc;
+use std::time::Instant;
+
 use ebpf::Program;
 use interval_domain::WidenThresholds;
 
 use crate::analyzer::AnalyzerOptions;
 use crate::cfg::Cfg;
 use crate::error::VerifierError;
+use crate::failpoint::FaultSite;
 use crate::fixpoint::{self, AnalysisStats};
+use crate::passes::ProgramPasses;
 use crate::state::{stats, AbsState, JoinCounters, WidenCtx};
 use crate::transfer::Transfer;
 use crate::visited::VisitedTable;
@@ -89,8 +100,8 @@ pub trait ExplorationStrategy {
 
 /// Built-in strategy selector for
 /// [`VerificationSession`](crate::VerificationSession) — enum dispatch
-/// over the two [`ExplorationStrategy`] implementations, and the tag an
-/// [`Analysis`](crate::Analysis) carries.
+/// over the three built-in [`ExplorationStrategy`] implementations, and
+/// the tag an [`Analysis`](crate::Analysis) carries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// The widening fixpoint worklist ([`WideningFixpoint`]) — the
@@ -210,78 +221,206 @@ impl ExplorationStrategy for PathSensitive {
         prog: &Program,
         options: &AnalyzerOptions,
     ) -> Result<Exploration, VerifierError> {
-        let cfg = Cfg::build(prog);
-        let transfer = Transfer::new(options.clone());
+        let plan = Plan::new(prog, options);
         stats::reset();
         crate::memo::counters::reset();
-        let thresholds = if options.harvest_thresholds && !cfg.back_edges().is_empty() {
-            fixpoint::harvest_thresholds(prog)
-        } else {
-            WidenThresholds::EMPTY
+        let mut policy = Sequential {
+            visited: VisitedTable::with_cap(prog.len(), options.visited_cap as usize),
+            visits: 0,
         };
+        let mut walk = Walk::new(&plan);
+        walk.run(
+            &mut policy,
+            0,
+            AbsState::entry(),
+            Rc::new(plan.entry_trips()),
+            (),
+        )?;
+        let stats = AnalysisStats::of_run(
+            stats::snapshot(),
+            crate::memo::counters::snapshot(),
+            policy.visits,
+            policy.visited.ledger(),
+            walk.totals,
+            plan.passes.as_ref(),
+        );
+        Ok(Exploration {
+            states: walk.report,
+            stats,
+        })
+    }
+}
 
-        // Dense loop-head indexing for the per-path trip counters and
-        // the per-head widening summaries.
+/// What both path explorers build once per program before walking it.
+pub(crate) struct Plan<'a> {
+    pub(crate) prog: &'a Program,
+    pub(crate) options: &'a AnalyzerOptions,
+    pub(crate) cfg: Cfg,
+    thresholds: WidenThresholds,
+    /// Dense loop-head index per pc (`usize::MAX` = not a head), for the
+    /// per-path trip counters and the per-head widening summaries.
+    head_idx: Vec<usize>,
+    /// RPO position per head: heads *later* in RPO are (for reducible
+    /// CFGs) nested inside or sequenced after earlier ones, and get
+    /// their unroll budget reset when an earlier head takes a trip — an
+    /// inner loop is unrolled per *entry*, not once per program.
+    head_rpo: Vec<usize>,
+    /// The pass framework feeds checkpoint cleaning: every arrival at a
+    /// checkpoint drops its dead components (kernel
+    /// `clean_verifier_state`) *before* the summary join and the visited
+    /// probe, so paths differing only in dead registers or slots
+    /// fingerprint equally and prune each other, and loop-head summaries
+    /// never widen (or burn delay on) dead components.
+    pub(crate) passes: Option<ProgramPasses>,
+    /// When exploration started, for the cooperative deadline check at
+    /// every visit.
+    start: Instant,
+}
+
+impl<'a> Plan<'a> {
+    pub(crate) fn new(prog: &'a Program, options: &'a AnalyzerOptions) -> Plan<'a> {
+        let cfg = Cfg::build(prog);
+        let thresholds = fixpoint::thresholds_for(prog, &cfg, options);
         let mut head_idx = vec![usize::MAX; prog.len()];
-        let heads: Vec<usize> = (0..prog.len()).filter(|&pc| cfg.is_loop_head(pc)).collect();
-        for (i, &h) in heads.iter().enumerate() {
-            head_idx[h] = i;
+        let mut head_rpo = Vec::new();
+        for pc in (0..prog.len()).filter(|&pc| cfg.is_loop_head(pc)) {
+            head_idx[pc] = head_rpo.len();
+            head_rpo.push(cfg.rpo_pos(pc));
         }
-        // RPO position per head: heads *later* in RPO are (for reducible
-        // CFGs) nested inside or sequenced after earlier ones, and get
-        // their unroll budget reset when an earlier head takes a trip —
-        // an inner loop is unrolled per *entry*, not once per program.
-        let head_rpo: Vec<usize> = heads.iter().map(|&h| cfg.rpo_pos(h)).collect();
-        // The pass framework feeds checkpoint cleaning: every arrival
-        // at a checkpoint drops its dead components (kernel
-        // `clean_verifier_state`) *before* the summary join and the
-        // visited probe, so paths differing only in dead registers or
-        // slots fingerprint equally and prune each other, and loop-head
-        // summaries never widen (or burn delay on) dead components.
         let passes = options
             .liveness_pruning
-            .then(|| crate::passes::ProgramPasses::compute(prog, &cfg));
-        let mut dead_components_cleared: u64 = 0;
+            .then(|| ProgramPasses::compute(prog, &cfg));
+        Plan {
+            prog,
+            options,
+            cfg,
+            thresholds,
+            head_idx,
+            head_rpo,
+            passes,
+            start: Instant::now(),
+        }
+    }
 
-        let mut visited = VisitedTable::with_cap(prog.len(), options.visited_cap as usize);
-        let mut report: Vec<Option<AbsState>> = vec![None; prog.len()];
-        let mut summaries: Vec<Option<AbsState>> = vec![None; heads.len()];
-        let mut counters: Vec<JoinCounters> = heads.iter().map(|_| JoinCounters::new()).collect();
-        let mut unrolled_trips: u64 = 0;
+    /// The entry path's trip counts: zero at every loop head.
+    pub(crate) fn entry_trips(&self) -> Vec<u32> {
+        vec![0; self.head_rpo.len()]
+    }
+}
 
-        // The DFS worklist: `(pc, in-state, per-head trip counts)`.
-        // Only forks touch it: a step with one successor continues in
-        // place (`next`) with the moved state and trip vector, a fork
-        // pushes both edges (the second takes the moved trip vector, the
-        // first an `Rc` clone), and a dead end or a pruned arrival pops.
-        // The copy-on-write layer is what makes the multiplied live
-        // states affordable; the trip counts only materialize at loop
-        // heads, where they change.
-        let mut stack: Vec<(usize, AbsState, std::rc::Rc<Vec<u32>>)> = Vec::new();
-        let mut next = Some((0, AbsState::entry(), std::rc::Rc::new(vec![0; heads.len()])));
-        let start = std::time::Instant::now();
-        let mut visits: u64 = 0;
-        while let Some((pc, mut state, mut trips)) = next.take().or_else(|| stack.pop()) {
-            visits += 1;
-            crate::fixpoint::ledger::bump();
-            if visits > options.analysis_budget {
-                return Err(VerifierError::AnalysisBudgetExhausted {
-                    pc,
-                    budget: options.analysis_budget,
-                });
+/// The per-walk counters that add up across the parallel explorer's
+/// jobs.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct WalkTotals {
+    pub(crate) unrolled_trips: u64,
+    pub(crate) dead_components_cleared: u64,
+}
+
+/// What the two path explorers do differently at the walk's seams.
+pub(crate) trait WalkPolicy {
+    /// Carried with every pending arrival: the fork nesting depth for
+    /// the parallel walk's spawn rule, nothing for the sequential one.
+    type Depth: Copy;
+
+    /// The fail-point site every visit fires.
+    const VISIT_SITE: FaultSite;
+
+    /// Counts one visit, returning the total visits charged against the
+    /// budget so far, or `None` to abandon the walk without an error of
+    /// its own.
+    fn charge(&mut self) -> Option<u64>;
+
+    /// Probes the visited table at checkpoint `pc`: `true` prunes the
+    /// arrival, `false` records it.
+    fn prune_or_record(&mut self, pc: usize, state: &AbsState, masked: bool) -> bool;
+
+    /// Counts a summary prune at loop head `pc` in the visited table's
+    /// ledger.
+    fn note_summary_prune(&mut self, pc: usize);
+
+    /// A fork at `pc`, reached at nesting `depth`, whose fall-through arm
+    /// enters `fall_pc` with `fall`. Returns both arms' depth and the
+    /// fall-through state when it stays on this walk's stack (`None`:
+    /// the policy took it elsewhere). By default both arms stay.
+    fn fork(
+        &mut self,
+        _pc: usize,
+        depth: Self::Depth,
+        _fall_pc: usize,
+        fall: AbsState,
+        _trips: &Rc<Vec<u32>>,
+    ) -> (Self::Depth, Option<AbsState>) {
+        (depth, Some(fall))
+    }
+}
+
+/// A pending arrival: `(pc, in-state, per-head trip counts, depth)`.
+type Arrival<D> = (usize, AbsState, Rc<Vec<u32>>, D);
+
+/// One depth-first walk over a [`Plan`] and the accumulators it fills.
+pub(crate) struct Walk<'p> {
+    plan: &'p Plan<'p>,
+    transfer: Transfer,
+    /// The per-pc join over every arrival this walk explored.
+    pub(crate) report: Vec<Option<AbsState>>,
+    summaries: Vec<Option<AbsState>>,
+    counters: Vec<JoinCounters>,
+    pub(crate) totals: WalkTotals,
+}
+
+impl<'p> Walk<'p> {
+    pub(crate) fn new(plan: &'p Plan<'p>) -> Walk<'p> {
+        let heads = plan.head_rpo.len();
+        Walk {
+            plan,
+            transfer: Transfer::new(plan.options.clone()),
+            report: vec![None; plan.prog.len()],
+            summaries: vec![None; heads],
+            counters: (0..heads).map(|_| JoinCounters::new()).collect(),
+            totals: WalkTotals::default(),
+        }
+    }
+
+    /// Walks depth-first from `pc` with `state` (the arrival protocol of
+    /// [`PathSensitive`]) until the stack drains, the policy abandons
+    /// the walk, or an error rejects the program.
+    ///
+    /// The DFS worklist holds `(pc, in-state, per-head trip counts,
+    /// depth)`. Only forks touch it: a step with one successor continues
+    /// in place (`next`) with the moved state and trip vector, a fork
+    /// pushes both edges (the second takes the moved trip vector, the
+    /// first an `Rc` clone), and a dead end or a pruned arrival pops.
+    /// The copy-on-write layer is what makes the multiplied live states
+    /// affordable; the trip counts only materialize at loop heads, where
+    /// they change.
+    pub(crate) fn run<P: WalkPolicy>(
+        &mut self,
+        policy: &mut P,
+        pc: usize,
+        state: AbsState,
+        trips: Rc<Vec<u32>>,
+        depth: P::Depth,
+    ) -> Result<(), VerifierError> {
+        let plan = self.plan;
+        let masked = plan.passes.is_some();
+        let mut stack: Vec<Arrival<P::Depth>> = Vec::new();
+        let mut next = Some((pc, state, trips, depth));
+        while let Some((pc, mut state, mut trips, depth)) = next.take().or_else(|| stack.pop()) {
+            let Some(visits) = policy.charge() else {
+                break;
+            };
+            let budget = plan.options.analysis_budget;
+            if visits > budget {
+                return Err(VerifierError::AnalysisBudgetExhausted { pc, budget });
             }
-            crate::analyzer::check_deadline(start, options, pc)?;
-            crate::failpoint::fire(crate::failpoint::FaultSite::PathVisit);
-            let h = head_idx[pc];
+            crate::analyzer::check_deadline(plan.start, plan.options, pc)?;
+            crate::failpoint::fire(P::VISIT_SITE);
+            let h = plan.head_idx[pc];
             // Checkpoints — where paths can re-converge, so where
             // pruning can fire: loop heads plus merge points.
-            let checkpoint = cfg.is_checkpoint(pc);
-            if checkpoint {
-                if let Some(p) = &passes {
-                    let mask = p.live_in(pc);
-                    dead_components_cleared += u64::from(state.clear_dead(mask.regs, mask.slots));
-                }
-            }
+            let checkpoint = plan.cfg.is_checkpoint(pc);
+            self.totals.dead_components_cleared +=
+                fixpoint::clear_dead_at(&plan.cfg, plan.passes.as_ref(), pc, &mut state);
             if h != usize::MAX {
                 // A new trip of this loop restarts the unroll budget of
                 // every head nested inside it (later in RPO), so an
@@ -292,15 +431,16 @@ impl ExplorationStrategy for PathSensitive {
                 // others, saturates, and drives the widening fallback.
                 // (Resets never touch `h` itself — only heads later in
                 // RPO — so the trip test below is unaffected by them.)
-                let take_trip = trips[h] < options.unroll_k;
-                let needs_reset = head_rpo
+                let take_trip = trips[h] < plan.options.unroll_k;
+                let needs_reset = plan
+                    .head_rpo
                     .iter()
                     .enumerate()
-                    .any(|(j, &pos)| pos > head_rpo[h] && trips[j] != 0);
+                    .any(|(j, &pos)| pos > plan.head_rpo[h] && trips[j] != 0);
                 if take_trip || needs_reset {
-                    let t = std::rc::Rc::make_mut(&mut trips);
-                    for (j, &pos) in head_rpo.iter().enumerate() {
-                        if pos > head_rpo[h] {
+                    let t = Rc::make_mut(&mut trips);
+                    for (j, &pos) in plan.head_rpo.iter().enumerate() {
+                        if pos > plan.head_rpo[h] {
                             t[j] = 0;
                         }
                     }
@@ -310,21 +450,23 @@ impl ExplorationStrategy for PathSensitive {
                 }
                 if take_trip {
                     // Unrolled trip: keep the path state exact.
-                    unrolled_trips += 1;
+                    self.totals.unrolled_trips += 1;
                 } else {
                     // Past the unroll bound: widen into the head's
                     // summary and continue from it. The trip counter
                     // stays saturated, so this path keeps flowing
-                    // through the summary on every further lap.
-                    match &mut summaries[h] {
+                    // through the summary on every further lap. Back
+                    // edges never leave a parallel job, so a job-local
+                    // summary stabilizes exactly like the sequential one.
+                    match &mut self.summaries[h] {
                         slot @ None => *slot = Some(state.clone()),
                         Some(summary) => {
                             let grew = summary.flow_join(
                                 &state,
                                 Some(WidenCtx {
-                                    counters: &mut counters[h],
+                                    counters: &mut self.counters[h],
                                     delay: 0,
-                                    thresholds: &thresholds,
+                                    thresholds: &plan.thresholds,
                                 }),
                             );
                             // The widened re-entry state is recorded at
@@ -338,7 +480,7 @@ impl ExplorationStrategy for PathSensitive {
                             // even if cap eviction dropped the recorded
                             // summary from the chain.
                             if !grew {
-                                visited.note_summary_prune();
+                                policy.note_summary_prune(pc);
                                 continue;
                             }
                             state = summary.clone();
@@ -346,18 +488,10 @@ impl ExplorationStrategy for PathSensitive {
                     }
                 }
             }
-            if checkpoint {
-                let covered = if passes.is_some() {
-                    visited.is_covered_masked(pc, &state)
-                } else {
-                    visited.is_covered(pc, &state)
-                };
-                if covered {
-                    continue;
-                }
-                visited.insert(pc, state.clone());
+            if checkpoint && policy.prune_or_record(pc, &state, masked) {
+                continue;
             }
-            match &mut report[pc] {
+            match &mut self.report[pc] {
                 slot @ None => *slot = Some(state.clone()),
                 // In-place join: the accumulator materializes once and
                 // then absorbs later paths without fresh allocations.
@@ -365,47 +499,55 @@ impl ExplorationStrategy for PathSensitive {
                     existing.flow_join(&state, None);
                 }
             }
-            let mut succs = transfer.step(prog, state, pc)?.into_iter();
+            let mut succs = self.transfer.step(plan.prog, state, pc)?.into_iter();
             match (succs.next(), succs.next()) {
-                (Some((succ, out)), None) => next = Some((succ, out, trips)),
+                (Some((succ, out)), None) => next = Some((succ, out, trips, depth)),
                 (Some((fall, fall_out)), Some((taken, taken_out))) => {
-                    stack.push((fall, fall_out, trips.clone()));
-                    stack.push((taken, taken_out, trips));
+                    let (depth, fall_out) = policy.fork(pc, depth, fall, fall_out, &trips);
+                    if let Some(fall_out) = fall_out {
+                        stack.push((fall, fall_out, trips.clone(), depth));
+                    }
+                    stack.push((taken, taken_out, trips, depth));
                 }
                 _ => {}
             }
         }
+        Ok(())
+    }
+}
 
-        let traffic = stats::snapshot();
-        let (memo_hits, memo_misses, memo_evicted) = crate::memo::counters::snapshot();
-        Ok(Exploration {
-            states: report,
-            stats: AnalysisStats {
-                states_allocated: traffic.allocated,
-                states_shared: traffic.shared,
-                joins_short_circuited: traffic.short_circuited,
-                widenings_applied: traffic.widenings,
-                visits,
-                states_pruned: visited.states_pruned(),
-                subset_checks: visited.subset_checks(),
-                unrolled_trips,
-                fingerprint_rejects: visited.fingerprint_rejects(),
-                visited_evicted: visited.visited_evicted(),
-                bytes_materialized: traffic.bytes,
-                memo_hits,
-                memo_misses,
-                memo_evicted,
-                live_masked_prunes: visited.masked_prunes(),
-                dead_components_cleared,
-                dead_insns: passes
-                    .as_ref()
-                    .map_or(0, crate::passes::ProgramPasses::dead_insns),
-                subtrees_spawned: 0,
-                steals: 0,
-                shared_prunes: 0,
-                degradations: 0,
-            },
-        })
+/// [`PathSensitive`]'s policy: a local visit counter, the `path-visit`
+/// fail-point, a private [`VisitedTable`], and every fork arm on the
+/// stack (the default `fork`).
+struct Sequential {
+    visited: VisitedTable,
+    visits: u64,
+}
+
+impl WalkPolicy for Sequential {
+    type Depth = ();
+    const VISIT_SITE: FaultSite = FaultSite::PathVisit;
+
+    fn charge(&mut self) -> Option<u64> {
+        self.visits += 1;
+        fixpoint::ledger::bump();
+        Some(self.visits)
+    }
+
+    fn prune_or_record(&mut self, pc: usize, state: &AbsState, masked: bool) -> bool {
+        let covered = if masked {
+            self.visited.is_covered_masked(pc, state)
+        } else {
+            self.visited.is_covered(pc, state)
+        };
+        if !covered {
+            self.visited.insert(pc, state.clone());
+        }
+        covered
+    }
+
+    fn note_summary_prune(&mut self, _pc: usize) {
+        self.visited.note_summary_prune();
     }
 }
 

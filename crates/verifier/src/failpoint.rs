@@ -48,18 +48,18 @@ pub enum FaultSite {
     /// The widening fixpoint's per-visit budget check
     /// (`fixpoint::run`'s worklist loop).
     FixpointVisit,
-    /// The sequential path explorer's per-visit budget check
-    /// (`PathSensitive::explore`'s DFS loop).
+    /// The sequential path explorer's per-visit budget check (the
+    /// shared path walk under `PathSensitive`).
     PathVisit,
     /// The parallel explorer's per-visit budget check, on a worker
-    /// thread inside a stealable job (`parshard::run_job`).
+    /// thread inside a stealable job (the shared path walk under
+    /// `PathParallel`).
     ParshardJob,
     /// Inside [`TransferMemo::insert`](crate::TransferMemo::insert),
     /// **while the shard lock is held** — a panic here poisons the
     /// shard.
     MemoInsert,
-    /// Inside the shared visited-table probe
-    /// ([`ConcurrentVisitedTable`](crate::ConcurrentVisitedTable)),
+    /// Inside the parallel explorer's shared visited-table probe,
     /// **while the stripe lock is held** — a panic here poisons the
     /// stripe.
     VisitedProbe,

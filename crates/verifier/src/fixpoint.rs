@@ -18,8 +18,10 @@ use interval_domain::WidenThresholds;
 use crate::analyzer::AnalyzerOptions;
 use crate::cfg::{Cfg, RpoWorklist};
 use crate::error::VerifierError;
+use crate::explore::WalkTotals;
 use crate::state::{stats, AbsState, JoinCounters, WidenCtx};
 use crate::transfer::Transfer;
+use crate::visited::Ledger;
 
 /// Thread-local visit ledger: every strategy bumps it once per
 /// instruction visit (the parallel explorer credits its shared atomic
@@ -61,7 +63,8 @@ pub(crate) mod ledger {
 /// Counters describing one analysis run — the observable effect of the
 /// copy-on-write state layer and (under the path-sensitive strategy) of
 /// kernel-style visited-state pruning, emitted by the fixpoint bench
-/// (`BENCH_PR5.json`) and guarded by CI against regression.
+/// (`BENCH_PR13.json`), guarded by CI against regression, and pinned
+/// per fixture for the path explorer in `tests/explorer_counters.rs`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisStats {
     /// Deep copies of a register file or stack frame actually performed
@@ -143,11 +146,10 @@ pub struct AnalysisStats {
     /// ([`StealPool`](domain::parallel::StealPool) steals). Zero for
     /// the sequential strategies.
     pub steals: u64,
-    /// Path prunes where the covering entry in the shared
-    /// [`ConcurrentVisitedTable`](crate::visited::ConcurrentVisitedTable)
-    /// was inserted by a *different* worker — exploration one worker did
-    /// that saved another worker's walk. Zero for the sequential
-    /// strategies.
+    /// Path prunes where the covering entry in the parallel explorer's
+    /// shared visited table was inserted by a *different* worker —
+    /// exploration one worker did that saved another worker's walk.
+    /// Zero for the sequential strategies.
     pub shared_prunes: u64,
     /// Strategy downgrades the session's
     /// [`DegradationPolicy::Ladder`](crate::DegradationPolicy) took to
@@ -160,6 +162,40 @@ pub struct AnalysisStats {
 }
 
 impl AnalysisStats {
+    /// One run's counters: its state-layer `traffic`, `memo` `(hits,
+    /// misses, evicted)`, visits, visited-table ledger (`chains`), walk
+    /// totals, and the pass layer's dead instructions. The parallel
+    /// explorer's own counters start at zero.
+    pub(crate) fn of_run(
+        traffic: stats::Traffic,
+        memo: (u64, u64, u64),
+        visits: u64,
+        chains: Ledger,
+        totals: WalkTotals,
+        passes: Option<&crate::passes::ProgramPasses>,
+    ) -> AnalysisStats {
+        AnalysisStats {
+            states_allocated: traffic.allocated,
+            states_shared: traffic.shared,
+            joins_short_circuited: traffic.short_circuited,
+            widenings_applied: traffic.widenings,
+            visits,
+            states_pruned: chains.states_pruned,
+            subset_checks: chains.subset_checks,
+            unrolled_trips: totals.unrolled_trips,
+            fingerprint_rejects: chains.fingerprint_rejects,
+            visited_evicted: chains.visited_evicted,
+            bytes_materialized: traffic.bytes,
+            memo_hits: memo.0,
+            memo_misses: memo.1,
+            memo_evicted: memo.2,
+            live_masked_prunes: chains.masked_prunes,
+            dead_components_cleared: totals.dead_components_cleared,
+            dead_insns: passes.map_or(0, crate::passes::ProgramPasses::dead_insns),
+            ..AnalysisStats::default()
+        }
+    }
+
     /// Deep component copies an engine without structural sharing would
     /// have performed for the same run: two (register file + stack) per
     /// state clone, on top of what this engine still materialized.
@@ -218,9 +254,9 @@ impl AnalysisStats {
 /// sub-register, so that is the useful rung, not the sign-extended
 /// 64-bit pattern).
 ///
-/// Shared with the path-sensitive explorer's widening fallback
-/// ([`crate::explore::PathSensitive`]), so both strategies extrapolate
-/// through the same program-derived ladder.
+/// Shared with the path explorers' widening fallback (see
+/// [`thresholds_for`]), so every strategy extrapolates through the same
+/// program-derived ladder.
 pub(crate) fn harvest_thresholds(prog: &Program) -> WidenThresholds {
     WidenThresholds::harvest(prog.insns().iter().filter_map(|insn| match insn {
         Insn::Jmp {
@@ -233,6 +269,22 @@ pub(crate) fn harvest_thresholds(prog: &Program) -> WidenThresholds {
         }),
         _ => None,
     }))
+}
+
+/// The widening thresholds a strategy runs `prog` with: harvested when
+/// [`AnalyzerOptions::harvest_thresholds`] is on and the CFG has a back
+/// edge. Thresholds only matter where widening can fire; acyclic
+/// programs (the bulk of real workloads) skip the harvest scan entirely.
+pub(crate) fn thresholds_for(
+    prog: &Program,
+    cfg: &Cfg,
+    options: &AnalyzerOptions,
+) -> WidenThresholds {
+    if options.harvest_thresholds && !cfg.back_edges().is_empty() {
+        harvest_thresholds(prog)
+    } else {
+        WidenThresholds::EMPTY
+    }
 }
 
 /// Runs the worklist to a (widened) post-fixpoint and applies one
@@ -252,13 +304,7 @@ pub fn run(
 ) -> Result<(Vec<Option<AbsState>>, AnalysisStats), VerifierError> {
     stats::reset();
     crate::memo::counters::reset();
-    // Thresholds only matter where widening can fire; acyclic programs
-    // (the bulk of real workloads) skip the harvest scan entirely.
-    let thresholds = if options.harvest_thresholds && !cfg.back_edges().is_empty() {
-        harvest_thresholds(prog)
-    } else {
-        WidenThresholds::EMPTY
-    };
+    let thresholds = thresholds_for(prog, cfg, options);
 
     // The pass framework feeds checkpoint cleaning: states flowing into
     // a loop head or merge point drop their dead components first, so
@@ -269,15 +315,12 @@ pub fn run(
     let passes = options
         .liveness_pruning
         .then(|| crate::passes::ProgramPasses::compute(prog, cfg));
-    let mut dead_components_cleared: u64 = 0;
+    // The fixpoint joins instead of pruning and never unrolls: of the
+    // walk totals it only counts cleaned components.
+    let mut totals = WalkTotals::default();
 
     let mut entry = AbsState::entry();
-    if let Some(p) = &passes {
-        if cfg.is_checkpoint(0) {
-            let mask = p.live_in(0);
-            dead_components_cleared += u64::from(entry.clear_dead(mask.regs, mask.slots));
-        }
-    }
+    totals.dead_components_cleared += clear_dead_at(cfg, passes.as_ref(), 0, &mut entry);
     let mut states: Vec<Option<AbsState>> = vec![None; prog.len()];
     states[0] = Some(entry);
     // Per-loop-head, per-component changing-join counters driving the
@@ -308,12 +351,7 @@ pub fn run(
             .clone()
             .expect("queued instructions have a state");
         for (succ, mut out) in transfer.step(prog, state, pc)? {
-            if let Some(p) = &passes {
-                if cfg.is_checkpoint(succ) {
-                    let mask = p.live_in(succ);
-                    dead_components_cleared += u64::from(out.clear_dead(mask.regs, mask.slots));
-                }
-            }
+            totals.dead_components_cleared += clear_dead_at(cfg, passes.as_ref(), succ, &mut out);
             let changed = match &mut states[succ] {
                 slot @ None => {
                     *slot = Some(out);
@@ -350,43 +388,37 @@ pub fn run(
             cfg,
             &states,
             passes.as_ref(),
-            &mut dead_components_cleared,
+            &mut totals.dead_components_cleared,
         )?
     };
 
-    let traffic = stats::snapshot();
-    let (memo_hits, memo_misses, memo_evicted) = crate::memo::counters::snapshot();
-    Ok((
-        states,
-        AnalysisStats {
-            states_allocated: traffic.allocated,
-            states_shared: traffic.shared,
-            joins_short_circuited: traffic.short_circuited,
-            widenings_applied: traffic.widenings,
-            visits,
-            // The fixpoint joins instead of pruning and never unrolls;
-            // the pruning-table counters belong to the path-sensitive
-            // strategy.
-            states_pruned: 0,
-            subset_checks: 0,
-            unrolled_trips: 0,
-            fingerprint_rejects: 0,
-            visited_evicted: 0,
-            bytes_materialized: traffic.bytes,
-            memo_hits,
-            memo_misses,
-            memo_evicted,
-            live_masked_prunes: 0,
-            dead_components_cleared,
-            dead_insns: passes
-                .as_ref()
-                .map_or(0, super::passes::ProgramPasses::dead_insns),
-            subtrees_spawned: 0,
-            steals: 0,
-            shared_prunes: 0,
-            degradations: 0,
-        },
-    ))
+    let stats = AnalysisStats::of_run(
+        stats::snapshot(),
+        crate::memo::counters::snapshot(),
+        visits,
+        Ledger::default(),
+        totals,
+        passes.as_ref(),
+    );
+    Ok((states, stats))
+}
+
+/// Checkpoint cleaning: when the passes ran and `pc` is a checkpoint,
+/// resets `state`'s components dead at `pc` to their uninitialized top,
+/// returning how many it reset.
+pub(crate) fn clear_dead_at(
+    cfg: &Cfg,
+    passes: Option<&crate::passes::ProgramPasses>,
+    pc: usize,
+    state: &mut AbsState,
+) -> u64 {
+    match passes {
+        Some(p) if cfg.is_checkpoint(pc) => {
+            let mask = p.live_in(pc);
+            u64::from(state.clear_dead(mask.regs, mask.slots))
+        }
+        _ => 0,
+    }
 }
 
 /// The narrowing pass: one plain-join recomputation of every reachable
@@ -404,12 +436,7 @@ fn narrow(
 ) -> Result<Vec<Option<AbsState>>, VerifierError> {
     let mut narrowed: Vec<Option<AbsState>> = vec![None; prog.len()];
     let mut entry = AbsState::entry();
-    if let Some(p) = passes {
-        if cfg.is_checkpoint(0) {
-            let mask = p.live_in(0);
-            *dead_components_cleared += u64::from(entry.clear_dead(mask.regs, mask.slots));
-        }
-    }
+    *dead_components_cleared += clear_dead_at(cfg, passes, 0, &mut entry);
     narrowed[0] = Some(entry);
     for &pc in cfg.rpo() {
         let Some(state) = states[pc].clone() else {
@@ -419,12 +446,7 @@ fn narrow(
             // The same checkpoint cleaning the widened pass applied:
             // narrowing must not resurrect dead components the
             // fixpoint already dropped.
-            if let Some(p) = passes {
-                if cfg.is_checkpoint(succ) {
-                    let mask = p.live_in(succ);
-                    *dead_components_cleared += u64::from(out.clear_dead(mask.regs, mask.slots));
-                }
-            }
+            *dead_components_cleared += clear_dead_at(cfg, passes, succ, &mut out);
             match &mut narrowed[succ] {
                 slot @ None => *slot = Some(out),
                 // In-place join: the cell materializes once and then

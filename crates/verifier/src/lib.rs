@@ -32,8 +32,8 @@
 //!   first [`AnalyzerOptions::unroll_k`] trips of each loop with exact
 //!   per-trip precision, and falls back to widening past the bound;
 //!   [`Strategy::PathParallel`] ([`parshard`]) shards that same walk
-//!   over work-stealing workers with a shared
-//!   [`ConcurrentVisitedTable`], bit-identical to the sequential walk;
+//!   over work-stealing workers with one shared, striped visited table,
+//!   bit-identical to the sequential walk;
 //! * [`fixpoint`] — the reverse-postorder priority worklist behind the
 //!   fixpoint strategy: joins at merge points, **per-register delayed
 //!   widening** at loop heads (each register and stack slot burns its
@@ -145,7 +145,7 @@ pub mod transfer;
 mod value;
 pub mod visited;
 
-pub use analyzer::{Analysis, Analyzer, AnalyzerOptions, DegradationPolicy, VerificationSession};
+pub use analyzer::{Analysis, AnalyzerOptions, DegradationPolicy, VerificationSession};
 pub use batch::{BatchItem, BatchReport, BatchStats};
 pub use branch::refine as refine_branch;
 pub use branch::refine32 as refine_branch32;
@@ -163,4 +163,4 @@ pub use scalar::Scalar;
 pub use state::value_fingerprint;
 pub use state::{AbsState, JoinCounters, StackSlot, CHUNK_SLOTS, STACK_CHUNKS};
 pub use value::RegValue;
-pub use visited::{ConcurrentVisitedTable, VisitedTable};
+pub use visited::VisitedTable;

@@ -37,7 +37,7 @@
 //! and each shard evicts oldest-first past its cap — the same bounded
 //! "LRU-ish" hygiene as the visited table's chain cap.
 //!
-//! Per-run traffic is counted in thread-local [`counters`] the
+//! Per-run traffic is counted in thread-local `counters` the
 //! exploration engines snapshot into
 //! [`AnalysisStats`](crate::AnalysisStats)
 //! (`memo_hits` / `memo_misses` / `memo_evicted`).
@@ -267,7 +267,7 @@ impl TransferMemo {
     /// Looks up `key`, returning the cached effect only when the stored
     /// operands are *exactly equal* to `(lhs, rhs)` — a fingerprint
     /// collision therefore reads as a miss, never as a wrong result.
-    /// Counts a hit or miss in the calling thread's [`counters`].
+    /// Counts a hit or miss in the calling thread's `counters`.
     #[must_use]
     pub fn lookup(&self, key: MemoKey, lhs: Scalar, rhs: Scalar) -> Option<MemoEffect> {
         // Poison recovery, not unwrap: a worker that panicked (and was

@@ -1,19 +1,21 @@
 //! Work-stealing **intra-program** path exploration — the parallel
-//! sibling of [`PathSensitive`](crate::explore::PathSensitive).
+//! driver of the path explorers' shared walk.
 //!
-//! The sequential path explorer walks the branch tree depth-first: at
-//! every conditional it pushes both successor states and explores the
-//! taken arm first. Past a configurable nesting depth
-//! ([`AnalyzerOptions::spawn_depth`]) the *fall-through* arm — the
-//! subtree the DFS would walk last — is instead packaged as a stealable
-//! **job** and pushed onto a per-worker deque
-//! ([`domain::parallel::StealPool`]); idle workers steal the oldest
-//! (largest) outstanding subtree. States cross the shard boundary as
-//! the same dense `to_parts`/`from_parts` snapshots `verifier::batch`
-//! ships finished analyses with, so `AbsState` stays `Rc`-backed and
-//! allocation-cheap inside each worker. All workers prune against one
-//! [`ConcurrentVisitedTable`], so a subtree explored on one worker
-//! prunes re-convergent arrivals on every other
+//! [`PathSensitive`] and [`PathParallel`]
+//! run the same depth-first walk over the same per-program plan (see
+//! [`crate::explore`]); this module only adds the pool, the jobs, the
+//! merge and the error policy. Past a configurable nesting depth
+//! ([`AnalyzerOptions::spawn_depth`]) the walk's policy takes a fork's
+//! *fall-through* arm — the subtree the DFS would walk last — off the
+//! walk's stack and packages it as a stealable **job** on a per-worker
+//! deque ([`domain::parallel::StealPool`]); idle workers steal the oldest
+//! (largest) outstanding subtree and walk it with a fresh job-local walk.
+//! States cross the shard boundary as the same dense
+//! `to_parts`/`from_parts` snapshots `verifier::batch` ships finished
+//! analyses with, so `AbsState` stays `Rc`-backed and allocation-cheap
+//! inside each worker. All workers prune against one shared, striped
+//! visited table with the sequential table's chain policy, so a subtree
+//! explored on one worker prunes re-convergent arrivals on every other
 //! (`AnalysisStats::shared_prunes`).
 //!
 //! ## Determinism contract
@@ -57,22 +59,26 @@
 //!   session's [`DegradationPolicy`](crate::DegradationPolicy), which
 //!   owns (and counts) the downgrade to the sequential explorer.
 
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use domain::parallel::{default_threads, lock_recover, par_workers, StealPool};
 use ebpf::Program;
-use interval_domain::WidenThresholds;
 
 use crate::analyzer::AnalyzerOptions;
-use crate::cfg::Cfg;
 use crate::error::VerifierError;
-use crate::explore::{Exploration, ExplorationStrategy, PathSensitive};
-use crate::fixpoint::{self, AnalysisStats};
-use crate::state::{stats, AbsState, JoinCounters, SparseStack, WidenCtx, REGS};
-use crate::transfer::Transfer;
+use crate::explore::{
+    Exploration, ExplorationStrategy, PathSensitive, Plan, Walk, WalkPolicy, WalkTotals,
+};
+use crate::failpoint::FaultSite;
+use crate::fixpoint::AnalysisStats;
+use crate::state::{stats, AbsState, SparseStack, REGS};
 use crate::value::RegValue;
 use crate::visited::ConcurrentVisitedTable;
+
+/// A state's dense `to_parts` snapshot: plain `Send` data.
+type Snapshot = ([RegValue; REGS], SparseStack);
 
 /// One stealable DFS subtree: the frontier state as a dense snapshot
 /// plus the path-local trip counts and the branch nesting depth at the
@@ -81,50 +87,46 @@ use crate::visited::ConcurrentVisitedTable;
 struct Job {
     id: usize,
     pc: usize,
-    regs: [RegValue; REGS],
-    chunks: SparseStack,
+    state: Snapshot,
     trips: Vec<u32>,
     depth: u32,
 }
 
 /// What one job's local walk produced: the per-pc report accumulators
 /// (as snapshots — they cross back to the coordinator), the ids of the
-/// jobs it spawned in spawn order, and its slice of the counters that
-/// are per-job rather than shared.
+/// jobs it spawned in spawn order, and its walk totals.
 struct JobResult {
     id: usize,
     children: Vec<usize>,
-    report: Vec<(usize, [RegValue; REGS], SparseStack)>,
+    report: Vec<(usize, Snapshot)>,
     error: Option<VerifierError>,
-    unrolled_trips: u64,
-    dead_components_cleared: u64,
+    totals: WalkTotals,
 }
 
-/// Everything the workers share: the steal pool, the visited table, the
-/// global visit budget, the first-error latch, and the job id counter.
+impl JobResult {
+    /// The result of a job that walked nothing.
+    fn unwalked(id: usize, error: Option<VerifierError>) -> JobResult {
+        JobResult {
+            id,
+            children: Vec::new(),
+            report: Vec::new(),
+            error,
+            totals: WalkTotals::default(),
+        }
+    }
+}
+
+/// Everything the workers share: the plan, the steal pool, the visited
+/// table, the global visit budget, the first-error latch, and the job id
+/// counter.
 struct SharedCtx<'a> {
+    plan: Plan<'a>,
     pool: StealPool<Job>,
     visited: ConcurrentVisitedTable,
     visits: AtomicU64,
-    /// Exploration start, for the cooperative deadline check every job
-    /// runs at its visit site.
-    start: std::time::Instant,
     errored: AtomicBool,
     next_id: AtomicUsize,
     results: Mutex<Vec<JobResult>>,
-    prog: &'a Program,
-    options: &'a AnalyzerOptions,
-    thresholds: WidenThresholds,
-    /// Dense loop-head index (usize::MAX = not a head), as in the
-    /// sequential explorer.
-    head_idx: Vec<usize>,
-    head_rpo: Vec<usize>,
-    heads: usize,
-    passes: Option<crate::passes::ProgramPasses>,
-    /// Checkpoints (loop heads and merge points), and the back edges:
-    /// a fall-through successor reached over a back edge is never
-    /// spawned, keeping every cycle inside one job.
-    cfg: Cfg,
 }
 
 /// The work-stealing path-parallel strategy. Reads
@@ -150,54 +152,24 @@ impl ExplorationStrategy for PathParallel {
             0 => default_threads(),
             n => n as usize,
         };
-        let cfg = Cfg::build(prog);
-        let thresholds = if options.harvest_thresholds && !cfg.back_edges().is_empty() {
-            fixpoint::harvest_thresholds(prog)
-        } else {
-            WidenThresholds::EMPTY
+        let plan = Plan::new(prog, options);
+        let root = Job {
+            id: 0,
+            pc: 0,
+            state: AbsState::entry().to_parts(),
+            trips: plan.entry_trips(),
+            depth: 0,
         };
-        let mut head_idx = vec![usize::MAX; prog.len()];
-        let heads: Vec<usize> = (0..prog.len()).filter(|&pc| cfg.is_loop_head(pc)).collect();
-        for (i, &h) in heads.iter().enumerate() {
-            head_idx[h] = i;
-        }
-        let head_rpo: Vec<usize> = heads.iter().map(|&h| cfg.rpo_pos(h)).collect();
-        let passes = options
-            .liveness_pruning
-            .then(|| crate::passes::ProgramPasses::compute(prog, &cfg));
-        let dead_insns = passes
-            .as_ref()
-            .map_or(0, crate::passes::ProgramPasses::dead_insns);
-
         let ctx = SharedCtx {
+            plan,
             pool: StealPool::new(jobs),
             visited: ConcurrentVisitedTable::with_cap(prog.len(), options.visited_cap as usize),
             visits: AtomicU64::new(0),
-            start: std::time::Instant::now(),
             errored: AtomicBool::new(false),
-            next_id: AtomicUsize::new(1), // 0 is the root job below
+            next_id: AtomicUsize::new(1), // 0 is the root job
             results: Mutex::new(Vec::new()),
-            prog,
-            options,
-            thresholds,
-            head_idx,
-            head_rpo,
-            heads: heads.len(),
-            passes,
-            cfg,
         };
-        let (entry_regs, entry_chunks) = AbsState::entry().to_parts();
-        ctx.pool.push(
-            0,
-            Job {
-                id: 0,
-                pc: 0,
-                regs: entry_regs,
-                chunks: entry_chunks,
-                trips: vec![0; heads.len()],
-                depth: 0,
-            },
-        );
+        ctx.pool.push(0, root);
         // Worker 0 claims the root before any worker polls, so an idle
         // worker can never steal it: steals count only spawned subtrees.
         // Claimed, it stays outstanding until worker 0 completes it.
@@ -220,14 +192,7 @@ impl ExplorationStrategy for PathParallel {
                 let result = if ctx.errored.load(Ordering::SeqCst) {
                     // The run is already doomed to the sequential rerun:
                     // drain remaining jobs without walking them.
-                    JobResult {
-                        id: job_id,
-                        children: Vec::new(),
-                        report: Vec::new(),
-                        error: None,
-                        unrolled_trips: 0,
-                        dead_components_cleared: 0,
-                    }
+                    JobResult::unwalked(job_id, None)
                 } else {
                     // Containment boundary: a panic inside one job must
                     // not unwind through `par_workers`'s join (which
@@ -240,13 +205,11 @@ impl ExplorationStrategy for PathParallel {
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         run_job(&ctx, worker, job)
                     }))
-                    .unwrap_or_else(|payload| JobResult {
-                        id: job_id,
-                        children: Vec::new(),
-                        report: Vec::new(),
-                        error: Some(VerifierError::from_panic(payload.as_ref())),
-                        unrolled_trips: 0,
-                        dead_components_cleared: 0,
+                    .unwrap_or_else(|payload| {
+                        JobResult::unwalked(
+                            job_id,
+                            Some(VerifierError::from_panic(payload.as_ref())),
+                        )
                     })
                 };
                 if result.error.is_some() {
@@ -265,6 +228,10 @@ impl ExplorationStrategy for PathParallel {
         // shows up in the roll-up.
         crate::fixpoint::ledger::credit(ctx.visits.load(Ordering::Relaxed));
 
+        let results = ctx
+            .results
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         if ctx.errored.load(Ordering::SeqCst) {
             // Governance failures — a contained panic or a blown
             // deadline — are faults of the *analyzer run*, not verdicts
@@ -274,10 +241,6 @@ impl ExplorationStrategy for PathParallel {
             // the program to the sequential explorer so the reported
             // rejection (which path, which pc) is the canonical one.
             // See module docs.
-            let results = ctx
-                .results
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
             let governance = results
                 .iter()
                 .filter_map(|r| r.error.as_ref())
@@ -295,17 +258,11 @@ impl ExplorationStrategy for PathParallel {
             };
         }
 
-        let results = ctx
-            .results
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut by_id: Vec<Option<JobResult>> = Vec::new();
+        // Job ids are dense: every spawned job reported.
         let spawned = results.len() as u64;
+        let mut by_id: Vec<Option<JobResult>> = results.iter().map(|_| None).collect();
         for r in results {
             let id = r.id;
-            if by_id.len() <= id {
-                by_id.resize_with(id + 1, || None);
-            }
             by_id[id] = Some(r);
         }
 
@@ -313,14 +270,13 @@ impl ExplorationStrategy for PathParallel {
         // with children in reverse spawn order — the sequential DFS
         // ordering of the same subtrees.
         let mut report: Vec<Option<AbsState>> = vec![None; prog.len()];
-        let mut unrolled_trips = 0u64;
-        let mut dead_components_cleared = 0u64;
+        let mut totals = WalkTotals::default();
         let mut walk = vec![0usize];
         while let Some(id) = walk.pop() {
             let job = by_id[id].take().expect("every spawned job reported");
-            unrolled_trips += job.unrolled_trips;
-            dead_components_cleared += job.dead_components_cleared;
-            for (pc, regs, chunks) in job.report {
+            totals.unrolled_trips += job.totals.unrolled_trips;
+            totals.dead_components_cleared += job.totals.dead_components_cleared;
+            for (pc, (regs, chunks)) in job.report {
                 let rebuilt = AbsState::from_parts(regs, chunks);
                 match &mut report[pc] {
                     slot @ None => *slot = Some(rebuilt),
@@ -335,224 +291,139 @@ impl ExplorationStrategy for PathParallel {
             walk.extend(job.children.iter().copied());
         }
 
-        let coordinator = stats::snapshot();
         let coordinator_memo = crate::memo::counters::snapshot();
-        let mut traffic = coordinator;
-        let (mut memo_hits, mut memo_misses, mut memo_evicted) = coordinator_memo;
+        let mut traffic = stats::snapshot();
+        let mut memo = coordinator_memo;
         for (t, (h, m, e)) in worker_stats {
             traffic.allocated += t.allocated;
             traffic.shared += t.shared;
             traffic.short_circuited += t.short_circuited;
             traffic.widenings += t.widenings;
             traffic.bytes += t.bytes;
-            memo_hits += h;
-            memo_misses += m;
-            memo_evicted += e;
+            memo.0 += h;
+            memo.1 += m;
+            memo.2 += e;
         }
         // The worker threads' thread-local memo counters die with the
         // threads: credit their traffic back onto this (coordinator)
         // thread so outer aggregators — the batch engine snapshots the
         // calling thread around each item — still see it.
         crate::memo::counters::credit(
-            memo_hits - coordinator_memo.0,
-            memo_misses - coordinator_memo.1,
-            memo_evicted - coordinator_memo.2,
+            memo.0 - coordinator_memo.0,
+            memo.1 - coordinator_memo.1,
+            memo.2 - coordinator_memo.2,
         );
 
+        let stats = AnalysisStats::of_run(
+            traffic,
+            memo,
+            ctx.visits.load(Ordering::Relaxed),
+            ctx.visited.ledger(),
+            totals,
+            ctx.plan.passes.as_ref(),
+        );
         Ok(Exploration {
             states: report,
             stats: AnalysisStats {
-                states_allocated: traffic.allocated,
-                states_shared: traffic.shared,
-                joins_short_circuited: traffic.short_circuited,
-                widenings_applied: traffic.widenings,
-                visits: ctx.visits.load(Ordering::Relaxed),
-                states_pruned: ctx.visited.states_pruned(),
-                subset_checks: ctx.visited.subset_checks(),
-                unrolled_trips,
-                fingerprint_rejects: ctx.visited.fingerprint_rejects(),
-                visited_evicted: ctx.visited.visited_evicted(),
-                bytes_materialized: traffic.bytes,
-                memo_hits,
-                memo_misses,
-                memo_evicted,
-                live_masked_prunes: ctx.visited.masked_prunes(),
-                dead_components_cleared,
-                dead_insns,
                 subtrees_spawned: spawned.saturating_sub(1),
                 steals: ctx.pool.steals(),
                 shared_prunes: ctx.visited.shared_prunes(),
-                degradations: 0,
+                ..stats
             },
         })
     }
 }
 
-/// Runs one job's local DFS walk — the sequential explorer's loop with
-/// job-local summaries and report accumulators, the shared visited
-/// table, and the spawn rule at forks.
+/// Runs one job's walk: the shared walk with job-local summaries and
+/// report accumulators, under the [`Shard`] policy.
 fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
-    let transfer = Transfer::new(ctx.options.clone());
-    let id = job.id;
-    let mut children = Vec::new();
-    let mut report: Vec<Option<AbsState>> = vec![None; ctx.prog.len()];
-    let mut summaries: Vec<Option<AbsState>> = vec![None; ctx.heads];
-    let mut counters: Vec<JoinCounters> = (0..ctx.heads).map(|_| JoinCounters::new()).collect();
-    let mut unrolled_trips = 0u64;
-    let mut dead_components_cleared = 0u64;
-    let mut error = None;
-
-    let mut stack: Vec<(usize, AbsState, std::rc::Rc<Vec<u32>>, u32)> = vec![(
-        job.pc,
-        AbsState::from_parts(job.regs, job.chunks),
-        std::rc::Rc::new(job.trips),
-        job.depth,
-    )];
-    'walk: while let Some((pc, mut state, mut trips, depth)) = stack.pop() {
-        if ctx.errored.load(Ordering::Relaxed) {
-            // Another worker already doomed the run: stop walking, the
-            // sequential rerun will produce the canonical result.
-            break;
-        }
-        if ctx.visits.fetch_add(1, Ordering::Relaxed) + 1 > ctx.options.analysis_budget {
-            error = Some(VerifierError::AnalysisBudgetExhausted {
-                pc,
-                budget: ctx.options.analysis_budget,
-            });
-            break;
-        }
-        if let Err(e) = crate::analyzer::check_deadline(ctx.start, ctx.options, pc) {
-            error = Some(e);
-            break;
-        }
-        crate::failpoint::fire(crate::failpoint::FaultSite::ParshardJob);
-        let h = ctx.head_idx[pc];
-        let checkpoint = ctx.cfg.is_checkpoint(pc);
-        if checkpoint {
-            if let Some(p) = &ctx.passes {
-                let mask = p.live_in(pc);
-                dead_components_cleared += u64::from(state.clear_dead(mask.regs, mask.slots));
-            }
-        }
-        if h != usize::MAX {
-            let take_trip = trips[h] < ctx.options.unroll_k;
-            let needs_reset = ctx
-                .head_rpo
-                .iter()
-                .enumerate()
-                .any(|(j, &pos)| pos > ctx.head_rpo[h] && trips[j] != 0);
-            if take_trip || needs_reset {
-                let t = std::rc::Rc::make_mut(&mut trips);
-                for (j, &pos) in ctx.head_rpo.iter().enumerate() {
-                    if pos > ctx.head_rpo[h] {
-                        t[j] = 0;
-                    }
-                }
-                if take_trip {
-                    t[h] += 1;
-                }
-            }
-            if take_trip {
-                unrolled_trips += 1;
-            } else {
-                // Job-local widening summary: every lap of a cycle stays
-                // in this job (back edges never spawn), so the summary
-                // stabilizes exactly as in the sequential walk.
-                match &mut summaries[h] {
-                    slot @ None => *slot = Some(state.clone()),
-                    Some(summary) => {
-                        let grew = summary.flow_join(
-                            &state,
-                            Some(WidenCtx {
-                                counters: &mut counters[h],
-                                delay: 0,
-                                thresholds: &ctx.thresholds,
-                            }),
-                        );
-                        if !grew {
-                            ctx.visited.note_summary_prune();
-                            continue;
-                        }
-                        state = summary.clone();
-                    }
-                }
-            }
-        }
-        if checkpoint {
-            let covered = if ctx.passes.is_some() {
-                ctx.visited.is_covered_masked(pc, &state, worker)
-            } else {
-                ctx.visited.is_covered(pc, &state, worker)
-            };
-            if covered {
-                continue;
-            }
-            ctx.visited.insert(pc, &state, worker);
-        }
-        match &mut report[pc] {
-            slot @ None => *slot = Some(state.clone()),
-            Some(existing) => {
-                existing.flow_join(&state, None);
-            }
-        }
-        let succs = match transfer.step(ctx.prog, state, pc) {
-            Ok(s) => s,
-            Err(e) => {
-                error = Some(e);
-                break 'walk;
-            }
-        };
-        let mut outs: Vec<(usize, AbsState)> = succs.into_iter().collect();
-        if outs.len() == 2 {
-            // A fork. The sequential DFS pushes [fall, taken] and walks
-            // the taken arm first; past the spawn depth the fall arm —
-            // the subtree the DFS would walk *last* — becomes a
-            // stealable job, unless its edge is a back edge (cycles stay
-            // job-local).
-            let ndepth = depth + 1;
-            let (taken_pc, taken_state) = outs.pop().expect("two successors");
-            let (fall_pc, fall_state) = outs.pop().expect("two successors");
-            let spawn = depth >= ctx.options.spawn_depth && !ctx.cfg.is_back_edge(pc, fall_pc);
-            if spawn {
-                let (regs, chunks) = fall_state.to_parts();
-                let child = ctx.next_id.fetch_add(1, Ordering::Relaxed);
-                children.push(child);
-                ctx.pool.push(
-                    worker,
-                    Job {
-                        id: child,
-                        pc: fall_pc,
-                        regs,
-                        chunks,
-                        trips: (*trips).clone(),
-                        depth: ndepth,
-                    },
-                );
-            } else {
-                stack.push((fall_pc, fall_state, trips.clone(), ndepth));
-            }
-            stack.push((taken_pc, taken_state, trips, ndepth));
-        } else {
-            for (succ, out) in outs {
-                stack.push((succ, out, trips.clone(), depth));
-            }
-        }
-    }
-
+    let mut walk = Walk::new(&ctx.plan);
+    let mut shard = Shard {
+        ctx,
+        worker,
+        children: Vec::new(),
+    };
+    let (regs, chunks) = job.state;
+    let state = AbsState::from_parts(regs, chunks);
+    let error = walk
+        .run(&mut shard, job.pc, state, Rc::new(job.trips), job.depth)
+        .err();
     JobResult {
-        id,
-        children,
-        report: report
+        id: job.id,
+        children: shard.children,
+        report: walk
+            .report
             .into_iter()
             .enumerate()
-            .filter_map(|(pc, acc)| {
-                let (regs, chunks) = acc?.to_parts();
-                Some((pc, regs, chunks))
-            })
+            .filter_map(|(pc, acc)| Some((pc, acc?.to_parts())))
             .collect(),
         error,
-        unrolled_trips,
-        dead_components_cleared,
+        totals: walk.totals,
+    }
+}
+
+/// [`PathParallel`]'s walk policy for one job on `worker`: visits
+/// charged to the shared atomic budget, the `parshard-job` fail-point,
+/// the shared visited table, and the spawn rule at forks.
+struct Shard<'c, 'a> {
+    ctx: &'c SharedCtx<'a>,
+    worker: usize,
+    /// Ids of the jobs this walk spawned, in spawn order.
+    children: Vec<usize>,
+}
+
+impl WalkPolicy for Shard<'_, '_> {
+    type Depth = u32;
+    const VISIT_SITE: FaultSite = FaultSite::ParshardJob;
+
+    fn charge(&mut self) -> Option<u64> {
+        // Once another worker doomed the run, stop walking: the
+        // sequential rerun will produce the canonical result.
+        let doomed = self.ctx.errored.load(Ordering::Relaxed);
+        (!doomed).then(|| self.ctx.visits.fetch_add(1, Ordering::Relaxed) + 1)
+    }
+
+    fn prune_or_record(&mut self, pc: usize, state: &AbsState, masked: bool) -> bool {
+        let visited = &self.ctx.visited;
+        let covered = visited.probe(pc, state, masked, self.worker);
+        if !covered {
+            visited.insert(pc, state, self.worker);
+        }
+        covered
+    }
+
+    fn note_summary_prune(&mut self, pc: usize) {
+        self.ctx.visited.note_summary_prune(pc);
+    }
+
+    /// Past the spawn depth the fall-through arm — the subtree the DFS
+    /// would walk *last* — becomes a stealable job, unless its edge is a
+    /// back edge (cycles stay job-local).
+    fn fork(
+        &mut self,
+        pc: usize,
+        depth: u32,
+        fall_pc: usize,
+        fall: AbsState,
+        trips: &Rc<Vec<u32>>,
+    ) -> (u32, Option<AbsState>) {
+        let ctx = self.ctx;
+        if depth < ctx.plan.options.spawn_depth || ctx.plan.cfg.is_back_edge(pc, fall_pc) {
+            return (depth + 1, Some(fall));
+        }
+        let child = ctx.next_id.fetch_add(1, Ordering::Relaxed);
+        self.children.push(child);
+        ctx.pool.push(
+            self.worker,
+            Job {
+                id: child,
+                pc: fall_pc,
+                state: fall.to_parts(),
+                trips: trips.to_vec(),
+                depth: depth + 1,
+            },
+        );
+        (depth + 1, None)
     }
 }
 

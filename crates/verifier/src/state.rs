@@ -37,8 +37,8 @@
 //!   [`AbsState::flow_join`] (with or without widening),
 //!   [`AbsState::is_subset_of`] and `==` skip a position whose stamps
 //!   match before touching its value. The `Send` snapshots of
-//!   [`AbsState::to_parts`] carry no stamps, so
-//!   [`AbsState::is_subset_of_parts`] compares values throughout.
+//!   `AbsState::to_parts` carry no stamps, so
+//!   `AbsState::is_subset_of_parts` compares values throughout.
 //!
 //! Those properties are what make the path-sensitive exploration
 //! strategy ([`crate::explore::PathSensitive`]) viable: forking a state
@@ -56,7 +56,7 @@
 //! slot burns its *own* widening delay, so an accumulator that keeps
 //! changing no longer spends the precise joins a bounded counter needed.
 //!
-//! Sharing traffic is counted in thread-local [`stats`] counters that the
+//! Sharing traffic is counted in thread-local `stats` counters that the
 //! exploration engines snapshot into `AnalysisStats`.
 
 use core::fmt;
@@ -101,7 +101,7 @@ pub(crate) mod stats {
         /// Widening operator applications to individual components.
         pub(crate) widenings: u64,
         /// Bytes copied by all materializations, including the chunk
-        /// spine — the working-set proxy `BENCH_PR5.json` tracks.
+        /// spine — the working-set proxy `BENCH_PR13.json` tracks.
         pub(crate) bytes: u64,
     }
 

@@ -1,6 +1,6 @@
-//! The per-pc visited-state table of the path-sensitive explorer —
-//! the analogue of the kernel verifier's `explored_states` /
-//! `is_state_visited` machinery, rebuilt around **state fingerprints**.
+//! The per-pc visited-state tables of the path explorers — the analogue
+//! of the kernel verifier's `explored_states` / `is_state_visited`
+//! machinery, rebuilt around **state fingerprints**.
 //!
 //! The kernel prunes a branch the moment its verifier state is *included
 //! in* a state it has already fully explored at the same instruction:
@@ -8,8 +8,8 @@
 //! It also keeps its `explored_states` lists healthy — hashed lookup,
 //! capped list lengths (`states_maxlen`-style), and dropping states a
 //! newer insertion subsumes — because an unbounded linear scan of full
-//! state comparisons grows quadratically on long loops. [`VisitedTable`]
-//! applies the same hygiene:
+//! state comparisons grows quadratically on long loops. One chain policy
+//! applies the same hygiene to both tables:
 //!
 //! * **Fingerprint-indexed probes.** Each chain entry stores the state's
 //!   64-bit [`AbsState::fingerprint`] next to it. A probe first compares
@@ -17,14 +17,14 @@
 //!   (the property suite pins `equal states ⟹ equal fingerprints`), so
 //!   the expensive pointwise [`AbsState::is_subset_of`] runs only for
 //!   fingerprint matches — plus a small newest-first budget of
-//!   strict-inclusion probes ([`STRICT_PROBES`]), since a strictly
+//!   strict-inclusion probes (`STRICT_PROBES`), since a strictly
 //!   smaller arrival can hide behind any fingerprint. Skipped candidates
 //!   are counted as [`VisitedTable::fingerprint_rejects`]. Skipping a
 //!   probe is always sound: pruning is an optimization, and the
 //!   equality path (which termination of the widening fallback leans
 //!   on) is probed against the *entire* chain.
 //! * **Dominance eviction.** Inserting a state compares it against the
-//!   newest [`DOMINANCE_PROBES`] entries; any entry *included in* the
+//!   newest `DOMINANCE_PROBES` entries; any entry *included in* the
 //!   newcomer is dropped — everything it covered, the newcomer covers.
 //!   This is what keeps widening-fallback chains short: each widened
 //!   summary subsumes (and evicts) its predecessor.
@@ -34,17 +34,23 @@
 //!   Evictions of both kinds are counted in
 //!   [`VisitedTable::visited_evicted`].
 //!
-//! The table also owns the pruning accounting surfaced through
+//! The policy is written once, generic over how a recorded entry is
+//! tested: [`VisitedTable`] stores `AbsState`s, and the parallel
+//! explorer's striped `ConcurrentVisitedTable` stores the dense
+//! `to_parts` snapshots that can cross threads.
+//!
+//! The tables also own the pruning accounting surfaced through
 //! [`crate::AnalysisStats`]: how many full inclusion probes ran
 //! (`subset_checks`), how many candidates were dismissed by fingerprint
 //! (`fingerprint_rejects`), how many entries were evicted
 //! (`visited_evicted`), and how many branch states were pruned
-//! (`states_pruned`) — benchmarked in `BENCH_PR5.json` and guarded by
-//! CI (`fixpoint_guard` fails on `subset_checks` regressions at the
-//! deep-unroll point).
+//! (`states_pruned`) — pinned per fixture in `tests/explorer_counters.rs`
+//! and benchmarked in `BENCH_PR13.json`, whose deep-unroll `subset_checks`
+//! `fixpoint_guard` gates.
 
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use domain::parallel::lock_recover;
 
@@ -76,11 +82,117 @@ const DOMINANCE_PROBES: usize = 2;
 /// genuinely differ, and spending deep probes on those rarely prunes.
 const MASKED_STRICT_PROBES: usize = 0;
 
-/// One recorded exploration: the state plus its cached fingerprint.
+/// A table's pruning ledger — the `AnalysisStats` fields it feeds.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Ledger {
+    pub(crate) subset_checks: u64,
+    pub(crate) states_pruned: u64,
+    pub(crate) fingerprint_rejects: u64,
+    pub(crate) visited_evicted: u64,
+    pub(crate) masked_prunes: u64,
+}
+
+impl Ledger {
+    /// Counts a prune established outside the table — the explorer's
+    /// loop-head summary covering an arrival without a chain probe — like
+    /// one inclusion probe that hit (the cover was established by one
+    /// inclusion-shaped `flow_join`).
+    fn note_summary_prune(&mut self) {
+        self.subset_checks += 1;
+        self.states_pruned += 1;
+    }
+
+    fn add(&mut self, other: Ledger) {
+        self.subset_checks += other.subset_checks;
+        self.states_pruned += other.states_pruned;
+        self.fingerprint_rejects += other.fingerprint_rejects;
+        self.visited_evicted += other.visited_evicted;
+        self.masked_prunes += other.masked_prunes;
+    }
+}
+
+/// One recorded exploration: the state (an `AbsState`, or the shared
+/// table's snapshot) plus its cached fingerprint.
 #[derive(Clone, Debug)]
-struct Entry {
+struct Entry<S> {
     fp: u64,
-    state: AbsState,
+    state: S,
+}
+
+/// How the chain policy tests a recorded state.
+trait Recorded {
+    /// Whether `state` is included in the recorded state.
+    fn covers(&self, state: &AbsState) -> bool;
+    /// Whether the recorded state is included in `newer`.
+    fn dominated_by(&self, newer: &Self) -> bool;
+}
+
+impl Recorded for AbsState {
+    fn covers(&self, state: &AbsState) -> bool {
+        state.is_subset_of(self)
+    }
+
+    fn dominated_by(&self, newer: &AbsState) -> bool {
+        self.is_subset_of(newer)
+    }
+}
+
+/// The chain probe: newest first, a full inclusion check for every
+/// fingerprint match and for the first `STRICT_PROBES` (masked:
+/// `MASKED_STRICT_PROBES`) mismatches, an O(1) reject for the rest.
+/// Returns the covering entry, if any.
+fn probe<'c, S: Recorded>(
+    chain: &'c [Entry<S>],
+    state: &AbsState,
+    masked: bool,
+    ledger: &mut Ledger,
+) -> Option<&'c S> {
+    let fp = state.fingerprint();
+    let mut strict_left = if masked {
+        MASKED_STRICT_PROBES
+    } else {
+        STRICT_PROBES
+    };
+    for seen in chain.iter().rev() {
+        if seen.fp != fp {
+            if strict_left == 0 {
+                ledger.fingerprint_rejects += 1;
+                continue;
+            }
+            strict_left -= 1;
+        }
+        ledger.subset_checks += 1;
+        if seen.state.covers(state) {
+            ledger.states_pruned += 1;
+            ledger.masked_prunes += u64::from(masked);
+            return Some(&seen.state);
+        }
+    }
+    None
+}
+
+/// The chain insert: dominance eviction over the newest
+/// `DOMINANCE_PROBES` entries, then oldest-first eviction down to
+/// `cap`, then the append.
+fn record<S: Recorded>(
+    chain: &mut Vec<Entry<S>>,
+    entry: Entry<S>,
+    cap: usize,
+    ledger: &mut Ledger,
+) {
+    let lo = chain.len().saturating_sub(DOMINANCE_PROBES);
+    for i in (lo..chain.len()).rev() {
+        ledger.subset_checks += 1;
+        if chain[i].state.dominated_by(&entry.state) {
+            chain.remove(i);
+            ledger.visited_evicted += 1;
+        }
+    }
+    while chain.len() >= cap {
+        chain.remove(0);
+        ledger.visited_evicted += 1;
+    }
+    chain.push(entry);
 }
 
 /// Per-instruction chains of already-explored abstract states, with
@@ -93,13 +205,9 @@ struct Entry {
 /// re-converge); straight-line instructions are never probed.
 #[derive(Clone, Debug, Default)]
 pub struct VisitedTable {
-    buckets: Vec<Vec<Entry>>,
+    buckets: Vec<Vec<Entry<AbsState>>>,
     cap: usize,
-    subset_checks: u64,
-    states_pruned: u64,
-    fingerprint_rejects: u64,
-    visited_evicted: u64,
-    masked_prunes: u64,
+    ledger: Ledger,
 }
 
 impl VisitedTable {
@@ -116,12 +224,8 @@ impl VisitedTable {
     pub fn with_cap(len: usize, cap: usize) -> VisitedTable {
         VisitedTable {
             buckets: vec![Vec::new(); len],
-            cap: if cap == 0 { usize::MAX } else { cap },
-            subset_checks: 0,
-            states_pruned: 0,
-            fingerprint_rejects: 0,
-            visited_evicted: 0,
-            masked_prunes: 0,
+            cap: NonZeroUsize::new(cap).map_or(usize::MAX, NonZeroUsize::get),
+            ledger: Ledger::default(),
         }
     }
 
@@ -133,78 +237,37 @@ impl VisitedTable {
     /// state is the likeliest cover for a re-converging path. Candidates
     /// whose fingerprint matches get a full inclusion probe wherever
     /// they sit in the chain; mismatched candidates (provably unequal)
-    /// get one only within the newest-first [`STRICT_PROBES`] budget and
+    /// get one only within a small newest-first budget (two probes) and
     /// are otherwise dismissed in O(1).
     pub fn is_covered(&mut self, pc: usize, state: &AbsState) -> bool {
-        self.probe(pc, state, STRICT_PROBES)
+        probe(&self.buckets[pc], state, false, &mut self.ledger).is_some()
     }
 
     /// [`VisitedTable::is_covered`] for liveness-*cleaned* arrivals:
-    /// identical semantics, but the strict-probe budget drops to
-    /// [`MASKED_STRICT_PROBES`] — after `AbsState::clear_dead` has set
-    /// every dead component to its top, arrivals that differ only in
-    /// dead components already land on the fingerprint-match path, so
-    /// deep probes on mismatched fingerprints buy almost nothing.
-    /// Prunes through this path are additionally counted in
-    /// [`VisitedTable::masked_prunes`] (the `live_masked_prunes` stat).
+    /// identical semantics, but the strict-probe budget drops to zero —
+    /// after `AbsState::clear_dead` has set every dead component to its
+    /// top, arrivals that differ only in dead components already land
+    /// on the fingerprint-match path, so deep probes on mismatched
+    /// fingerprints buy almost nothing. Prunes through this path are
+    /// additionally counted in [`VisitedTable::masked_prunes`] (the
+    /// `live_masked_prunes` stat).
     pub fn is_covered_masked(&mut self, pc: usize, state: &AbsState) -> bool {
-        let covered = self.probe(pc, state, MASKED_STRICT_PROBES);
-        if covered {
-            self.masked_prunes += 1;
-        }
-        covered
-    }
-
-    /// The shared probe loop behind both covering checks, with an
-    /// explicit newest-first budget of strict (fingerprint-mismatched)
-    /// deep probes.
-    fn probe(&mut self, pc: usize, state: &AbsState, strict_budget: usize) -> bool {
-        let fp = state.fingerprint();
-        let mut strict_left = strict_budget;
-        for seen in self.buckets[pc].iter().rev() {
-            let full_probe = if seen.fp == fp {
-                true
-            } else if strict_left > 0 {
-                strict_left -= 1;
-                true
-            } else {
-                self.fingerprint_rejects += 1;
-                false
-            };
-            if full_probe {
-                self.subset_checks += 1;
-                if state.is_subset_of(&seen.state) {
-                    self.states_pruned += 1;
-                    return true;
-                }
-            }
-        }
-        false
+        probe(&self.buckets[pc], state, true, &mut self.ledger).is_some()
     }
 
     /// Records `state` as fully explored at `pc`, so later arrivals it
     /// covers are pruned.
     ///
-    /// Insertion performs **dominance eviction** — the newest
-    /// [`DOMINANCE_PROBES`] entries are dropped if the newcomer includes
-    /// them (their pruning power is subsumed) — and then enforces the
-    /// chain cap by evicting the oldest entry.
+    /// Insertion performs **dominance eviction** — the newest two
+    /// entries are dropped if the newcomer includes them (their pruning
+    /// power is subsumed) — and then enforces the chain cap by evicting
+    /// the oldest entry.
     pub fn insert(&mut self, pc: usize, state: AbsState) {
-        let fp = state.fingerprint();
-        let bucket = &mut self.buckets[pc];
-        let lo = bucket.len().saturating_sub(DOMINANCE_PROBES);
-        for i in (lo..bucket.len()).rev() {
-            self.subset_checks += 1;
-            if bucket[i].state.is_subset_of(&state) {
-                bucket.remove(i);
-                self.visited_evicted += 1;
-            }
-        }
-        while bucket.len() >= self.cap {
-            bucket.remove(0);
-            self.visited_evicted += 1;
-        }
-        bucket.push(Entry { fp, state });
+        let entry = Entry {
+            fp: state.fingerprint(),
+            state,
+        };
+        record(&mut self.buckets[pc], entry, self.cap, &mut self.ledger);
     }
 
     /// Notes a prune that happened outside the table — the explorer's
@@ -212,8 +275,7 @@ impl VisitedTable {
     /// the `states_pruned`/`subset_checks` ledger stays complete (the
     /// cover was established by one inclusion-shaped `flow_join`).
     pub fn note_summary_prune(&mut self) {
-        self.subset_checks += 1;
-        self.states_pruned += 1;
+        self.ledger.note_summary_prune();
     }
 
     /// The surviving states recorded at `pc`, oldest first.
@@ -265,27 +327,27 @@ impl VisitedTable {
     /// dominance-eviction probes).
     #[must_use]
     pub fn subset_checks(&self) -> u64 {
-        self.subset_checks
+        self.ledger.subset_checks
     }
 
     /// Arrivals pruned as covered so far.
     #[must_use]
     pub fn states_pruned(&self) -> u64 {
-        self.states_pruned
+        self.ledger.states_pruned
     }
 
     /// Probe candidates dismissed in O(1) on fingerprint mismatch
     /// without a full inclusion check.
     #[must_use]
     pub fn fingerprint_rejects(&self) -> u64 {
-        self.fingerprint_rejects
+        self.ledger.fingerprint_rejects
     }
 
     /// Entries dropped from chains: dominated by a newer insertion, or
     /// displaced oldest-first by the chain cap.
     #[must_use]
     pub fn visited_evicted(&self) -> u64 {
-        self.visited_evicted
+        self.ledger.visited_evicted
     }
 
     /// Arrivals pruned through the liveness-masked probe path
@@ -293,7 +355,12 @@ impl VisitedTable {
     /// [`VisitedTable::states_pruned`].
     #[must_use]
     pub fn masked_prunes(&self) -> u64 {
-        self.masked_prunes
+        self.ledger.masked_prunes
+    }
+
+    /// The whole pruning ledger.
+    pub(crate) fn ledger(&self) -> Ledger {
+        self.ledger
     }
 }
 
@@ -304,14 +371,13 @@ impl VisitedTable {
 /// points rarely contend.
 const STRIPES: usize = 64;
 
-/// One recorded exploration in the shared table: the fingerprint plus
-/// the state's dense [`AbsState::to_parts`] snapshot. `AbsState` is
-/// `Rc`-backed and cannot cross threads; its snapshot is plain `Send`
-/// data, and probes test arrivals against it in place
-/// ([`AbsState::is_subset_of_parts`]) without ever rebuilding a state.
+/// A state recorded in the shared table: its dense
+/// [`AbsState::to_parts`] snapshot. `AbsState` is `Rc`-backed and cannot
+/// cross threads; its snapshot is plain `Send` data, and probes test
+/// arrivals against it in place ([`AbsState::is_subset_of_parts`])
+/// without ever rebuilding a state.
 #[derive(Debug)]
-struct SharedEntry {
-    fp: u64,
+struct Shared {
     regs: [RegValue; REGS],
     chunks: SparseStack,
     /// The worker that inserted the entry — prunes observed by a
@@ -319,34 +385,40 @@ struct SharedEntry {
     worker: usize,
 }
 
-/// The concurrent sibling of [`VisitedTable`] for the work-stealing
-/// path explorer (`verifier::parshard`): per-pc fingerprint chains
-/// sharded over [`STRIPES`] mutex stripes, with **identical**
-/// cap/eviction/probe semantics — the same [`STRICT_PROBES`] /
-/// [`MASKED_STRICT_PROBES`] budgets, the same newest-first
-/// [`DOMINANCE_PROBES`] dominance eviction, the same oldest-first chain
-/// cap — so a pruning decision made on one worker is immediately
-/// visible to (and byte-for-byte the same decision as on) every other
-/// worker.
-///
-/// States are stored as their dense `to_parts` snapshots (the same
-/// representation `verifier::batch` ships finished analyses across
-/// threads with), which keeps the table `Send + Sync` while `AbsState`
-/// itself stays `Rc`-backed and allocation-cheap inside each worker.
-/// Counters are relaxed atomics; they feed the same
-/// [`crate::AnalysisStats`] ledger fields as the sequential table, plus
-/// the cross-worker [`ConcurrentVisitedTable::shared_prunes`] count.
+impl Recorded for Shared {
+    fn covers(&self, state: &AbsState) -> bool {
+        state.is_subset_of_parts(&self.regs, &self.chunks)
+    }
+
+    fn dominated_by(&self, newer: &Shared) -> bool {
+        AbsState::parts_subset_of_parts((&self.regs, &self.chunks), (&newer.regs, &newer.chunks))
+    }
+}
+
+/// One lock stripe: the chains of pcs `s, s + n, s + 2n, …` (`n` the
+/// stripe count, chain index `pc / n`) and the ledger of every probe and
+/// insert on them.
 #[derive(Debug)]
-pub struct ConcurrentVisitedTable {
-    /// `stripes[s]` holds the chains of pcs `s, s + n, s + 2n, …` where
-    /// `n` is the stripe count; chain index within a stripe is `pc / n`.
-    stripes: Vec<Mutex<Vec<Vec<SharedEntry>>>>,
+struct Stripe {
+    chains: Vec<Vec<Entry<Shared>>>,
+    ledger: Ledger,
+}
+
+/// The concurrent sibling of [`VisitedTable`] for the work-stealing
+/// path explorer (`verifier::parshard`): the same chain policy over
+/// per-pc chains sharded into [`STRIPES`] mutex stripes, so a pruning
+/// decision made on one worker is immediately visible to (and
+/// byte-for-byte the same decision as on) every other worker.
+///
+/// States are stored as their dense `to_parts` snapshots, which keeps
+/// the table `Send + Sync` while `AbsState` itself stays `Rc`-backed and
+/// allocation-cheap inside each worker. Each stripe keeps its share of
+/// the [`Ledger`] under its own lock; the table also counts cross-worker
+/// [`ConcurrentVisitedTable::shared_prunes`].
+#[derive(Debug)]
+pub(crate) struct ConcurrentVisitedTable {
+    stripes: Vec<Mutex<Stripe>>,
     cap: usize,
-    subset_checks: AtomicU64,
-    states_pruned: AtomicU64,
-    fingerprint_rejects: AtomicU64,
-    visited_evicted: AtomicU64,
-    masked_prunes: AtomicU64,
     shared_prunes: AtomicU64,
 }
 
@@ -354,175 +426,89 @@ impl ConcurrentVisitedTable {
     /// An empty shared table for a program of `len` instructions with an
     /// explicit per-pc chain cap; `cap == 0` means unbounded chains,
     /// exactly as in [`VisitedTable::with_cap`].
-    #[must_use]
-    pub fn with_cap(len: usize, cap: usize) -> ConcurrentVisitedTable {
+    pub(crate) fn with_cap(len: usize, cap: usize) -> ConcurrentVisitedTable {
         let stripes = STRIPES.min(len.max(1));
         ConcurrentVisitedTable {
             stripes: (0..stripes)
                 .map(|s| {
                     // Chains for pcs s, s + stripes, … — div_ceil many.
                     let chains = len.saturating_sub(s).div_ceil(stripes);
-                    Mutex::new((0..chains).map(|_| Vec::new()).collect())
+                    Mutex::new(Stripe {
+                        chains: (0..chains).map(|_| Vec::new()).collect(),
+                        ledger: Ledger::default(),
+                    })
                 })
                 .collect(),
-            cap: if cap == 0 { usize::MAX } else { cap },
-            subset_checks: AtomicU64::new(0),
-            states_pruned: AtomicU64::new(0),
-            fingerprint_rejects: AtomicU64::new(0),
-            visited_evicted: AtomicU64::new(0),
-            masked_prunes: AtomicU64::new(0),
+            cap: NonZeroUsize::new(cap).map_or(usize::MAX, NonZeroUsize::get),
             shared_prunes: AtomicU64::new(0),
         }
     }
 
-    /// [`VisitedTable::is_covered`], against the shared chains: whether
-    /// `state` is included in a state *any* worker already recorded at
-    /// `pc`. `worker` identifies the prober — a hit on an entry inserted
-    /// by a different worker additionally counts as a
-    /// [`ConcurrentVisitedTable::shared_prunes`] cross-worker prune.
-    pub fn is_covered(&self, pc: usize, state: &AbsState, worker: usize) -> bool {
-        self.probe(pc, state, STRICT_PROBES, worker)
-    }
-
-    /// [`VisitedTable::is_covered_masked`], against the shared chains:
-    /// the liveness-cleaned probe path with its zero strict-probe
-    /// budget, counted in [`ConcurrentVisitedTable::masked_prunes`] on a
-    /// hit.
-    pub fn is_covered_masked(&self, pc: usize, state: &AbsState, worker: usize) -> bool {
-        let covered = self.probe(pc, state, MASKED_STRICT_PROBES, worker);
-        if covered {
-            self.masked_prunes.fetch_add(1, Ordering::Relaxed);
-        }
-        covered
-    }
-
-    /// The shared probe loop — the same newest-first fingerprint-gated
-    /// walk as [`VisitedTable::probe`], under the pc's stripe lock.
-    fn probe(&self, pc: usize, state: &AbsState, strict_budget: usize, worker: usize) -> bool {
-        let fp = state.fingerprint();
+    /// The locked stripe holding `pc`'s chain, and the chain's index in
+    /// it. Poison recovery: a contained worker panic can only have left
+    /// the stripe's chains structurally intact (entries are appended or
+    /// removed whole under the lock), so siblings keep probing — at
+    /// worst a prune opportunity is missing.
+    fn stripe(&self, pc: usize) -> (MutexGuard<'_, Stripe>, usize) {
         let n = self.stripes.len();
-        // Poison recovery: a contained worker panic can only have left
-        // the stripe's chains structurally intact (entries are appended
-        // or removed whole under the lock), so siblings keep probing —
-        // at worst a prune opportunity is missing.
-        let stripe = lock_recover(&self.stripes[pc % n]);
+        (lock_recover(&self.stripes[pc % n]), pc / n)
+    }
+
+    /// [`VisitedTable::is_covered`] (`masked`:
+    /// [`VisitedTable::is_covered_masked`]) against the shared chains:
+    /// whether `state` is included in a state *any* worker already
+    /// recorded at `pc`. `worker` identifies the prober — a hit on an
+    /// entry inserted by a different worker additionally counts as a
+    /// [`ConcurrentVisitedTable::shared_prunes`] cross-worker prune.
+    pub(crate) fn probe(&self, pc: usize, state: &AbsState, masked: bool, worker: usize) -> bool {
+        let (mut stripe, i) = self.stripe(pc);
         // Fired while the stripe lock is held (see FaultSite docs).
         crate::failpoint::fire(crate::failpoint::FaultSite::VisitedProbe);
-        let mut strict_left = strict_budget;
-        let (mut checks, mut rejects) = (0u64, 0u64);
-        let mut hit = None;
-        for seen in stripe[pc / n].iter().rev() {
-            let full_probe = if seen.fp == fp {
-                true
-            } else if strict_left > 0 {
-                strict_left -= 1;
-                true
-            } else {
-                rejects += 1;
-                false
-            };
-            if full_probe {
-                checks += 1;
-                if state.is_subset_of_parts(&seen.regs, &seen.chunks) {
-                    hit = Some(seen.worker);
-                    break;
-                }
-            }
-        }
+        let Stripe { chains, ledger } = &mut *stripe;
+        let inserter = probe(&chains[i], state, masked, ledger).map(|e| e.worker);
         drop(stripe);
-        self.subset_checks.fetch_add(checks, Ordering::Relaxed);
-        self.fingerprint_rejects
-            .fetch_add(rejects, Ordering::Relaxed);
-        if let Some(inserter) = hit {
-            self.states_pruned.fetch_add(1, Ordering::Relaxed);
-            if inserter != worker {
-                self.shared_prunes.fetch_add(1, Ordering::Relaxed);
-            }
-            return true;
+        if inserter.is_some_and(|w| w != worker) {
+            self.shared_prunes.fetch_add(1, Ordering::Relaxed);
         }
-        false
+        inserter.is_some()
     }
 
     /// [`VisitedTable::insert`], against the shared chains: records
-    /// `state`'s snapshot at `pc` on behalf of `worker`, with the same
-    /// newest-first dominance eviction and oldest-first chain cap.
-    pub fn insert(&self, pc: usize, state: &AbsState, worker: usize) {
-        let fp = state.fingerprint();
+    /// `state`'s snapshot at `pc` on behalf of `worker`.
+    pub(crate) fn insert(&self, pc: usize, state: &AbsState, worker: usize) {
         let (regs, chunks) = state.to_parts();
-        let n = self.stripes.len();
-        let (mut checks, mut evicted) = (0u64, 0u64);
-        {
-            let mut stripe = lock_recover(&self.stripes[pc % n]);
-            let bucket = &mut stripe[pc / n];
-            let lo = bucket.len().saturating_sub(DOMINANCE_PROBES);
-            for i in (lo..bucket.len()).rev() {
-                checks += 1;
-                if crate::state::AbsState::parts_subset_of_parts(
-                    (&bucket[i].regs, &bucket[i].chunks),
-                    (&regs, &chunks),
-                ) {
-                    bucket.remove(i);
-                    evicted += 1;
-                }
-            }
-            while bucket.len() >= self.cap {
-                bucket.remove(0);
-                evicted += 1;
-            }
-            bucket.push(SharedEntry {
-                fp,
+        let entry = Entry {
+            fp: state.fingerprint(),
+            state: Shared {
                 regs,
                 chunks,
                 worker,
-            });
+            },
+        };
+        let (mut stripe, i) = self.stripe(pc);
+        let Stripe { chains, ledger } = &mut *stripe;
+        record(&mut chains[i], entry, self.cap, ledger);
+    }
+
+    /// [`VisitedTable::note_summary_prune`], for a worker's job-local
+    /// summary at loop head `pc`.
+    pub(crate) fn note_summary_prune(&self, pc: usize) {
+        self.stripe(pc).0.ledger.note_summary_prune();
+    }
+
+    /// The pruning ledger summed over all stripes.
+    pub(crate) fn ledger(&self) -> Ledger {
+        let mut total = Ledger::default();
+        for stripe in &self.stripes {
+            total.add(lock_recover(stripe).ledger);
         }
-        self.subset_checks.fetch_add(checks, Ordering::Relaxed);
-        self.visited_evicted.fetch_add(evicted, Ordering::Relaxed);
-    }
-
-    /// Notes a prune established outside the table (a worker's job-local
-    /// loop-head summary covering an arrival), mirroring
-    /// [`VisitedTable::note_summary_prune`].
-    pub fn note_summary_prune(&self) {
-        self.subset_checks.fetch_add(1, Ordering::Relaxed);
-        self.states_pruned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Full inclusion probes performed so far across all workers.
-    #[must_use]
-    pub fn subset_checks(&self) -> u64 {
-        self.subset_checks.load(Ordering::Relaxed)
-    }
-
-    /// Arrivals pruned as covered so far across all workers.
-    #[must_use]
-    pub fn states_pruned(&self) -> u64 {
-        self.states_pruned.load(Ordering::Relaxed)
-    }
-
-    /// Probe candidates dismissed in O(1) on fingerprint mismatch.
-    #[must_use]
-    pub fn fingerprint_rejects(&self) -> u64 {
-        self.fingerprint_rejects.load(Ordering::Relaxed)
-    }
-
-    /// Entries dropped from shared chains (dominance or chain cap).
-    #[must_use]
-    pub fn visited_evicted(&self) -> u64 {
-        self.visited_evicted.load(Ordering::Relaxed)
-    }
-
-    /// Arrivals pruned through the liveness-masked probe path.
-    #[must_use]
-    pub fn masked_prunes(&self) -> u64 {
-        self.masked_prunes.load(Ordering::Relaxed)
+        total
     }
 
     /// Cross-worker prunes: arrivals pruned by an entry a *different*
     /// worker inserted — the observable payoff of sharing the table
     /// instead of giving each worker a private one.
-    #[must_use]
-    pub fn shared_prunes(&self) -> u64 {
+    pub(crate) fn shared_prunes(&self) -> u64 {
         self.shared_prunes.load(Ordering::Relaxed)
     }
 }
@@ -533,6 +519,38 @@ mod tests {
     use crate::scalar::Scalar;
     use crate::value::RegValue;
     use ebpf::Reg;
+
+    /// The sequential table's probe and ledger API on the shared table,
+    /// so both tables read alike below.
+    impl ConcurrentVisitedTable {
+        fn is_covered(&self, pc: usize, state: &AbsState, worker: usize) -> bool {
+            self.probe(pc, state, false, worker)
+        }
+
+        fn is_covered_masked(&self, pc: usize, state: &AbsState, worker: usize) -> bool {
+            self.probe(pc, state, true, worker)
+        }
+
+        fn subset_checks(&self) -> u64 {
+            self.ledger().subset_checks
+        }
+
+        fn states_pruned(&self) -> u64 {
+            self.ledger().states_pruned
+        }
+
+        fn fingerprint_rejects(&self) -> u64 {
+            self.ledger().fingerprint_rejects
+        }
+
+        fn visited_evicted(&self) -> u64 {
+            self.ledger().visited_evicted
+        }
+
+        fn masked_prunes(&self) -> u64 {
+            self.ledger().masked_prunes
+        }
+    }
 
     fn with_r3(c: u64) -> AbsState {
         let mut s = AbsState::entry();

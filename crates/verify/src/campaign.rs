@@ -45,7 +45,7 @@ pub struct CampaignEntry {
 /// The outcome of one generic campaign run over a domain.
 #[derive(Clone, Debug)]
 pub struct CampaignReport {
-    /// Domain name ([`AbstractDomain::NAME`]).
+    /// Domain name ([`AbstractDomain::NAME`](domain::AbstractDomain::NAME)).
     pub domain: &'static str,
     /// Campaign width (the bound of the bounded verification).
     pub width: u32,

@@ -2,7 +2,7 @@
 //! generic over the abstract domain.
 //!
 //! Each [`Op2`] couples a binary abstract operator over some
-//! [`AbstractDomain`] `D` with the concrete `u64` operation it abstracts,
+//! [`AbstractDomain`](domain::AbstractDomain) `D` with the concrete `u64` operation it abstracts,
 //! both parameterized by a bit width `w`: abstract results are truncated
 //! to `w` bits and concrete results are reduced mod `2^w`, which is exact
 //! for all operators in the catalog (carries/borrows/partial products

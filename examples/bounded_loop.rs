@@ -9,7 +9,7 @@
 
 use ebpf::asm::assemble;
 use ebpf::{Reg, Vm};
-use verifier::{Analyzer, AnalyzerOptions, Strategy, VerificationSession, VerifierError};
+use verifier::{AnalyzerOptions, Strategy, VerificationSession, VerifierError};
 
 /// `for i in 0..13 { buf[i] = 0; sum += i }; return i` — 13 is chosen
 /// deliberately: it is not a power of two, so the interval half of the
@@ -65,7 +65,9 @@ loop:
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let memset = assemble(MEMSET)?;
-    let analysis = Analyzer::new(AnalyzerOptions::default()).analyze(&memset)?;
+    let analysis = VerificationSession::new()
+        .with_options(AnalyzerOptions::default())
+        .run(&memset)?;
     println!("== counted memset: ACCEPTED ==\n");
     print!("{}", analysis.annotate(&memset));
 
@@ -94,23 +96,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Eager widening (delay 0) extrapolates i before the exit test can
     // cap it; without thresholds that loses the proof — the delay is
     // what buys precision…
-    let eager_bare = Analyzer::new(AnalyzerOptions {
+    let eager_bare = VerificationSession::new().with_options(AnalyzerOptions {
         widen_delay: 0,
         harvest_thresholds: false,
         ..AnalyzerOptions::default()
     });
-    match eager_bare.analyze(&memset) {
+    match eager_bare.run(&memset) {
         Err(e) => println!("\nwith widen_delay = 0, no thresholds: REJECTED ({e})"),
         Ok(_) => unreachable!("eager widening without thresholds cannot keep the bound"),
     }
     // …unless the widening ladder is extended with the program's own
     // comparison constants ("widening with thresholds"): then even the
     // eager configuration lands the counter on the `i < 13` guard.
-    let eager = Analyzer::new(AnalyzerOptions {
+    let eager = VerificationSession::new().with_options(AnalyzerOptions {
         widen_delay: 0,
         ..AnalyzerOptions::default()
     });
-    match eager.analyze(&memset) {
+    match eager.run(&memset) {
         Ok(_) => println!("with widen_delay = 0 + harvested thresholds: ACCEPTED"),
         Err(e) => unreachable!("thresholds recover the bound: {e}"),
     }
@@ -173,11 +175,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(pruned.stats().states_pruned > 0, "pruning fired");
 
     let filter = assemble(MEMCPY_FILTER)?;
-    let analyzer = Analyzer::new(AnalyzerOptions {
+    let analyzer = VerificationSession::new().with_options(AnalyzerOptions {
         ctx_size: 8,
         ..AnalyzerOptions::default()
     });
-    analyzer.analyze(&filter)?;
+    analyzer.run(&filter)?;
     let mut ctx = *b"\xff\x80\x7f12345";
     let ret = Vm::new().run(&filter, &mut ctx)?;
     println!("\n== memcpy filter: ACCEPTED == (copied {ret} bytes)");
@@ -185,7 +187,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // And the unbounded variant terminates the *analysis* (widening to
     // ⊤ makes the store unprovable) instead of iterating forever.
     let unbounded = assemble(UNBOUNDED)?;
-    match Analyzer::new(AnalyzerOptions::default()).analyze(&unbounded) {
+    match VerificationSession::new()
+        .with_options(AnalyzerOptions::default())
+        .run(&unbounded)
+    {
         Err(VerifierError::OutOfBounds { pc, .. }) => {
             println!(
                 "\n== unbounded memset: REJECTED == (store at pc {pc} unprovable after widening)"

@@ -11,7 +11,7 @@
 
 use ebpf::asm::assemble;
 use ebpf::{Reg, Vm};
-use verifier::{Analyzer, AnalyzerOptions};
+use verifier::{AnalyzerOptions, VerificationSession};
 
 const FILTER: &str = r"
     ; classify packets by a masked header byte; count into a stack table
@@ -51,8 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Static analysis -------------------------------------------------
-    let analyzer = Analyzer::new(AnalyzerOptions::default());
-    let analysis = analyzer.analyze(&prog)?;
+    let analyzer = VerificationSession::new().with_options(AnalyzerOptions::default());
+    let analysis = analyzer.run(&prog)?;
     println!("verifier: ACCEPTED");
 
     // Inspect what the analyzer knew right before the table store (insn 6).
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- The buggy variant is rejected -----------------------------------
     let buggy = assemble(BUGGY)?;
-    let err = analyzer.analyze(&buggy).expect_err("must be rejected");
+    let err = analyzer.run(&buggy).expect_err("must be rejected");
     println!("\nbuggy variant: REJECTED — {err}");
 
     // --- Concrete execution ----------------------------------------------

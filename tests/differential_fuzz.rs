@@ -12,8 +12,7 @@ use std::sync::Arc;
 use domain::rng::SplitMix64;
 use ebpf::{AluOp, Insn, Program, Reg, Src, Vm, Width};
 use verifier::{
-    Analyzer, AnalyzerOptions, Cfg, ProgramPasses, RegValue, Strategy, TransferMemo,
-    VerificationSession,
+    AnalyzerOptions, Cfg, ProgramPasses, RegValue, Strategy, TransferMemo, VerificationSession,
 };
 
 /// The fuzzed register set: seeded with constants up front so every
@@ -93,12 +92,12 @@ fn random_alu_program(rng: &mut SplitMix64, len: usize) -> Program {
 #[test]
 fn random_alu_programs_abstract_containment() {
     let mut rng = SplitMix64::new(0xBEEF);
-    let analyzer = Analyzer::new(AnalyzerOptions::default());
+    let analyzer = VerificationSession::new().with_options(AnalyzerOptions::default());
     let mut vm = Vm::new();
     for round in 0..200 {
         let prog = random_alu_program(&mut rng, 30);
         let analysis = analyzer
-            .analyze(&prog)
+            .run(&prog)
             .unwrap_or_else(|e| panic!("round {round}: ALU program rejected: {e}"));
         let mut ctx = [0u8; 8];
         let (_, trace) = vm
@@ -126,7 +125,7 @@ fn random_alu_programs_with_branches() {
     // Add forward conditional branches (still loop-free): exercises branch
     // refinement soundness against concrete control flow.
     let mut rng = SplitMix64::new(0xFACE);
-    let analyzer = Analyzer::new(AnalyzerOptions::default());
+    let analyzer = VerificationSession::new().with_options(AnalyzerOptions::default());
     let mut vm = Vm::new();
     for round in 0..100 {
         let base = random_alu_program(&mut rng, 12);
@@ -161,7 +160,7 @@ fn random_alu_programs_with_branches() {
             continue;
         };
         let analysis = analyzer
-            .analyze(&prog)
+            .run(&prog)
             .unwrap_or_else(|e| panic!("round {round}: rejected: {e}\n{}", prog.disassemble()));
         let mut ctx = [0u8; 8];
         let (_, trace) = vm.run_traced(&prog, &mut ctx).expect("cannot fault");
@@ -237,12 +236,12 @@ fn random_loop_program_at(rng: &mut SplitMix64, body_len: usize, width: Width) -
 /// plus exit-state containment of the concrete return value.
 fn check_loop_containment(seed: u64, rounds: usize, width: Width) {
     let mut rng = SplitMix64::new(seed);
-    let analyzer = Analyzer::new(AnalyzerOptions::default());
+    let analyzer = VerificationSession::new().with_options(AnalyzerOptions::default());
     let mut vm = Vm::new();
     for round in 0..rounds {
         let prog = random_loop_program_at(&mut rng, 10, width);
         let analysis = analyzer
-            .analyze(&prog)
+            .run(&prog)
             .unwrap_or_else(|e| panic!("round {round}: loop program rejected: {e}"));
         let exit_pc = prog.len() - 1;
         // SplitMix64-driven inputs vary the trip count through ctx[0].
@@ -320,12 +319,13 @@ fn w32_guarded_memset_verifies_and_matches_vm() {
         ",
     )
     .unwrap();
-    let analysis = Analyzer::new(AnalyzerOptions {
-        harvest_thresholds: false,
-        ..AnalyzerOptions::default()
-    })
-    .analyze(&prog)
-    .expect("32-bit guard refines the counter");
+    let analysis = VerificationSession::new()
+        .with_options(AnalyzerOptions {
+            harvest_thresholds: false,
+            ..AnalyzerOptions::default()
+        })
+        .run(&prog)
+        .expect("32-bit guard refines the counter");
     let (ret, _) = Vm::new()
         .run_traced(&prog, &mut [0u8; 8])
         .expect("verified program executes safely");
@@ -366,12 +366,13 @@ fn per_register_widening_keeps_counter_plus_accumulator_vs_vm() {
         ",
     )
     .unwrap();
-    let analysis = Analyzer::new(AnalyzerOptions {
-        harvest_thresholds: false,
-        ..AnalyzerOptions::default()
-    })
-    .analyze(&prog)
-    .expect("per-register delay keeps the counter bound");
+    let analysis = VerificationSession::new()
+        .with_options(AnalyzerOptions {
+            harvest_thresholds: false,
+            ..AnalyzerOptions::default()
+        })
+        .run(&prog)
+        .expect("per-register delay keeps the counter bound");
     // The acceptance is correct: the concrete VM runs it in bounds, and
     // the exit state contains the concrete result.
     let (ret, _) = Vm::new()
@@ -406,27 +407,28 @@ fn delayed_widening_regression_vs_vm() {
         ",
     )
     .unwrap();
-    let eager = Analyzer::new(AnalyzerOptions {
+    let eager = VerificationSession::new().with_options(AnalyzerOptions {
         widen_delay: 0,
         harvest_thresholds: false,
         ..AnalyzerOptions::default()
     });
     assert!(
-        eager.analyze(&prog).is_err(),
+        eager.run(&prog).is_err(),
         "eager widening without thresholds loses the bound"
     );
     // With harvested thresholds ("widening with thresholds"), the same
     // eager configuration lands the counter on the `i < 13` guard and
     // keeps the proof.
-    let eager_with_thresholds = Analyzer::new(AnalyzerOptions {
+    let eager_with_thresholds = VerificationSession::new().with_options(AnalyzerOptions {
         widen_delay: 0,
         ..AnalyzerOptions::default()
     });
     eager_with_thresholds
-        .analyze(&prog)
+        .run(&prog)
         .expect("harvested thresholds recover the bound without delay");
-    let analysis = Analyzer::new(AnalyzerOptions::default())
-        .analyze(&prog)
+    let analysis = VerificationSession::new()
+        .with_options(AnalyzerOptions::default())
+        .run(&prog)
         .expect("delayed widening keeps the bound");
     let (ret, _) = Vm::new()
         .run_traced(&prog, &mut [0u8; 8])
@@ -723,14 +725,14 @@ fn helper_programs_differential_against_vm_map_store() {
     // contained in the abstract state at its pc (MapValuePtr registers
     // hold VM map-arena addresses and are deliberately not scalars).
     let mut rng = SplitMix64::new(0x3A95);
-    let analyzer = Analyzer::new(AnalyzerOptions::default());
+    let analyzer = VerificationSession::new().with_options(AnalyzerOptions::default());
     for round in 0..60 {
         let shape = round % 3;
         let key = rng.below(16) as u32;
         let value = rng.below(i32::MAX as u64) as u32;
         let prog = helper_program(shape, key, value);
         let analysis = analyzer
-            .analyze(&prog)
+            .run(&prog)
             .unwrap_or_else(|e| panic!("round {round}: helper program rejected: {e}"));
 
         let mut vm = Vm::new();
@@ -810,8 +812,9 @@ fn helper_update_loop_populates_the_store() {
     ",
     )
     .unwrap();
-    Analyzer::new(AnalyzerOptions::default())
-        .analyze(&prog)
+    VerificationSession::new()
+        .with_options(AnalyzerOptions::default())
+        .run(&prog)
         .expect("update loop verifies");
     let mut vm = Vm::new();
     let (ret, _) = vm

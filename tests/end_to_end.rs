@@ -4,19 +4,20 @@
 
 use ebpf::asm::assemble;
 use ebpf::{Reg, Vm};
-use verifier::{Analyzer, AnalyzerOptions, RegValue};
+use verifier::{AnalyzerOptions, RegValue, VerificationSession};
 
 /// Checks the fundamental soundness contract of abstract interpretation
 /// on one traced execution: at every step, every register the analyzer
 /// tracks as a scalar must contain the concrete value.
 fn assert_trace_contained(src: &str, ctx: &mut [u8]) -> u64 {
     let prog = assemble(src).expect("assembles");
-    let analysis = Analyzer::new(AnalyzerOptions {
-        ctx_size: ctx.len() as u64,
-        ..AnalyzerOptions::default()
-    })
-    .analyze(&prog)
-    .expect("verifies");
+    let analysis = VerificationSession::new()
+        .with_options(AnalyzerOptions {
+            ctx_size: ctx.len() as u64,
+            ..AnalyzerOptions::default()
+        })
+        .run(&prog)
+        .expect("verifies");
     let (ret, trace) = Vm::new().run_traced(&prog, ctx).expect("executes");
     for snap in &trace {
         let Some(state) = analysis.state_before(snap.pc) else {
@@ -170,7 +171,7 @@ fn every_verified_program_runs_without_fault() {
         "*(u64 *)(r10 - 8) = 1\n*(u64 *)(r10 - 16) = 2\nr0 = *(u64 *)(r10 - 16)\nexit",
         "r2 = *(u8 *)(r1 + 0)\nr2 %= 8\nr3 = r10\nr3 -= 8\nr3 += r2\nr0 = 0\nexit",
     ];
-    let analyzer = Analyzer::new(AnalyzerOptions {
+    let analyzer = VerificationSession::new().with_options(AnalyzerOptions {
         ctx_size: 64,
         ..AnalyzerOptions::default()
     });
@@ -178,7 +179,7 @@ fn every_verified_program_runs_without_fault() {
     for src in corpus {
         let prog = assemble(src).unwrap();
         analyzer
-            .analyze(&prog)
+            .run(&prog)
             .unwrap_or_else(|e| panic!("rejected {src:?}: {e}"));
         for fill in [0u8, 1, 63, 255] {
             let mut ctx = [fill; 64];
@@ -201,8 +202,9 @@ fn rejected_programs_do_fault_concretely() {
         exit
     ";
     let prog = assemble(src).unwrap();
-    assert!(Analyzer::new(AnalyzerOptions::default())
-        .analyze(&prog)
+    assert!(VerificationSession::new()
+        .with_options(AnalyzerOptions::default())
+        .run(&prog)
         .is_err());
     // With a large enough byte the unchecked VM access goes out of bounds.
     let mut ctx = [200u8; 4];
@@ -226,8 +228,9 @@ fn strict_alignment_end_to_end() {
         strict_alignment: true,
         ..AnalyzerOptions::default()
     };
-    Analyzer::new(strict)
-        .analyze(&prog)
+    VerificationSession::new()
+        .with_options(strict)
+        .run(&prog)
         .expect("8-aligned access accepted strictly");
     for byte in 0u8..=255 {
         let mut ctx = [byte, 0, 0, 0];

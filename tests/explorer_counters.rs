@@ -90,3 +90,66 @@ fn path_explorer_work_counters_are_pinned() {
         );
     }
 }
+
+/// The counters the parallel explorer must reproduce when it never
+/// spawns, in this order: visits, subset checks, states pruned, visited
+/// entries evicted, unrolled trips, dead components cleared, fingerprint
+/// rejects, live-masked prunes. States allocated stay out: the shared
+/// table stores snapshots instead of sharing `Rc`s, so its allocation
+/// count legitimately differs.
+fn walk_counters(s: &AnalysisStats) -> [u64; 8] {
+    [
+        s.visits,
+        s.subset_checks,
+        s.states_pruned,
+        s.visited_evicted,
+        s.unrolled_trips,
+        s.dead_components_cleared,
+        s.fingerprint_rejects,
+        s.live_masked_prunes,
+    ]
+}
+
+#[test]
+fn parallel_explorer_without_spawns_walks_like_the_sequential_one() {
+    let mut programs: Vec<(String, String)> = std::fs::read_dir("fixtures")
+        .expect("fixtures directory")
+        .map(|entry| entry.expect("fixture entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "ebpf"))
+        .map(|path| {
+            let source = std::fs::read_to_string(&path).expect("fixture reads");
+            (path.display().to_string(), source)
+        })
+        .collect();
+    programs.sort();
+    assert_eq!(programs.len(), 8, "every fixture is covered");
+    programs.push(("fork_order".to_string(), FORK_ORDER.to_string()));
+    for (name, source) in programs {
+        let prog = assemble(&source).expect("program assembles");
+        let run = |strategy: Strategy, explore_jobs: u32| {
+            let options = AnalyzerOptions {
+                unroll_k: 64,
+                explore_jobs,
+                // Deeper than any fork nesting: no subtree is spawned.
+                spawn_depth: 1_000_000,
+                ..AnalyzerOptions::default()
+            };
+            let analysis = VerificationSession::new()
+                .with_strategy(strategy)
+                .with_options(options)
+                .run(&prog)
+                .unwrap_or_else(|e| panic!("{name} rejected under {strategy:?}: {e}"));
+            walk_counters(&analysis.stats())
+        };
+        let sequential = run(Strategy::PathSensitive, 1);
+        for jobs in [1, 2] {
+            assert_eq!(
+                run(Strategy::PathParallel, jobs),
+                sequential,
+                "{name} at {jobs} jobs: [visits, subset_checks, states_pruned, \
+                 visited_evicted, unrolled_trips, dead_components_cleared, \
+                 fingerprint_rejects, live_masked_prunes]"
+            );
+        }
+    }
+}
