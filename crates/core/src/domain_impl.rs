@@ -40,6 +40,10 @@ impl AbstractDomain for Tnum {
         Tnum::contains(self, x)
     }
 
+    fn constant(value: u64) -> Tnum {
+        Tnum::constant(value)
+    }
+
     fn enumerate_at_width(width: u32) -> Vec<Tnum> {
         enumerate::tnums(width).collect()
     }

@@ -13,7 +13,9 @@
 //!   value, membership closure of the enumeration
 //!   (`x ∈ γ(P) ⇒ P.contains(x)` and vice versa via
 //!   [`members`](AbstractDomain::members)), and reductivity of α over
-//!   member subsets.
+//!   member subsets;
+//! * **direct constants** — [`AbstractDomain::constant`] agrees with α on
+//!   singletons.
 //!
 //! The functions panic with a counterexample on the first violation, so
 //! they slot directly into `#[test]` bodies.
@@ -156,6 +158,31 @@ pub fn assert_galois_soundness<D: AbstractDomain>(width: u32) {
         // elements, and ⊤ covers everything.
         assert!(p.le(D::top()), "{}: {p:?} ⋢ ⊤", D::NAME);
         assert!(p.le(D::top_at_width(width)), "{}: {p:?} ⋢ ⊤|w", D::NAME);
+    }
+}
+
+/// Asserts that [`AbstractDomain::constant`] is the abstraction of the
+/// singleton set: `D::constant(x) == D::abstract_of([x])` for every
+/// value of `width` bits, for the 64-bit edge values (0, 1, `i64::MAX`,
+/// `i64::MIN`, `u64::MAX`), and for `samples` seeded random words. A
+/// domain that overrides `constant` with a direct constructor must build
+/// exactly the element the generic α would.
+///
+/// # Panics
+///
+/// Panics with the first value whose direct constant differs.
+pub fn assert_constant_law<D: AbstractDomain>(width: u32, samples: u32, seed: u64) {
+    let lim: u64 = 1u64.checked_shl(width).expect("width < 64") - 1;
+    let edges = [0, 1, i64::MAX as u64, i64::MIN as u64, u64::MAX];
+    let mut rng = crate::rng::SplitMix64::new(seed);
+    let seeded = (0..samples).map(|_| rng.next_u64()).collect::<Vec<_>>();
+    for x in (0..=lim).chain(edges).chain(seeded) {
+        assert_eq!(
+            D::constant(x),
+            D::abstract_of([x]).expect("singleton sets are never empty"),
+            "{}: constant({x:#x}) ≠ α({{{x:#x}}})",
+            D::NAME
+        );
     }
 }
 

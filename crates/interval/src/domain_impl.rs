@@ -72,6 +72,10 @@ impl AbstractDomain for Bounds {
         Bounds::contains(self, x)
     }
 
+    fn constant(value: u64) -> Bounds {
+        Bounds::constant(value)
+    }
+
     fn enumerate_at_width(width: u32) -> Vec<Bounds> {
         assert!(width < 64, "bounds enumeration is limited to width 63");
         let n = 1u64 << width;

@@ -99,11 +99,13 @@ pub struct AnalyzerOptions {
     /// sessions share one long-lived cache over programs that repeat
     /// the same scalar operands.
     pub memo_cache: Option<Arc<TransferMemo>>,
-    /// Liveness-aware state pruning (on by default): run the
-    /// [`crate::passes`] framework before exploration and *clean* dead
+    /// Liveness-aware state pruning (on by default): solve backward
+    /// liveness ([`crate::passes`]) before exploration and *clean* dead
     /// registers and stack slots — components no future instruction can
     /// read — from every state arriving at a checkpoint (the kernel's
-    /// `clean_verifier_state`). Cleaned components are
+    /// `clean_verifier_state`). Only checkpoints read liveness, so it is
+    /// solved only over the pcs reachable from one, and a program
+    /// without checkpoints solves none. Cleaned components are
     /// [`crate::RegValue::Uninit`], the top of the safety order, so
     /// path states differing only in dead components fingerprint
     /// equally and prune each other, loop-head summaries stop widening

@@ -71,16 +71,20 @@ impl Cfg {
         let succ = |i: usize| &succs[i][..succ_len[i] as usize];
 
         // Iterative DFS producing a postorder of the reachable subgraph;
-        // its reverse is the RPO the worklist iterates in.
-        let mut visited = vec![false; n];
+        // its reverse is the RPO the worklist iterates in. `rpo_pos`
+        // doubles as the visited mark (anything but `usize::MAX`) until
+        // the real positions overwrite it. The stack never holds a pc
+        // twice, so `n` entries always suffice.
+        let mut rpo_pos = vec![usize::MAX; n];
         let mut post = Vec::with_capacity(n);
-        let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
-        visited[0] = true;
+        let mut stack: Vec<(usize, usize)> = Vec::with_capacity(n);
+        stack.push((0, 0));
+        rpo_pos[0] = 0;
         while let Some(&mut (node, ref mut next)) = stack.last_mut() {
             if let Some(&s) = succ(node).get(*next) {
                 *next += 1;
-                if !visited[s] {
-                    visited[s] = true;
+                if rpo_pos[s] == usize::MAX {
+                    rpo_pos[s] = 0;
                     stack.push((s, 0));
                 }
             } else {
@@ -90,7 +94,6 @@ impl Cfg {
         }
         post.reverse();
         let rpo = post;
-        let mut rpo_pos = vec![usize::MAX; n];
         for (pos, &pc) in rpo.iter().enumerate() {
             rpo_pos[pc] = pos;
         }
@@ -99,28 +102,31 @@ impl Cfg {
         // classifies retreating edges w.r.t. the RPO: robust for
         // irreducible CFGs too, and every cycle necessarily contains
         // one, so widening at their targets guarantees termination.
+        // `pred_start[pc]` counts `pc`'s predecessor edges first.
         let mut pred_start = vec![0usize; n + 1];
         let mut loop_head = vec![false; n];
         let mut back_edges = Vec::new();
         for &i in &rpo {
             for &s in succ(i) {
-                pred_start[s + 1] += 1;
+                pred_start[s] += 1;
                 if rpo_pos[s] <= rpo_pos[i] {
                     loop_head[s] = true;
                     back_edges.push((i, s));
                 }
             }
         }
-        for pc in 0..n {
-            pred_start[pc + 1] += pred_start[pc];
+        // Prefix sums turn each count into the end of its list...
+        for pc in 1..=n {
+            pred_start[pc] += pred_start[pc - 1];
         }
-        // Fill in RPO order of the source; `fill` is each list's cursor.
-        let mut fill = pred_start[..n].to_vec();
+        // ...and filling backwards, in reverse RPO order of the source,
+        // moves each end down to its list's start, leaving every list in
+        // RPO order of the source.
         let mut pred_list = vec![0; pred_start[n]];
-        for &i in &rpo {
+        for &i in rpo.iter().rev() {
             for &s in succ(i) {
-                pred_list[fill[s]] = i;
-                fill[s] += 1;
+                pred_start[s] -= 1;
+                pred_list[pred_start[s]] = i;
             }
         }
 
@@ -256,9 +262,192 @@ impl RpoWorklist {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use domain::rng::SplitMix64;
     use ebpf::asm::assemble;
+    use ebpf::{AluOp, JmpOp, MemSize, Reg, Src, Width};
+
+    /// A seeded random program of `len` instructions (the last one
+    /// `exit`) for structural tests of the CFG and the passes: forward
+    /// and backward jumps, self loops, duplicate edges, early exits,
+    /// unreachable code, stack spills and reloads, loads through `r10`
+    /// and through derived or reloaded pointers, and helper calls. It
+    /// validates as a [`Program`] but need not verify.
+    pub(crate) fn random_program(rng: &mut SplitMix64, len: usize) -> Program {
+        const REGS: [Reg; 10] = [
+            Reg::R0,
+            Reg::R1,
+            Reg::R2,
+            Reg::R3,
+            Reg::R4,
+            Reg::R5,
+            Reg::R6,
+            Reg::R7,
+            Reg::R8,
+            Reg::R9,
+        ];
+        const SIZES: [MemSize; 4] = [MemSize::B, MemSize::H, MemSize::W, MemSize::DW];
+        let pick = |rng: &mut SplitMix64| REGS[rng.below(REGS.len() as u64) as usize];
+        let mut insns = Vec::with_capacity(len);
+        for i in 0..len - 1 {
+            // Jump offsets count from the next instruction (no two-slot
+            // `LoadImm64` here, so instructions and slots coincide).
+            let off = |rng: &mut SplitMix64| (rng.below(len as u64) as i64 - i as i64 - 1) as i16;
+            let stack_off = |rng: &mut SplitMix64| -8 * (1 + rng.below(8) as i16);
+            let insn = match rng.below(16) {
+                0..=2 => Insn::Jmp {
+                    width: if rng.coin() { Width::W64 } else { Width::W32 },
+                    op: [JmpOp::Eq, JmpOp::Gt, JmpOp::Lt, JmpOp::Sge][rng.below(4) as usize],
+                    dst: pick(rng),
+                    src: if rng.coin() {
+                        Src::Reg(pick(rng))
+                    } else {
+                        Src::Imm(rng.below(16) as i32)
+                    },
+                    off: off(rng),
+                },
+                3 => Insn::Ja { off: off(rng) },
+                4 => Insn::Exit,
+                5 | 6 => Insn::Load {
+                    size: SIZES[rng.below(4) as usize],
+                    dst: pick(rng),
+                    base: if rng.coin() { Reg::R10 } else { pick(rng) },
+                    off: stack_off(rng),
+                },
+                7 | 8 => Insn::Store {
+                    size: SIZES[rng.below(4) as usize],
+                    base: if rng.ratio(3, 4) { Reg::R10 } else { pick(rng) },
+                    off: stack_off(rng),
+                    src: if rng.coin() {
+                        Src::Reg(pick(rng))
+                    } else {
+                        Src::Imm(0)
+                    },
+                },
+                9 => Insn::Call {
+                    helper: rng.below(8) as u32,
+                },
+                10 => Insn::Alu {
+                    width: Width::W64,
+                    op: AluOp::Mov,
+                    dst: pick(rng),
+                    src: Src::Reg(Reg::R10),
+                },
+                _ => Insn::Alu {
+                    width: if rng.ratio(1, 4) {
+                        Width::W32
+                    } else {
+                        Width::W64
+                    },
+                    op: [AluOp::Mov, AluOp::Add, AluOp::And, AluOp::Sub][rng.below(4) as usize],
+                    dst: pick(rng),
+                    src: if rng.coin() {
+                        Src::Reg(pick(rng))
+                    } else {
+                        Src::Imm(rng.below(32) as i32 - 16)
+                    },
+                },
+            };
+            insns.push(insn);
+        }
+        insns.push(Insn::Exit);
+        Program::new(insns).expect("random programs validate")
+    }
+
+    /// The CFG built the obvious way: recursive DFS in successor order,
+    /// predecessor lists pushed per edge in RPO order of the source,
+    /// back edges as retreating edges, checkpoints as loop heads or
+    /// pcs with two or more predecessor edges.
+    struct Reference {
+        succs: Vec<Vec<usize>>,
+        preds: Vec<Vec<usize>>,
+        rpo: Vec<usize>,
+        back_edges: Vec<(usize, usize)>,
+        loop_heads: Vec<bool>,
+        checkpoints: Vec<bool>,
+    }
+
+    impl Reference {
+        fn build(prog: &Program) -> Reference {
+            let n = prog.len();
+            let succs: Vec<Vec<usize>> = (0..n)
+                .map(|i| match prog.insns()[i] {
+                    Insn::Exit => vec![],
+                    Insn::Ja { off } => vec![prog.jump_target(i, off).unwrap()],
+                    Insn::Jmp { off, .. } => vec![i + 1, prog.jump_target(i, off).unwrap()],
+                    _ => vec![i + 1],
+                })
+                .collect();
+            fn dfs(pc: usize, succs: &[Vec<usize>], seen: &mut [bool], post: &mut Vec<usize>) {
+                seen[pc] = true;
+                for &s in &succs[pc] {
+                    if !seen[s] {
+                        dfs(s, succs, seen, post);
+                    }
+                }
+                post.push(pc);
+            }
+            let mut post = Vec::new();
+            dfs(0, &succs, &mut vec![false; n], &mut post);
+            let rpo: Vec<usize> = post.into_iter().rev().collect();
+            let pos = |pc: usize| rpo.iter().position(|&p| p == pc).unwrap();
+            let mut preds = vec![Vec::new(); n];
+            let mut back_edges = Vec::new();
+            let mut loop_heads = vec![false; n];
+            for &i in &rpo {
+                for &s in &succs[i] {
+                    preds[s].push(i);
+                    if pos(s) <= pos(i) {
+                        back_edges.push((i, s));
+                        loop_heads[s] = true;
+                    }
+                }
+            }
+            let checkpoints = (0..n)
+                .map(|pc| loop_heads[pc] || preds[pc].len() > 1)
+                .collect();
+            Reference {
+                succs,
+                preds,
+                rpo,
+                back_edges,
+                loop_heads,
+                checkpoints,
+            }
+        }
+    }
+
+    #[test]
+    fn lean_build_matches_a_naive_reference_on_random_programs() {
+        let mut rng = SplitMix64::new(0xCF6_B111D);
+        let (mut loops, mut duplicates, mut unreachable) = (0, 0, 0);
+        for round in 0..2_000 {
+            let len = 2 + rng.below(40) as usize;
+            let prog = random_program(&mut rng, len);
+            let (cfg, want) = (Cfg::build(&prog), Reference::build(&prog));
+            let at = format!("round {round}:\n{}", prog.disassemble());
+            assert_eq!(cfg.rpo(), want.rpo, "{at}");
+            assert_eq!(cfg.back_edges(), want.back_edges, "{at}");
+            for pc in 0..len {
+                assert_eq!(cfg.successors(pc), want.succs[pc], "pc {pc}, {at}");
+                assert_eq!(cfg.predecessors(pc), want.preds[pc], "pc {pc}, {at}");
+                assert_eq!(cfg.is_loop_head(pc), want.loop_heads[pc], "pc {pc}, {at}");
+                assert_eq!(cfg.is_checkpoint(pc), want.checkpoints[pc], "pc {pc}, {at}");
+                let pos = want.rpo.iter().position(|&p| p == pc);
+                assert_eq!(cfg.rpo_pos(pc), pos.unwrap_or(usize::MAX), "pc {pc}, {at}");
+                let preds = &want.preds[pc];
+                duplicates += usize::from((1..preds.len()).any(|k| preds[k] == preds[k - 1]));
+            }
+            loops += usize::from(!want.back_edges.is_empty());
+            unreachable += usize::from(want.rpo.len() < len);
+        }
+        // The generator reaches every shape the builder distinguishes.
+        assert!(
+            loops > 200 && duplicates > 20 && unreachable > 200,
+            "{loops} {duplicates} {unreachable}"
+        );
+    }
 
     #[test]
     fn straight_line_rpo_is_identity() {

@@ -34,7 +34,7 @@
 //! site fires, which visited table prunes, and what happens to a fork's
 //! fall-through arm — is a `WalkPolicy` resolved at compile time. Both
 //! build the same per-program `Plan` (CFG, thresholds, loop-head index,
-//! passes) first.
+//! checkpoint liveness) first.
 //!
 //! All return an [`Exploration`] — per-instruction states plus
 //! [`AnalysisStats`] — which the session tags with its [`Strategy`] into
@@ -53,7 +53,7 @@ use crate::cfg::Cfg;
 use crate::error::VerifierError;
 use crate::failpoint::FaultSite;
 use crate::fixpoint::{self, AnalysisStats};
-use crate::passes::ProgramPasses;
+use crate::passes::CheckpointLiveness;
 use crate::state::{stats, AbsState, JoinCounters, WidenCtx};
 use crate::transfer::Transfer;
 use crate::visited::VisitedTable;
@@ -242,7 +242,6 @@ impl ExplorationStrategy for PathSensitive {
             policy.visits,
             policy.visited.ledger(),
             walk.totals,
-            plan.passes.as_ref(),
         );
         Ok(Exploration {
             states: walk.report,
@@ -265,13 +264,14 @@ pub(crate) struct Plan<'a> {
     /// their unroll budget reset when an earlier head takes a trip — an
     /// inner loop is unrolled per *entry*, not once per program.
     head_rpo: Vec<usize>,
-    /// The pass framework feeds checkpoint cleaning: every arrival at a
-    /// checkpoint drops its dead components (kernel
+    /// Checkpoint liveness feeds checkpoint cleaning: every arrival at
+    /// a checkpoint drops its dead components (kernel
     /// `clean_verifier_state`) *before* the summary join and the visited
     /// probe, so paths differing only in dead registers or slots
     /// fingerprint equally and prune each other, and loop-head summaries
-    /// never widen (or burn delay on) dead components.
-    pub(crate) passes: Option<ProgramPasses>,
+    /// never widen (or burn delay on) dead components. `None` with
+    /// [`AnalyzerOptions::liveness_pruning`] off or without checkpoints.
+    pub(crate) liveness: Option<CheckpointLiveness>,
     /// When exploration started, for the cooperative deadline check at
     /// every visit.
     start: Instant,
@@ -287,9 +287,10 @@ impl<'a> Plan<'a> {
             head_idx[pc] = head_rpo.len();
             head_rpo.push(cfg.rpo_pos(pc));
         }
-        let passes = options
+        let liveness = options
             .liveness_pruning
-            .then(|| ProgramPasses::compute(prog, &cfg));
+            .then(|| CheckpointLiveness::compute(prog, &cfg))
+            .flatten();
         Plan {
             prog,
             options,
@@ -297,7 +298,7 @@ impl<'a> Plan<'a> {
             thresholds,
             head_idx,
             head_rpo,
-            passes,
+            liveness,
             start: Instant::now(),
         }
     }
@@ -402,7 +403,7 @@ impl<'p> Walk<'p> {
         depth: P::Depth,
     ) -> Result<(), VerifierError> {
         let plan = self.plan;
-        let masked = plan.passes.is_some();
+        let masked = plan.options.liveness_pruning;
         let mut stack: Vec<Arrival<P::Depth>> = Vec::new();
         let mut next = Some((pc, state, trips, depth));
         while let Some((pc, mut state, mut trips, depth)) = next.take().or_else(|| stack.pop()) {
@@ -420,7 +421,7 @@ impl<'p> Walk<'p> {
             // pruning can fire: loop heads plus merge points.
             let checkpoint = plan.cfg.is_checkpoint(pc);
             self.totals.dead_components_cleared +=
-                fixpoint::clear_dead_at(&plan.cfg, plan.passes.as_ref(), pc, &mut state);
+                fixpoint::clear_dead_at(&plan.cfg, plan.liveness.as_ref(), pc, &mut state);
             if h != usize::MAX {
                 // A new trip of this loop restarts the unroll budget of
                 // every head nested inside it (later in RPO), so an

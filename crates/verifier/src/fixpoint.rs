@@ -19,6 +19,7 @@ use crate::analyzer::AnalyzerOptions;
 use crate::cfg::{Cfg, RpoWorklist};
 use crate::error::VerifierError;
 use crate::explore::WalkTotals;
+use crate::passes::CheckpointLiveness;
 use crate::state::{stats, AbsState, JoinCounters, WidenCtx};
 use crate::transfer::Transfer;
 use crate::visited::Ledger;
@@ -132,12 +133,6 @@ pub struct AnalysisStats {
     /// checkpoint cleaning (`AbsState::clear_dead`) because the
     /// liveness pass proved them dead.
     pub dead_components_cleared: u64,
-    /// Statically dead instructions the pass framework found:
-    /// unreachable from the entry, or side-effect-free definitions
-    /// whose result is never read. Zero with
-    /// [`AnalyzerOptions::liveness_pruning`] off (the passes never
-    /// run).
-    pub dead_insns: u64,
     /// DFS subtrees packaged as stealable jobs by the parallel path
     /// explorer ([`Strategy::PathParallel`](crate::Strategy)). Zero for
     /// the sequential strategies.
@@ -163,16 +158,14 @@ pub struct AnalysisStats {
 
 impl AnalysisStats {
     /// One run's counters: its state-layer `traffic`, `memo` `(hits,
-    /// misses, evicted)`, visits, visited-table ledger (`chains`), walk
-    /// totals, and the pass layer's dead instructions. The parallel
-    /// explorer's own counters start at zero.
+    /// misses, evicted)`, visits, visited-table ledger (`chains`) and
+    /// walk totals. The parallel explorer's own counters start at zero.
     pub(crate) fn of_run(
         traffic: stats::Traffic,
         memo: (u64, u64, u64),
         visits: u64,
         chains: Ledger,
         totals: WalkTotals,
-        passes: Option<&crate::passes::ProgramPasses>,
     ) -> AnalysisStats {
         AnalysisStats {
             states_allocated: traffic.allocated,
@@ -191,7 +184,6 @@ impl AnalysisStats {
             memo_evicted: memo.2,
             live_masked_prunes: chains.masked_prunes,
             dead_components_cleared: totals.dead_components_cleared,
-            dead_insns: passes.map_or(0, crate::passes::ProgramPasses::dead_insns),
             ..AnalysisStats::default()
         }
     }
@@ -216,7 +208,7 @@ impl AnalysisStats {
              \"visited_evicted\": {}, \"bytes_materialized\": {}, \
              \"memo_hits\": {}, \"memo_misses\": {}, \"memo_evicted\": {}, \
              \"live_masked_prunes\": {}, \"dead_components_cleared\": {}, \
-             \"dead_insns\": {}, \"subtrees_spawned\": {}, \
+             \"subtrees_spawned\": {}, \
              \"steals\": {}, \"shared_prunes\": {}, \"degradations\": {}}}",
             self.states_allocated,
             self.states_shared,
@@ -234,7 +226,6 @@ impl AnalysisStats {
             self.memo_evicted,
             self.live_masked_prunes,
             self.dead_components_cleared,
-            self.dead_insns,
             self.subtrees_spawned,
             self.steals,
             self.shared_prunes,
@@ -306,21 +297,24 @@ pub fn run(
     crate::memo::counters::reset();
     let thresholds = thresholds_for(prog, cfg, options);
 
-    // The pass framework feeds checkpoint cleaning: states flowing into
-    // a loop head or merge point drop their dead components first, so
+    // Liveness feeds checkpoint cleaning: states flowing into a loop
+    // head or merge point drop their dead components first, so
     // contributions differing only in dead registers/slots subset-skip
     // instead of re-joining, and dead components never burn widening
     // delay. Cleaning to `Uninit` (the join/order top) is monotone, so
     // the fixpoint stays a sound over-approximation on live components.
-    let passes = options
+    // Only the checkpoints' live-in masks are solved (none at all for a
+    // program without checkpoints).
+    let liveness = options
         .liveness_pruning
-        .then(|| crate::passes::ProgramPasses::compute(prog, cfg));
+        .then(|| CheckpointLiveness::compute(prog, cfg))
+        .flatten();
     // The fixpoint joins instead of pruning and never unrolls: of the
     // walk totals it only counts cleaned components.
     let mut totals = WalkTotals::default();
 
     let mut entry = AbsState::entry();
-    totals.dead_components_cleared += clear_dead_at(cfg, passes.as_ref(), 0, &mut entry);
+    totals.dead_components_cleared += clear_dead_at(cfg, liveness.as_ref(), 0, &mut entry);
     let mut states: Vec<Option<AbsState>> = vec![None; prog.len()];
     states[0] = Some(entry);
     // Per-loop-head, per-component changing-join counters driving the
@@ -351,7 +345,7 @@ pub fn run(
             .clone()
             .expect("queued instructions have a state");
         for (succ, mut out) in transfer.step(prog, state, pc)? {
-            totals.dead_components_cleared += clear_dead_at(cfg, passes.as_ref(), succ, &mut out);
+            totals.dead_components_cleared += clear_dead_at(cfg, liveness.as_ref(), succ, &mut out);
             let changed = match &mut states[succ] {
                 slot @ None => {
                     *slot = Some(out);
@@ -387,7 +381,7 @@ pub fn run(
             prog,
             cfg,
             &states,
-            passes.as_ref(),
+            liveness.as_ref(),
             &mut totals.dead_components_cleared,
         )?
     };
@@ -398,23 +392,22 @@ pub fn run(
         visits,
         Ledger::default(),
         totals,
-        passes.as_ref(),
     );
     Ok((states, stats))
 }
 
-/// Checkpoint cleaning: when the passes ran and `pc` is a checkpoint,
-/// resets `state`'s components dead at `pc` to their uninitialized top,
-/// returning how many it reset.
+/// Checkpoint cleaning: when liveness was solved and `pc` is a
+/// checkpoint, resets `state`'s components dead at `pc` to their
+/// uninitialized top, returning how many it reset.
 pub(crate) fn clear_dead_at(
     cfg: &Cfg,
-    passes: Option<&crate::passes::ProgramPasses>,
+    liveness: Option<&CheckpointLiveness>,
     pc: usize,
     state: &mut AbsState,
 ) -> u64 {
-    match passes {
-        Some(p) if cfg.is_checkpoint(pc) => {
-            let mask = p.live_in(pc);
+    match liveness {
+        Some(live) if cfg.is_checkpoint(pc) => {
+            let mask = live.live_in(pc);
             u64::from(state.clear_dead(mask.regs, mask.slots))
         }
         _ => 0,
@@ -431,12 +424,12 @@ fn narrow(
     prog: &Program,
     cfg: &Cfg,
     states: &[Option<AbsState>],
-    passes: Option<&crate::passes::ProgramPasses>,
+    liveness: Option<&CheckpointLiveness>,
     dead_components_cleared: &mut u64,
 ) -> Result<Vec<Option<AbsState>>, VerifierError> {
     let mut narrowed: Vec<Option<AbsState>> = vec![None; prog.len()];
     let mut entry = AbsState::entry();
-    *dead_components_cleared += clear_dead_at(cfg, passes, 0, &mut entry);
+    *dead_components_cleared += clear_dead_at(cfg, liveness, 0, &mut entry);
     narrowed[0] = Some(entry);
     for &pc in cfg.rpo() {
         let Some(state) = states[pc].clone() else {
@@ -446,7 +439,7 @@ fn narrow(
             // The same checkpoint cleaning the widened pass applied:
             // narrowing must not resurrect dead components the
             // fixpoint already dropped.
-            *dead_components_cleared += clear_dead_at(cfg, passes, succ, &mut out);
+            *dead_components_cleared += clear_dead_at(cfg, liveness, succ, &mut out);
             match &mut narrowed[succ] {
                 slot @ None => *slot = Some(out),
                 // In-place join: the cell materializes once and then

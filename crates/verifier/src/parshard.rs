@@ -320,7 +320,6 @@ impl ExplorationStrategy for PathParallel {
             ctx.visits.load(Ordering::Relaxed),
             ctx.visited.ledger(),
             totals,
-            ctx.plan.passes.as_ref(),
         );
         Ok(Exploration {
             states: report,

@@ -3,12 +3,16 @@
 //! per-pc register/stack-slot **liveness**, **reaching definitions**,
 //! and **unreachable/dead-code** detection.
 //!
-//! Only what the exploration engines consume is computed per analysis:
-//! [`ProgramPasses::compute`] runs liveness (with its [`StackTaint`]
-//! prerequisite) and derives the unreachable pcs and dead definitions
-//! from it. Reaching definitions feed nothing in the engines; they are
-//! computed only on demand, by [`reaching_def_counts`], for the
-//! `annotate --passes` dump.
+//! Only what the exploration engines read is computed per analysis: the
+//! live-in masks at checkpoints, solved by the crate-private
+//! `CheckpointLiveness` over the pcs reachable from a checkpoint (with
+//! the [`StackTaint`] prerequisite only when that region loads through a
+//! base other than `r10`, and nothing at all for a program without
+//! checkpoints). The whole-program bundle, [`ProgramPasses::compute`]
+//! — liveness at every pc plus the unreachable pcs and dead definitions
+//! derived from it — and the reaching definitions of
+//! [`reaching_def_counts`] run on demand, for the `annotate --passes`
+//! dump and the benchmark's ledger; no session computes them.
 //!
 //! The kernel's eBPF verifier owes its single biggest pruning lever not
 //! to a smarter join but to a *static* fact: per-pc liveness marks
@@ -130,6 +134,21 @@ pub struct Solution<F> {
 /// over [`Cfg::successors`] and re-queue predecessors. Both adjacency
 /// lists cover the reachable subgraph only.
 pub fn solve<P: DataflowPass>(pass: &P, prog: &Program, cfg: &Cfg) -> Solution<P::Fact> {
+    solve_within(pass, prog, cfg, None)
+}
+
+/// [`solve`] over the reachable pcs `region` marks (every reachable pc
+/// when `None`): only they start pending, and a changed fact re-queues
+/// only neighbours inside it. Facts outside the region stay empty, so
+/// the result is exact only for a region closed under the pass's
+/// dependencies — successors for a backward pass, predecessors for a
+/// forward one.
+fn solve_within<P: DataflowPass>(
+    pass: &P,
+    prog: &Program,
+    cfg: &Cfg,
+    region: Option<&[bool]>,
+) -> Solution<P::Fact> {
     let n = prog.len();
     let mut before = vec![pass.empty_fact(); n];
     let mut after = vec![pass.empty_fact(); n];
@@ -141,8 +160,20 @@ pub fn solve<P: DataflowPass>(pass: &P, prog: &Program, cfg: &Cfg) -> Solution<P
         Direction::Forward => pos,
         Direction::Backward => total - 1 - pos,
     };
+    let in_region = |pc: usize| region.map_or(true, |r| r[pc]);
 
-    let mut queue = RpoWorklist::full(total);
+    let mut queue = match region {
+        None => RpoWorklist::full(total),
+        Some(_) => {
+            let mut queue = RpoWorklist::new(total);
+            for (pos, &pc) in cfg.rpo().iter().enumerate() {
+                if in_region(pc) {
+                    queue.push(priority(pos));
+                }
+            }
+            queue
+        }
+    };
     while let Some(prio) = queue.pop() {
         let pc = cfg.rpo()[priority(prio)];
         let insn = prog.insns()[pc];
@@ -161,7 +192,9 @@ pub fn solve<P: DataflowPass>(pass: &P, prog: &Program, cfg: &Cfg) -> Solution<P
                 if output != after[pc] {
                     after[pc] = output;
                     for &s in cfg.successors(pc) {
-                        queue.push(priority(cfg.rpo_pos(s)));
+                        if in_region(s) {
+                            queue.push(priority(cfg.rpo_pos(s)));
+                        }
                     }
                 }
             }
@@ -180,7 +213,9 @@ pub fn solve<P: DataflowPass>(pass: &P, prog: &Program, cfg: &Cfg) -> Solution<P
                 if input != before[pc] {
                     before[pc] = input;
                     for &p in cfg.predecessors(pc) {
-                        queue.push(priority(cfg.rpo_pos(p)));
+                        if in_region(p) {
+                            queue.push(priority(cfg.rpo_pos(p)));
+                        }
                     }
                 }
             }
@@ -464,6 +499,69 @@ impl DataflowPass for Liveness {
 }
 
 // ---------------------------------------------------------------------
+// Checkpoint-scoped liveness: what the engines read
+// ---------------------------------------------------------------------
+
+/// Liveness solved only where the exploration engines read it: they
+/// need live-in masks at checkpoints and nowhere else (checkpoint
+/// cleaning, see [`crate::fixpoint`]), as the kernel cleans dead state
+/// only at its pruning points.
+///
+/// Backward liveness at a pc depends only on the pcs reachable from it,
+/// so solving the backward problem over the **checkpoint region** —
+/// every pc forward-reachable from a checkpoint, a set closed under
+/// successors — yields exactly the live-in facts of the whole-program
+/// solve there. The [`StackTaint`] prerequisite runs only when the
+/// region holds a load whose base is not `r10`, the one instruction
+/// whose liveness transfer reads taint. A program with no checkpoint
+/// (straight-line and fork-only code) gets no liveness at all.
+#[derive(Clone, Debug)]
+pub(crate) struct CheckpointLiveness {
+    /// Live-in per pc; solved for the checkpoint region only (the
+    /// empty set elsewhere, which no engine reads).
+    live_in: Vec<LiveSet>,
+}
+
+impl CheckpointLiveness {
+    /// Solves liveness over `prog`'s checkpoint region, or returns
+    /// `None` — without allocating — when the CFG has no checkpoint.
+    pub(crate) fn compute(prog: &Program, cfg: &Cfg) -> Option<CheckpointLiveness> {
+        let rpo = cfg.rpo();
+        // Forward edges climb in RPO and every back edge targets a loop
+        // head, itself a checkpoint: nothing before the first checkpoint
+        // in RPO is in the region, and one RPO sweep from there decides
+        // every pc, since a non-checkpoint's predecessors all come
+        // earlier.
+        let first = rpo.iter().position(|&pc| cfg.is_checkpoint(pc))?;
+        let mut in_region = vec![false; prog.len()];
+        let mut reads_taint = false;
+        for &pc in &rpo[first..] {
+            if cfg.is_checkpoint(pc) || cfg.predecessors(pc).iter().any(|&p| in_region[p]) {
+                in_region[pc] = true;
+                reads_taint |=
+                    matches!(prog.insns()[pc], Insn::Load { base, .. } if base != Reg::R10);
+            }
+        }
+        let liveness = Liveness {
+            taint_in: if reads_taint {
+                solve(&StackTaint, prog, cfg).before
+            } else {
+                Vec::new()
+            },
+        };
+        Some(CheckpointLiveness {
+            live_in: solve_within(&liveness, prog, cfg, Some(&in_region)).before,
+        })
+    }
+
+    /// The liveness mask at the point before checkpoint `pc` (equal to
+    /// [`ProgramPasses::live_in`] there).
+    pub(crate) fn live_in(&self, pc: usize) -> LiveSet {
+        self.live_in[pc]
+    }
+}
+
+// ---------------------------------------------------------------------
 // Reaching definitions
 // ---------------------------------------------------------------------
 
@@ -590,9 +688,10 @@ pub fn reaching_def_counts(prog: &Program, cfg: &Cfg) -> Vec<u32> {
 // The bundled per-program pass results
 // ---------------------------------------------------------------------
 
-/// The per-program pass results the exploration engines consume:
-/// liveness, unreachable pcs and dead definitions. Computed once per
-/// analysis, before exploration starts.
+/// The whole-program pass results: liveness at every pc, unreachable
+/// pcs and dead definitions. Computed on demand (the `annotate --passes`
+/// dump, diagnostics); the exploration engines solve only the
+/// checkpoint-scoped liveness they read.
 #[derive(Clone, Debug)]
 pub struct ProgramPasses {
     live_in: Vec<LiveSet>,
@@ -672,8 +771,7 @@ impl ProgramPasses {
     }
 
     /// Total dead instructions: statically unreachable plus dead
-    /// definitions — the `dead_insns` counter of
-    /// [`crate::AnalysisStats`].
+    /// definitions.
     #[must_use]
     pub fn dead_insns(&self) -> u64 {
         self.dead_insns
@@ -862,6 +960,129 @@ mod tests {
         assert_eq!(covering_slots(-12, 8), (1 << 62) | (1 << 63));
         assert_eq!(covering_slots(-512, 1), 1);
         assert_eq!(covering_slots(-520, 4), 0, "out of frame ignored");
+    }
+
+    /// Checkpoint liveness must be `None` exactly for programs without
+    /// a checkpoint, and otherwise agree with the whole-program solve at
+    /// every checkpoint — the only pcs the engines read it at. Returns
+    /// whether the program had a checkpoint.
+    fn assert_checkpoint_liveness_exact(prog: &Program, at: &str) -> bool {
+        let cfg = Cfg::build(prog);
+        let full = ProgramPasses::compute(prog, &cfg);
+        let checkpoints: Vec<usize> = (0..prog.len())
+            .filter(|&pc| cfg.is_checkpoint(pc))
+            .collect();
+        match CheckpointLiveness::compute(prog, &cfg) {
+            None => assert!(
+                checkpoints.is_empty(),
+                "{at}: no liveness for {checkpoints:?}"
+            ),
+            Some(live) => {
+                assert!(
+                    !checkpoints.is_empty(),
+                    "{at}: liveness without checkpoints"
+                );
+                for &pc in &checkpoints {
+                    assert_eq!(live.live_in(pc), full.live_in(pc), "{at}, pc {pc}");
+                }
+            }
+        }
+        !checkpoints.is_empty()
+    }
+
+    #[test]
+    fn checkpoint_liveness_is_exact_on_fixtures_and_bench_programs() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../fixtures");
+        let mut fixtures = 0;
+        for entry in std::fs::read_dir(dir).expect("fixtures directory") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_some_and(|x| x == "ebpf") {
+                let source = std::fs::read_to_string(&path).expect("fixture reads");
+                let prog = assemble(&source).expect("fixture assembles");
+                assert_checkpoint_liveness_exact(&prog, &path.display().to_string());
+                fixtures += 1;
+            }
+        }
+        assert!(fixtures >= 8, "found {fixtures} fixtures");
+
+        use bench::fixpoint_suite as suite;
+        let labelled = suite::sweep_configs()
+            .into_iter()
+            .chain(suite::parshard_configs(4, 8))
+            .map(|(label, prog, _)| (label, prog))
+            .chain(
+                suite::throughput_batch()
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, prog)| (format!("throughput #{i}"), prog)),
+            );
+        for (label, prog) in labelled {
+            assert_checkpoint_liveness_exact(&prog, &label);
+        }
+    }
+
+    #[test]
+    fn checkpoint_liveness_is_exact_on_random_programs() {
+        let mut rng = domain::rng::SplitMix64::new(0x11FE_C4EC);
+        let (mut with, mut without) = (0, 0);
+        for round in 0..2_000 {
+            let len = 2 + rng.below(40) as usize;
+            let prog = crate::cfg::tests::random_program(&mut rng, len);
+            let at = format!("round {round}:\n{}", prog.disassemble());
+            if assert_checkpoint_liveness_exact(&prog, &at) {
+                with += 1;
+            } else {
+                without += 1;
+            }
+        }
+        assert!(
+            with > 500 && without > 100,
+            "{with} with, {without} without checkpoints"
+        );
+    }
+
+    #[test]
+    fn checkpoint_liveness_taints_a_reloaded_stack_pointer() {
+        // The region after the merge reloads a spilled stack pointer
+        // and loads through it: only StackTaint knows r3 may point into
+        // the frame, so every slot is live at the merge. Skipping the
+        // taint pass there would leave just the spill slot live.
+        let prog = assemble(
+            "r2 = r10\n\
+             r2 += -16\n\
+             *(u64 *)(r10 - 8) = r2\n\
+             *(u64 *)(r10 - 16) = 7\n\
+             if r1 == 0 goto merge\n\
+             r0 = 0\n\
+             merge:\n\
+             r3 = *(u64 *)(r10 - 8)\n\
+             r0 = *(u64 *)(r3 + 0)\n\
+             exit",
+        )
+        .expect("assembles");
+        let cfg = Cfg::build(&prog);
+        assert!(cfg.is_checkpoint(6), "merge point");
+        assert!(assert_checkpoint_liveness_exact(&prog, "spilled pointer"));
+        let live = CheckpointLiveness::compute(&prog, &cfg).expect("has a checkpoint");
+        assert_eq!(
+            live.live_in(6).slots,
+            u64::MAX,
+            "reloaded pointer reads anywhere"
+        );
+    }
+
+    #[test]
+    fn checkpoint_free_programs_solve_nothing() {
+        let prog = assemble(
+            "r0 = 1\n\
+             if r1 > 0 goto out\n\
+             r0 = 2\n\
+             exit\n\
+             out:\n\
+             exit",
+        )
+        .expect("assembles");
+        assert!(CheckpointLiveness::compute(&prog, &Cfg::build(&prog)).is_none());
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! optimality vs `α ∘ f ∘ γ`) passes for all of them from one code path.
 
 use bitwise_domain::KnownBits;
-use domain::laws::{assert_galois_soundness, assert_lattice_laws, assert_sampling_sound};
+use domain::laws::{
+    assert_constant_law, assert_galois_soundness, assert_lattice_laws, assert_sampling_sound,
+};
 use domain::{AbstractDomain, RefineFrom};
 use interval_domain::Bounds;
 use tnum::Tnum;
@@ -60,6 +62,16 @@ fn width64_sampling_is_sound_for_all_domains() {
     assert_sampling_sound::<Tnum>(4_000, 0xA);
     assert_sampling_sound::<KnownBits>(4_000, 0xB);
     assert_sampling_sound::<Bounds>(4_000, 0xC);
+}
+
+// --- Direct constants: `constant(x)` is α({x}) at every width-8 value,
+// --- the 64-bit edges and seeded words (Tnum and Bounds override it). --
+
+#[test]
+fn constants_are_singleton_abstractions_for_all_domains() {
+    assert_constant_law::<Tnum>(8, 4_000, 0xC0);
+    assert_constant_law::<KnownBits>(8, 4_000, 0xC1);
+    assert_constant_law::<Bounds>(8, 4_000, 0xC2);
 }
 
 // --- The acceptance criterion: one campaign, three domains. ------------
