@@ -1,13 +1,18 @@
-//! Benchmarks of the end-to-end substrate: assembling, verifying (with
+//! Benchmarks of the end-to-end substrate: the `Scalar` reduced product
+//! every transfer and join goes through, then assembling, verifying (with
 //! and without branch refinement — an ablation from DESIGN.md), and
 //! concretely executing representative programs.
 //!
 //! Run with: `cargo bench -p bench --bench verifier`
 
+use std::hint::black_box;
+
 use bench::harness::Group;
 use ebpf::asm::assemble;
 use ebpf::{Program, Vm};
-use verifier::{AnalyzerOptions, VerificationSession};
+use interval_domain::{Bounds, UInterval};
+use tnum::Tnum;
+use verifier::{AnalyzerOptions, Scalar, VerificationSession};
 
 fn sample_programs() -> Vec<(&'static str, Program)> {
     let masked_index = assemble(
@@ -66,6 +71,59 @@ fn sample_programs() -> Vec<(&'static str, Program)> {
     ]
 }
 
+/// The `Scalar` layer (tnum × bounds): the joins the explorers' reports
+/// and merge points run, the reduction every transfer ends with, and the
+/// inclusion test behind pruning.
+fn bench_scalar_product() {
+    let range = |lo, hi| {
+        Scalar::from_parts(
+            Tnum::UNKNOWN,
+            Bounds::from_unsigned(UInterval::new(lo, hi).unwrap()),
+        )
+        .unwrap()
+    };
+    // A loop counter's report growing by one trip, and two values that
+    // share nothing but their width.
+    let counter = range(0, 12);
+    let next = Scalar::constant(13);
+    let masked = Scalar::from_tnum("x1x0".parse().unwrap());
+    let wide = range(100, 200);
+    // Two transfer results before their reduction: `r &= 0b110` on an
+    // unknown byte, already reduced (most transfers are), and `r -= 1`
+    // on a counter in [1, 12], whose tnum the borrow turns to ⊤ and one
+    // round recovers from the bounds.
+    let byte = Scalar::from_tnum(Tnum::masked(0, 0xff));
+    let mask = Scalar::constant(0b110);
+    let and_raw = Scalar::raw(
+        byte.tnum().and(mask.tnum()),
+        byte.bounds().and(mask.bounds()),
+    );
+    let one = Scalar::constant(1);
+    let count = range(1, 12);
+    let sub_raw = Scalar::raw(
+        count.tnum().sub(one.tnum()),
+        count.bounds().sub(one.bounds()),
+    );
+    let mut group = Group::new("scalar_product");
+    group.bench("union/grow_by_one", || {
+        black_box(counter).union(black_box(next))
+    });
+    group.bench("union/unrelated", || {
+        black_box(masked).union(black_box(wide))
+    });
+    group.bench("normalize/reduced", || black_box(counter).normalize());
+    group.bench("normalize/alu_and_result", || {
+        black_box(and_raw).normalize()
+    });
+    group.bench("normalize/alu_sub_result", || {
+        black_box(sub_raw).normalize()
+    });
+    group.bench("is_subset_of", || {
+        black_box(next).is_subset_of(black_box(counter))
+    });
+    group.finish();
+}
+
 fn bench_analyze() {
     let programs = sample_programs();
     let mut group = Group::new("verifier_analyze");
@@ -104,6 +162,7 @@ fn bench_assemble() {
 }
 
 fn main() {
+    bench_scalar_product();
     bench_analyze();
     bench_vm();
     bench_assemble();

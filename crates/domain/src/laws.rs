@@ -15,12 +15,15 @@
 //!   [`members`](AbstractDomain::members)), and reductivity of α over
 //!   member subsets;
 //! * **direct constants** — [`AbstractDomain::constant`] agrees with α on
-//!   singletons.
+//!   singletons;
+//! * **refinement** — a [`RefineFrom`] direction is sound, reductive,
+//!   reports ⊥ only on disjoint inputs, and its fixpoint test
+//!   [`is_refined_by`](RefineFrom::is_refined_by) is exact.
 //!
 //! The functions panic with a counterexample on the first violation, so
 //! they slot directly into `#[test]` bodies.
 
-use crate::{AbstractDomain, WidenDomain};
+use crate::{AbstractDomain, RefineFrom, WidenDomain};
 
 /// Asserts the lattice laws for every pair of canonical elements at
 /// `width` bits.
@@ -262,4 +265,101 @@ pub fn assert_sampling_sound<D: AbstractDomain>(rounds: u32, seed: u64) {
             D::NAME
         );
     }
+}
+
+/// How many pairs [`assert_refine_laws`] checked, and how many of them
+/// fell in each outcome — so a caller can assert that its input space
+/// reaches every branch of the laws.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RefineCoverage {
+    /// Pairs checked.
+    pub pairs: usize,
+    /// Pairs already at the fixpoint (`refine_from` returned `self`).
+    pub fixpoints: usize,
+    /// Pairs refined to ⊥ (`refine_from` returned `None`).
+    pub contradictions: usize,
+}
+
+/// Asserts the [`RefineFrom`] laws of `A ← O` on every pair of
+/// `selfs × others`:
+///
+/// * **sound**: every probe in `γ(a) ∩ γ(o)` stays in `a.refine_from(o)`;
+/// * **reductive**: `a.refine_from(o) ⊑ a`;
+/// * `None` only when no probe lies in `γ(a) ∩ γ(o)`;
+/// * **exact fixpoint test**: `a.is_refined_by(o)` ⇔
+///   `a.refine_from(o) == Some(a)`.
+///
+/// The first and third laws are exhaustive when `probes` holds every
+/// common member of every pair (all of `[0, 2^w)` for width-`w`
+/// enumerations, or every member of the side that is always small) and
+/// sampled at the probes otherwise. The other two need no probes.
+///
+/// # Panics
+///
+/// Panics with a counterexample on the first violation.
+pub fn assert_refine_laws<A, O>(selfs: &[A], others: &[O], probes: &[u64]) -> RefineCoverage
+where
+    A: AbstractDomain + RefineFrom<O>,
+    O: AbstractDomain,
+{
+    fn members<D: AbstractDomain>(d: D, probes: &[u64]) -> Vec<u64> {
+        probes.iter().copied().filter(|&x| d.contains(x)).collect()
+    }
+    let other_members: Vec<Vec<u64>> = others.iter().map(|&o| members(o, probes)).collect();
+    let mut cov = RefineCoverage::default();
+    for &a in selfs {
+        let a_members = members(a, probes);
+        for (&o, o_members) in others.iter().zip(&other_members) {
+            // The common probes, found by scanning the shorter side.
+            let shorter = if a_members.len() <= o_members.len() {
+                &a_members
+            } else {
+                o_members
+            };
+            let mut common = shorter
+                .iter()
+                .copied()
+                .filter(|&x| a.contains(x) && o.contains(x));
+            let refined = a.refine_from(&o);
+            assert_eq!(
+                a.is_refined_by(&o),
+                refined == Some(a),
+                "{} ← {}: is_refined_by disagrees with refine_from on {a:?} ← {o:?} \
+                 (refine_from = {refined:?})",
+                A::NAME,
+                O::NAME
+            );
+            cov.pairs += 1;
+            match refined {
+                Some(r) => {
+                    cov.fixpoints += usize::from(r == a);
+                    assert!(
+                        r.le(a),
+                        "{} ← {}: {a:?} ← {o:?} = {r:?} is not ⊑ {a:?}",
+                        A::NAME,
+                        O::NAME
+                    );
+                    for x in common {
+                        assert!(
+                            r.contains(x),
+                            "{} ← {}: {a:?} ← {o:?} = {r:?} drops common member {x:#x}",
+                            A::NAME,
+                            O::NAME
+                        );
+                    }
+                }
+                None => {
+                    cov.contradictions += 1;
+                    if let Some(x) = common.next() {
+                        panic!(
+                            "{} ← {}: {a:?} ← {o:?} is ⊥ but both contain {x:#x}",
+                            A::NAME,
+                            O::NAME
+                        );
+                    }
+                }
+            }
+        }
+    }
+    cov
 }

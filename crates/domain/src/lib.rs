@@ -66,7 +66,8 @@
 //!    the spot checker, and the benches now accept the new domain with no
 //!    further wiring;
 //! 5. optionally implement [`RefineFrom`] against an existing domain to
-//!    join a reduced product (`verifier::Product`).
+//!    join a reduced product (`verifier::Product`), and check both
+//!    directions with `domain::laws::assert_refine_laws`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -260,12 +261,32 @@ pub trait WidenDomain: AbstractDomain {
 /// (`__reg_bound_offset` + intersection) and the tnum is refined by the
 /// range (`tnum_range` over `[umin, umax]`).
 ///
-/// Laws (checked by the product's tests):
+/// Laws (checked for every implementor by [`laws::assert_refine_laws`]):
 ///
 /// * **sound**: `x ∈ γ(self) ∧ x ∈ γ(other)` ⇒ refinement keeps `x`;
 /// * **reductive**: the result is ⊑ `self`;
-/// * `None` only when `γ(self) ∩ γ(other) = ∅`.
+/// * `None` only when `γ(self) ∩ γ(other) = ∅`;
+/// * **exact fixpoint test**: [`is_refined_by`](Self::is_refined_by)
+///   answers `refine_from(other) == Some(self)`, on every input.
 pub trait RefineFrom<O>: Sized {
     /// Tightens `self` using the information carried by `other`.
     fn refine_from(self, other: &O) -> Option<Self>;
+
+    /// Whether `other` has nothing left to teach `self`: exactly
+    /// `self.refine_from(other) == Some(self)`, which is what the
+    /// default computes.
+    ///
+    /// A reduced product asks this before every refinement round, and
+    /// most of its inputs are already reduced, so an implementor can
+    /// override it with a few comparisons that build nothing. The
+    /// override must stay exact in both directions: a `true` where
+    /// refinement would still tighten publishes an under-reduced
+    /// product, and a `false` at a fixpoint never lets the product's
+    /// loop exit.
+    fn is_refined_by(&self, other: &O) -> bool
+    where
+        Self: Copy + PartialEq,
+    {
+        self.refine_from(other) == Some(*self)
+    }
 }

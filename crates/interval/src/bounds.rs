@@ -78,15 +78,24 @@ impl Bounds {
         .expect("non-empty signed range is satisfiable")
     }
 
+    /// Both views as given, neither deduced from the other.
+    pub(crate) const fn from_views(u: UInterval, s: SInterval) -> Bounds {
+        Bounds { u, s }
+    }
+
     /// The bounds implied by a tnum: `[t.min_value(), t.max_value()]`
     /// unsigned and `[t.min_signed(), t.max_signed()]` signed.
+    ///
+    /// This hull is already deduced: a known sign bit puts both views on
+    /// the same side of the sign boundary, where they are the same
+    /// range, and an unknown one makes both views straddle it, where
+    /// neither deduction rule applies (pinned over the sign-boundary
+    /// lattice by this module's tests).
     #[must_use]
     pub fn from_tnum(t: Tnum) -> Bounds {
         let u = UInterval::new(t.min_value(), t.max_value()).expect("min <= max");
         let s = SInterval::new(t.min_signed(), t.max_signed()).expect("min <= max");
         Bounds { u, s }
-            .deduce()
-            .expect("tnum bounds are satisfiable")
     }
 
     /// The unsigned view.
@@ -209,7 +218,8 @@ impl Bounds {
     pub fn deduce(self) -> Option<Bounds> {
         let mut u = self.u;
         let mut s = self.s;
-        // Two rounds reach the fixpoint for these rules.
+        // Two rounds reach the fixpoint for these rules (pinned over the
+        // sign-boundary lattice by `deduce_is_idempotent_on_the_sign_lattice`).
         for _ in 0..2 {
             // Unsigned range entirely below the sign boundary, or entirely
             // at/above it: reinterpret as a signed range.
@@ -223,6 +233,19 @@ impl Bounds {
             }
         }
         Some(Bounds { u, s })
+    }
+
+    /// Whether [`Bounds::deduce`] returns `self` unchanged: every rule
+    /// that applies already holds, so no view can sharpen the other.
+    /// Both rules only shrink, so this is exactly `deduce() == Some(self)`.
+    #[must_use]
+    pub(crate) const fn is_deduced(self) -> bool {
+        let (u, s) = (self.u, self.s);
+        let signed_holds = !(u.max() <= i64::MAX as u64 || u.min() > i64::MAX as u64)
+            || (u.min() as i64 <= s.min() && s.max() <= u.max() as i64);
+        let unsigned_holds = !(s.min() >= 0 || s.max() < 0)
+            || (s.min() as u64 <= u.min() && u.max() <= s.max() as u64);
+        signed_holds && unsigned_holds
     }
 
     /// Refines these bounds with the knowledge of a tnum
@@ -418,6 +441,45 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn deduce_is_idempotent_on_the_sign_lattice() {
+        // Every raw view pair of the lattice, contradictory ones
+        // included: two rounds of deduction already reach the fixpoint,
+        // and `is_deduced` is exactly "deduce changes nothing".
+        let mut reduced = 0;
+        for raw in crate::sign_lattice::views() {
+            let d = raw.deduce();
+            assert_eq!(raw.is_deduced(), d == Some(raw), "is_deduced on {raw:?}");
+            if let Some(d) = d {
+                assert_eq!(d.deduce(), Some(d), "deduce not idempotent on {raw:?}");
+                reduced += usize::from(d != raw);
+            }
+        }
+        assert!(
+            reduced > 1_000,
+            "only {reduced} view pairs needed deduction"
+        );
+    }
+
+    #[test]
+    fn from_tnum_is_already_deduced() {
+        // `from_tnum` builds the raw hull without deducing, and the
+        // product's fixpoint test compares against that raw hull.
+        use domain::AbstractDomain;
+        let tnums = crate::sign_lattice::tnums()
+            .into_iter()
+            .chain(<Tnum as AbstractDomain>::enumerate_at_width(6))
+            .chain([
+                Tnum::UNKNOWN,
+                Tnum::constant(1 << 63),
+                Tnum::masked(0, i64::MAX as u64),
+            ]);
+        for t in tnums {
+            let hull = Bounds::from_tnum(t);
+            assert_eq!(hull.deduce(), Some(hull), "hull of {t} is not deduced");
         }
     }
 

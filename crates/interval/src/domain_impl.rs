@@ -244,6 +244,14 @@ impl RefineFrom<Tnum> for Bounds {
     fn refine_from(self, other: &Tnum) -> Option<Bounds> {
         self.refined_by_tnum(*other)
     }
+
+    /// `refine_from` intersects with the tnum's hull, which is already
+    /// deduced ([`Bounds::from_tnum`]), then deduces: it returns `self`
+    /// unchanged exactly when both views lie inside the hull and
+    /// `self` is already deduced.
+    fn is_refined_by(&self, other: &Tnum) -> bool {
+        self.is_subset_of(Bounds::from_tnum(*other)) && self.is_deduced()
+    }
 }
 
 impl RefineFrom<Bounds> for Tnum {
@@ -251,6 +259,12 @@ impl RefineFrom<Bounds> for Tnum {
     /// `tnum_range(umin, umax)`.
     fn refine_from(self, other: &Bounds) -> Option<Tnum> {
         self.intersect(other.to_tnum())
+    }
+
+    /// The meet with `tnum_range(umin, umax)` is exact, so it returns
+    /// `self` unchanged exactly when `self` already lies inside that range.
+    fn is_refined_by(&self, other: &Bounds) -> bool {
+        self.is_subset_of(other.to_tnum())
     }
 }
 

@@ -15,6 +15,10 @@
 //!   the other, plus tnum synchronization (`reg_bounds_sync`):
 //!   [`Bounds::from_tnum`], [`Bounds::to_tnum`], [`Bounds::refined_by_tnum`].
 //!
+//! * [`sign_lattice`] — a small 64-bit test space of tnums and bound
+//!   views around the sign boundary, which the reduced-product tests
+//!   quantify over.
+//!
 //! The `verifier` crate combines [`Bounds`] with a
 //! [`Tnum`](tnum::Tnum) into its scalar register state.
 
@@ -27,6 +31,7 @@
 
 mod bounds;
 mod domain_impl;
+pub mod sign_lattice;
 mod signed;
 mod thresholds;
 mod unsigned;

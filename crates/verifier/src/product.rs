@@ -103,7 +103,12 @@ where
     /// Short-circuits on [`AbstractDomain::fast_eq`] of both components:
     /// `x ⊔ x = x` needs neither the joins nor the reduction loop, and
     /// self-joins dominate fixpoint iteration once a loop head begins to
-    /// stabilize.
+    /// stabilize. Otherwise the join goes through
+    /// [`normalize`](Self::normalize) like every other product: the
+    /// join of two reduced products is often reduced already, and then
+    /// costs only normalize's fixpoint test. Inputs need not be reduced
+    /// (widening leaves its result unreduced on purpose), so there is
+    /// no separate schedule for joins.
     #[must_use]
     pub fn union(self, other: Self) -> Self {
         if self.a.fast_eq(&other.a) && self.b.fast_eq(&other.b) {
@@ -132,15 +137,38 @@ where
     /// rendering of the kernel's `reg_bounds_sync`. Returns `None` on
     /// contradiction.
     ///
-    /// Iterates until **neither component changes**: `RefineFrom` is
-    /// reductive (each round shrinks or keeps both components), so the
-    /// loop terminates, and the result is a true reduction fixpoint —
-    /// re-refining it in either direction is the identity. A fixed round
-    /// count (the kernel's deduce/sync cadence, used here previously) can
-    /// publish an under-reduced product when one direction's gain enables
-    /// another round of the other's.
+    /// Iterates until **neither component would change**: `RefineFrom`
+    /// is reductive (each round shrinks or keeps both components), so
+    /// the loop terminates, and the result is a true reduction fixpoint
+    /// — re-refining it in either direction is the identity. A fixed
+    /// round count (the kernel's deduce/sync cadence, used here
+    /// previously) can publish an under-reduced product when one
+    /// direction's gain enables another round of the other's.
+    ///
+    /// Each round starts with the exact fixpoint test
+    /// [`RefineFrom::is_refined_by`] in both directions, so a product
+    /// that is already reduced costs a few comparisons and one that
+    /// needs a single round stops right after it, instead of paying a
+    /// further round only to see nothing change. The test answers
+    /// exactly "would a round change nothing?", the exit condition of
+    /// the plain loop, so the result is the same on every input,
+    /// reduced or not.
     #[must_use]
     pub fn normalize(self) -> Option<Self> {
+        let Product { mut a, mut b } = self;
+        loop {
+            if b.is_refined_by(&a) && a.is_refined_by(&b) {
+                return Some(Product { a, b });
+            }
+            b = b.refine_from(&a)?;
+            a = a.refine_from(&b)?;
+        }
+    }
+
+    /// The plain loop [`normalize`](Self::normalize) must match bit for
+    /// bit: refine both ways, stop when a round changed nothing.
+    #[cfg(test)]
+    fn normalize_reference(self) -> Option<Self> {
         let mut a = self.a;
         let mut b = self.b;
         loop {
@@ -179,7 +207,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use interval_domain::{Bounds, UInterval};
+    use domain::rng::SplitMix64;
+    use interval_domain::{sign_lattice, Bounds, UInterval, WidenThresholds};
     use tnum::Tnum;
 
     type P = Product<Tnum, Bounds>;
@@ -248,6 +277,97 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn assert_matches_reference(tnums: &[Tnum], bounds: &[Bounds]) {
+        for &t in tnums {
+            for &b in bounds {
+                let raw = P::raw(t, b);
+                assert_eq!(
+                    raw.normalize(),
+                    raw.normalize_reference(),
+                    "normalize differs from the plain loop on {t} × {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn normalize_matches_the_plain_loop_w6() {
+        use domain::AbstractDomain;
+        assert_matches_reference(
+            &<Tnum as AbstractDomain>::enumerate_at_width(6),
+            &<Bounds as AbstractDomain>::enumerate_at_width(6),
+        );
+    }
+
+    #[test]
+    fn normalize_matches_the_plain_loop_on_the_sign_lattice() {
+        assert_matches_reference(&sign_lattice::tnums(), &sign_lattice::bounds());
+    }
+
+    #[test]
+    fn normalize_matches_the_plain_loop_on_unreduced_lattice_bounds() {
+        // Every raw view pair: the undeduced shape widening leaves, plus
+        // contradictory views. Paired with the lattice tnums over base
+        // 0, which keep every shape of free trit near 0, 2^62 and 2^63.
+        let tnums: Vec<Tnum> = sign_lattice::tnums()
+            .into_iter()
+            .filter(|t| (t.value() | t.mask()) & !sign_lattice::FREE_BITS == 0)
+            .collect();
+        let raw = sign_lattice::views();
+        assert_eq!((tnums.len(), raw.len()), (243, 153 * 153));
+        assert_matches_reference(&tnums, &raw);
+    }
+
+    /// A reduced scalar over values drawn near 0, the sign boundary,
+    /// `u64::MAX`, or anywhere.
+    fn seeded_scalar(rng: &mut SplitMix64) -> P {
+        let pick = |rng: &mut SplitMix64| {
+            let near = rng.next_u64() % 16;
+            match rng.next_u64() % 4 {
+                0 => near,
+                1 => (1u64 << 63).wrapping_add(near).wrapping_sub(8),
+                2 => u64::MAX - near,
+                _ => rng.next_u64(),
+            }
+        };
+        let mut p = P::constant(pick(rng)).union(P::constant(pick(rng)));
+        if rng.coin() {
+            p = p.union(P::constant(pick(rng)));
+        }
+        p
+    }
+
+    #[test]
+    fn union_matches_join_then_plain_loop_on_seeded_scalars() {
+        let thresholds = WidenThresholds::harvest([0, 7, 15, 63, -8, -1, i64::MAX - 8]);
+        let mut rng = SplitMix64::new(0x5EED_0019);
+        let mut widened = 0;
+        for _ in 0..20_000 {
+            let (x, y, z) = (
+                seeded_scalar(&mut rng),
+                seeded_scalar(&mut rng),
+                seeded_scalar(&mut rng),
+            );
+            // Widening outputs are deliberately left unreduced.
+            let (wx, wy) = (
+                x.widen_with(x.union(y), &thresholds),
+                y.widen_with(y.union(z), &thresholds),
+            );
+            widened += usize::from(wx.normalize() != Some(wx));
+            for (p, q) in [(x, y), (wx, wy), (x, wy), (wx, z)] {
+                let expected = if p == q {
+                    p
+                } else {
+                    P::raw(p.a.join(q.a), p.b.join(q.b))
+                        .normalize_reference()
+                        .unwrap()
+                };
+                assert_eq!(p.union(q), expected, "union of {p:?} and {q:?}");
+            }
+        }
+        assert!(widened > 1_000, "only {widened} unreduced widening outputs");
     }
 
     #[test]

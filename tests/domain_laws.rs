@@ -5,10 +5,11 @@
 
 use bitwise_domain::KnownBits;
 use domain::laws::{
-    assert_constant_law, assert_galois_soundness, assert_lattice_laws, assert_sampling_sound,
+    assert_constant_law, assert_galois_soundness, assert_lattice_laws, assert_refine_laws,
+    assert_sampling_sound,
 };
 use domain::{AbstractDomain, RefineFrom};
-use interval_domain::Bounds;
+use interval_domain::{sign_lattice, Bounds};
 use tnum::Tnum;
 use tnum_verify::campaign::{run_campaign, CampaignConfig};
 use verifier::{Product, Scalar};
@@ -141,6 +142,64 @@ fn scalar_is_the_generic_product_instance() {
     assert_eq!(refined.umax(), 6);
     let p = Product::from_parts(t, Bounds::FULL).unwrap();
     assert_eq!(p.second(), refined);
+}
+
+// --- The RefineFrom laws, both directions of tnum ↔ bounds. ------------
+
+#[test]
+fn refine_laws_exhaustive_at_width_6() {
+    // Every member of a width-6 element is below 64, so probing 0..64
+    // makes soundness and the ⊥ law exhaustive here.
+    let tnums = <Tnum as AbstractDomain>::enumerate_at_width(6);
+    let bounds = <Bounds as AbstractDomain>::enumerate_at_width(6);
+    let probes: Vec<u64> = (0..64).collect();
+    assert_eq!((tnums.len(), bounds.len()), (729, 2080));
+    for cov in [
+        assert_refine_laws(&bounds, &tnums, &probes),
+        assert_refine_laws(&tnums, &bounds, &probes),
+    ] {
+        assert_eq!(cov.pairs, 729 * 2080);
+        assert!(0 < cov.fixpoints && 0 < cov.contradictions, "{cov:?}");
+        assert!(cov.fixpoints + cov.contradictions < cov.pairs, "{cov:?}");
+    }
+}
+
+#[test]
+fn refine_laws_on_the_sign_boundary_lattice() {
+    // Width 6 never sets bit 63, so the signed view there is a copy of
+    // the unsigned one; this 64-bit lattice crosses the sign boundary.
+    // The probes are every member of every lattice tnum, so soundness
+    // and the ⊥ law are exhaustive here too.
+    let tnums = sign_lattice::tnums();
+    let bounds = sign_lattice::bounds();
+    let probes = sign_lattice::probes();
+    assert_eq!(tnums.len(), 729);
+    for cov in [
+        assert_refine_laws(&bounds, &tnums, &probes),
+        assert_refine_laws(&tnums, &bounds, &probes),
+    ] {
+        assert_eq!(cov.pairs, tnums.len() * bounds.len());
+        assert!(0 < cov.fixpoints && 0 < cov.contradictions, "{cov:?}");
+        assert!(cov.fixpoints + cov.contradictions < cov.pairs, "{cov:?}");
+    }
+}
+
+#[test]
+fn refine_laws_on_unreduced_lattice_bounds() {
+    // Widening leaves bounds undeduced, and the reduced product refines
+    // them as they are, so the bounds side must keep its laws (and its
+    // exact fixpoint test) on raw view pairs too — contradictory ones
+    // included. Paired with the lattice tnums over base 0, which keep
+    // every shape of free trit near 0, 2^62 and 2^63.
+    let raw = sign_lattice::views();
+    let tnums: Vec<Tnum> = sign_lattice::tnums()
+        .into_iter()
+        .filter(|t| (t.value() | t.mask()) & !sign_lattice::FREE_BITS == 0)
+        .collect();
+    assert_eq!((raw.len(), tnums.len()), (153 * 153, 243));
+    let cov = assert_refine_laws(&raw, &tnums, &sign_lattice::probes());
+    assert!(0 < cov.fixpoints && 0 < cov.contradictions, "{cov:?}");
+    assert!(cov.fixpoints + cov.contradictions < cov.pairs, "{cov:?}");
 }
 
 #[test]
