@@ -18,7 +18,8 @@
 //! * a line-oriented **assembler** ([`asm`]) and **disassembler**
 //!   (`Display for Insn`) using the kernel documentation syntax
 //!   (`r0 = 42`, `r2 += r3`, `if r1 > 8 goto drop`, `*(u32 *)(r10 - 4) = r0`);
-//! * a fluent, label-aware [`builder`] for constructing programs in code;
+//!   programs are built from assembly text or from [`Insn`] vectors
+//!   through [`Program::new`];
 //! * a **helper registry** ([`helpers`]): typed signatures for the
 //!   concrete helpers (`map_lookup`, `map_update`, `map_delete`,
 //!   `get_prandom`), the static map definitions, and the tagged `lddw`
@@ -41,7 +42,6 @@
 #![allow(clippy::manual_checked_ops)]
 
 pub mod asm;
-pub mod builder;
 mod disasm;
 mod encode;
 mod error;

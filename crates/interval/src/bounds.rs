@@ -212,6 +212,9 @@ impl Bounds {
     ///   signed view is the same range reinterpreted.
     /// * If the signed range stays on one side of zero, the unsigned view
     ///   is the same range reinterpreted.
+    /// * If both views straddle their sign boundaries, neither rule
+    ///   applies, but the set may still be empty: its non-negative piece
+    ///   is `[umin, smax]` and its negative piece `[smin, umax as i64]`.
     ///
     /// Returns `None` when the two views contradict (empty set).
     #[must_use]
@@ -232,12 +235,28 @@ impl Bounds {
                 u = u.intersect(UInterval::new(s.min() as u64, s.max() as u64)?)?;
             }
         }
-        Some(Bounds { u, s })
+        // Neither rule fires on a pair that straddles in both views (each
+        // leaves its target on one side), so such a pair arrives as given.
+        let out = Bounds { u, s };
+        (!out.straddles_empty()).then_some(out)
     }
 
-    /// Whether [`Bounds::deduce`] returns `self` unchanged: every rule
-    /// that applies already holds, so no view can sharpen the other.
-    /// Both rules only shrink, so this is exactly `deduce() == Some(self)`.
+    /// Whether both views straddle their sign boundaries and both pieces
+    /// of the set — non-negative and negative — are empty.
+    const fn straddles_empty(self) -> bool {
+        let (u, s) = (self.u, self.s);
+        u.min() <= i64::MAX as u64
+            && u.max() > i64::MAX as u64
+            && s.min() < 0
+            && s.max() >= 0
+            && u.min() > s.max() as u64
+            && s.min() > u.max() as i64
+    }
+
+    /// Whether [`Bounds::deduce`] returns `self` unchanged: the set is
+    /// not a both-straddling empty pair, and every rule that applies
+    /// already holds, so no view can sharpen the other. Both rules only
+    /// shrink, so this is exactly `deduce() == Some(self)`.
     #[must_use]
     pub(crate) const fn is_deduced(self) -> bool {
         let (u, s) = (self.u, self.s);
@@ -245,7 +264,7 @@ impl Bounds {
             || (u.min() as i64 <= s.min() && s.max() <= u.max() as i64);
         let unsigned_holds = !(s.min() >= 0 || s.max() < 0)
             || (s.min() as u64 <= u.min() && u.max() <= s.max() as u64);
-        signed_holds && unsigned_holds
+        signed_holds && unsigned_holds && !self.straddles_empty()
     }
 
     /// Refines these bounds with the knowledge of a tnum
@@ -403,6 +422,29 @@ mod tests {
             s: SInterval::new(-5, -1).unwrap(),
         };
         assert_eq!(b.deduce(), None);
+    }
+
+    #[test]
+    fn deduce_detects_a_contradiction_straddling_both_boundaries() {
+        // u [i64::MAX, 2^63] holds i64::MAX and i64::MIN; s [-1, 0]
+        // holds -1 and 0: no value is in both, though each view
+        // straddles its sign boundary and so neither rule applies.
+        let u = UInterval::new(i64::MAX as u64, 1 << 63).unwrap();
+        let s = SInterval::new(-1, 0).unwrap();
+        let raw = Bounds { u, s };
+        assert_eq!(raw.deduce(), None);
+        assert!(!raw.is_deduced());
+        assert_eq!(
+            Bounds::from_unsigned(u).intersect(Bounds::from_signed(s)),
+            None
+        );
+        // One piece non-empty is not a contradiction.
+        let wider = Bounds {
+            u,
+            s: SInterval::new(i64::MIN, 0).unwrap(),
+        };
+        assert_eq!(wider.deduce(), Some(wider));
+        assert!(wider.contains(1 << 63));
     }
 
     #[test]

@@ -411,6 +411,25 @@ mod tests {
     }
 
     #[test]
+    fn empty_pair_straddling_both_sign_boundaries_is_bottom() {
+        // u [i64::MAX, 2^63] and s [-1, 0] share no value, though both
+        // views straddle their sign boundaries.
+        use interval_domain::{sign_lattice, SInterval, UInterval};
+        let u = UInterval::new(i64::MAX as u64, 1 << 63).unwrap();
+        let s = SInterval::new(-1, 0).unwrap();
+        let (by_u, by_s) = (Bounds::from_unsigned(u), Bounds::from_signed(s));
+        assert_eq!(by_u.intersect(by_s), None);
+        let [a, b] = [by_u, by_s].map(|b| Scalar::from_parts(Tnum::UNKNOWN, b).unwrap());
+        assert_eq!(a.intersect(b), None);
+        // The raw pair, as widening can leave it.
+        let raw = sign_lattice::views()
+            .into_iter()
+            .find(|b| b.unsigned() == u && b.signed() == s)
+            .expect("a lattice view pair");
+        assert_eq!(Scalar::from_parts(Tnum::UNKNOWN, raw), None);
+    }
+
+    #[test]
     fn variable_shift_is_sound() {
         let v = Scalar::constant(1);
         let amt = Scalar::from_tnum("xx".parse().unwrap()); // 0..=3

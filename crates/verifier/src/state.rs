@@ -817,15 +817,15 @@ impl AbsState {
             .all(|off| slot_index(off).is_some_and(|i| self.stack.slot(i).is_initialized()))
     }
 
-    /// Pointwise join of two states at a control-flow merge. Components
-    /// (and individual stack chunks) identical by pointer or value are
-    /// *shared*, not reallocated.
+    /// Pointwise join of two states at a control-flow merge: `self`
+    /// with `other` flowed in by [`AbsState::flow_join`]. Stack chunks
+    /// that do not grow stay shared with `self`, but the stack spine is
+    /// copied whenever any chunk pointer differs, even if nothing grows.
     #[must_use]
     pub fn union(&self, other: &AbsState) -> AbsState {
-        AbsState {
-            regs: union_cells(&self.regs, &other.regs),
-            stack: union_frame(&self.stack, &other.stack),
-        }
+        let mut out = self.clone();
+        out.flow_join(other, None);
+        out
     }
 
     /// Merges `incoming` into `self` in place — the join the fixpoint
@@ -1026,63 +1026,6 @@ impl AbsState {
 #[must_use]
 pub fn value_fingerprint(v: RegValue) -> u64 {
     v.content_hash()
-}
-
-/// Sharing-aware pointwise join of one fingerprinted component array:
-/// identical-by-pointer inputs short-circuit, and a join that changes
-/// nothing returns the left input's `Rc` instead of allocating.
-fn union_cells<T: Component, const N: usize>(
-    a: &Rc<Cells<T, N>>,
-    b: &Rc<Cells<T, N>>,
-) -> Rc<Cells<T, N>> {
-    if Rc::ptr_eq(a, b) {
-        stats::bump_short_circuited();
-        return Rc::clone(a);
-    }
-    let mut merged: Option<Cells<T, N>> = None;
-    for i in 0..N {
-        let next = a.vals[i].union(b.vals[i]);
-        if next != a.vals[i] {
-            merged
-                .get_or_insert_with(|| {
-                    stats::bump_allocated(size_of::<Cells<T, N>>());
-                    (**a).clone()
-                })
-                .set(i, next);
-        }
-    }
-    match merged {
-        Some(m) => Rc::new(m),
-        None => Rc::clone(a),
-    }
-}
-
-/// Chunk-wise join of two stack frames: chunks identical by pointer are
-/// shared without pointwise work, and a no-op join returns the left
-/// frame's `Rc`.
-fn union_frame(a: &Rc<Frame>, b: &Rc<Frame>) -> Rc<Frame> {
-    if Rc::ptr_eq(a, b) {
-        stats::bump_short_circuited();
-        return Rc::clone(a);
-    }
-    let mut changed = false;
-    let chunks: [Rc<Chunk>; STACK_CHUNKS] = std::array::from_fn(|c| {
-        if Rc::ptr_eq(&a.chunks[c], &b.chunks[c]) {
-            stats::bump_short_circuited();
-            return Rc::clone(&a.chunks[c]);
-        }
-        let merged = union_cells(&a.chunks[c], &b.chunks[c]);
-        if !Rc::ptr_eq(&merged, &a.chunks[c]) {
-            changed = true;
-        }
-        merged
-    });
-    if changed {
-        stats::bump_bytes(size_of::<Frame>());
-        Rc::new(Frame::from_chunks(chunks, a.generation))
-    } else {
-        Rc::clone(a)
-    }
 }
 
 /// In-place flow of `inc` into `dst` with optional per-index delayed

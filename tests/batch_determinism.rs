@@ -1,210 +1,22 @@
 //! Batch-vs-sequential determinism: the batched engine
-//! ([`VerificationSession::run_batch`]) must be a pure throughput layer.
-//! For random programs — loop-free and loopy — every combination of
-//! worker count and memo-cache setting must produce verdicts and
-//! per-instruction reports identical to a plain sequential run.
-//!
-//! This is the fuzz lock on the two ways batching could go wrong:
-//! cross-thread scheduling (work stealing reorders *execution*, never
-//! results) and cross-program memoization (a cache hit must be
-//! indistinguishable from recomputation).
+//! ([`verifier::VerificationSession::run_batch`]) is a pure throughput
+//! layer. At every worker count, memo off and on, it must return each
+//! program's sequential verdict and report, in submission order — cross-
+//! thread scheduling reorders execution, never results, and a memo hit
+//! must be indistinguishable from recomputation.
 
-use std::sync::Arc;
+mod oracle;
 
-use domain::rng::SplitMix64;
-use ebpf::{AluOp, Insn, Program, Reg, Src, Width};
-use verifier::{AnalyzerOptions, TransferMemo, VerificationSession};
-
-/// The fuzzed register set: seeded with constants up front so every
-/// random use reads an initialized register.
-const FUZZ_REGS: [Reg; 5] = [Reg::R0, Reg::R3, Reg::R4, Reg::R6, Reg::R7];
-
-/// Seed instructions giving every fuzzed register a random constant.
-fn seed_regs(rng: &mut SplitMix64) -> Vec<Insn> {
-    FUZZ_REGS
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| Insn::Alu {
-            width: Width::W64,
-            op: AluOp::Mov,
-            dst: r,
-            src: Src::Imm(rng.next_i32() >> (i * 3)),
-        })
-        .collect()
-}
-
-/// One random ALU instruction over [`FUZZ_REGS`].
-fn random_alu_insn(rng: &mut SplitMix64) -> Insn {
-    let ops = [
-        AluOp::Add,
-        AluOp::Sub,
-        AluOp::Mul,
-        AluOp::And,
-        AluOp::Or,
-        AluOp::Xor,
-        AluOp::Rsh,
-        AluOp::Mov,
-    ];
-    let op = ops[rng.below(ops.len() as u64) as usize];
-    let width = if rng.ratio(3, 10) {
-        Width::W32
-    } else {
-        Width::W64
-    };
-    let dst = FUZZ_REGS[rng.below(FUZZ_REGS.len() as u64) as usize];
-    let src = if rng.coin() {
-        Src::Reg(FUZZ_REGS[rng.below(FUZZ_REGS.len() as u64) as usize])
-    } else if op == AluOp::Rsh {
-        Src::Imm(rng.below(if width == Width::W32 { 32 } else { 64 }) as i32)
-    } else {
-        Src::Imm(rng.next_i32())
-    };
-    Insn::Alu {
-        width,
-        op,
-        dst,
-        src,
-    }
-}
-
-/// A random loop-free ALU program.
-fn random_straight_program(rng: &mut SplitMix64, len: usize) -> Program {
-    let mut insns = seed_regs(rng);
-    for _ in 0..len {
-        insns.push(random_alu_insn(rng));
-    }
-    insns.push(Insn::Exit);
-    Program::new(insns).expect("straight-line ALU programs always validate")
-}
-
-/// A random counter loop: seeds, a random ALU body, `r8 += 1`, and a
-/// back edge bounded by a random exit test — trip counts straddle the
-/// default widening delay, so both exact iteration and widening paths
-/// are exercised.
-fn random_loop_program(rng: &mut SplitMix64, body_len: usize) -> Program {
-    let mut insns = vec![Insn::Alu {
-        width: Width::W64,
-        op: AluOp::Mov,
-        dst: Reg::R8,
-        src: Src::Imm(0),
-    }];
-    insns.extend(seed_regs(rng));
-    let head = insns.len();
-    for _ in 0..body_len {
-        insns.push(random_alu_insn(rng));
-    }
-    insns.push(Insn::Alu {
-        width: Width::W64,
-        op: AluOp::Add,
-        dst: Reg::R8,
-        src: Src::Imm(1),
-    });
-    let limit = rng.range(4, 25) as i32;
-    let jmp_index = insns.len();
-    let off = i16::try_from(head as i64 - (jmp_index as i64 + 1)).expect("small programs");
-    insns.push(Insn::Jmp {
-        width: Width::W64,
-        op: ebpf::JmpOp::Lt,
-        dst: Reg::R8,
-        src: Src::Imm(limit),
-        off,
-    });
-    insns.push(Insn::Exit);
-    Program::new(insns).expect("counter loops validate")
-}
-
-/// A deterministic mixed corpus: loop-free and loopy programs
-/// interleaved.
-fn corpus(seed: u64, n: usize) -> Vec<Program> {
-    let mut rng = SplitMix64::new(seed);
-    (0..n)
-        .map(|i| {
-            if i % 2 == 0 {
-                random_straight_program(&mut rng, 12)
-            } else {
-                random_loop_program(&mut rng, 6)
-            }
-        })
-        .collect()
-}
-
-/// A session with the memo cache on (fresh `Arc`) or off.
-fn session(memo: bool) -> VerificationSession {
-    let memo_cache = memo.then(|| Arc::new(TransferMemo::new()));
-    VerificationSession::new().with_options(AnalyzerOptions {
-        memo_cache,
-        ..AnalyzerOptions::default()
-    })
-}
+use oracle::{cases, check_batch, check_warm_memo, gen};
 
 #[test]
 fn batch_matches_sequential_across_jobs_and_memo_settings() {
-    let progs = corpus(0xBA7C4, 24);
-    // The sequential reference: one fresh memo-less run per program.
-    let reference: Vec<_> = progs.iter().map(|p| session(false).run(p)).collect();
-    for memo in [false, true] {
-        for jobs in [1, 2, 8] {
-            let report = session(memo).run_batch(&progs, jobs);
-            assert_eq!(report.results.len(), progs.len());
-            for (i, (got, want)) in report.results.iter().zip(&reference).enumerate() {
-                match (got, want) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(
-                            a.annotate(&progs[i]),
-                            b.annotate(&progs[i]),
-                            "report diverged: program {i}, memo={memo}, jobs={jobs}"
-                        );
-                        for pc in 0..progs[i].len() {
-                            assert_eq!(
-                                a.state_before(pc),
-                                b.state_before(pc),
-                                "state diverged: program {i} pc {pc}, memo={memo}, jobs={jobs}"
-                            );
-                        }
-                    }
-                    (Err(a), Err(b)) => assert_eq!(
-                        a, b,
-                        "rejection diverged: program {i}, memo={memo}, jobs={jobs}"
-                    ),
-                    (a, b) => panic!(
-                        "verdict diverged: program {i}, memo={memo}, jobs={jobs}: \
-                         {a:?} vs {b:?}"
-                    ),
-                }
-            }
-        }
-    }
+    let cases = cases(0xBA7C4, 24, 0x81c3_3845_efc5_db20, gen::batch_mix);
+    check_batch(&cases, &[1, 2, 8]);
 }
 
 #[test]
 fn memo_hits_never_change_a_sequential_report() {
-    // Run the same corpus twice through one memo-carrying session: the
-    // second pass is served largely from the cache and must reproduce
-    // the first pass (and the memo-less reference) verbatim.
-    let progs = corpus(0x5EED5, 12);
-    let shared = session(true);
-    let cold: Vec<_> = progs.iter().map(|p| shared.run(p)).collect();
-    let warm: Vec<_> = progs.iter().map(|p| shared.run(p)).collect();
-    let reference: Vec<_> = progs.iter().map(|p| session(false).run(p)).collect();
-    let mut warm_hits = 0;
-    for (i, ((c, w), r)) in cold.iter().zip(&warm).zip(&reference).enumerate() {
-        match (c, w, r) {
-            (Ok(c), Ok(w), Ok(r)) => {
-                warm_hits += w.stats().memo_hits;
-                let (ca, wa, ra) = (
-                    c.annotate(&progs[i]),
-                    w.annotate(&progs[i]),
-                    r.annotate(&progs[i]),
-                );
-                assert_eq!(ca, wa, "warm run diverged on program {i}");
-                assert_eq!(ca, ra, "memo run diverged from memo-less on program {i}");
-            }
-            (Err(c), Err(w), Err(r)) => {
-                assert_eq!(c, w, "warm rejection diverged on program {i}");
-                assert_eq!(c, r, "memo rejection diverged on program {i}");
-            }
-            (c, w, r) => panic!("verdicts diverged on program {i}: {c:?} / {w:?} / {r:?}"),
-        }
-    }
-    assert!(warm_hits > 0, "the warm pass must be served from the cache");
+    let cases = cases(0x5EED5, 12, 0xc3e1_4036_9f46_a2a0, gen::batch_mix);
+    check_warm_memo(&cases);
 }

@@ -1,358 +1,46 @@
 //! Parallel-vs-sequential determinism: the work-stealing path explorer
-//! ([`Strategy::PathParallel`]) must be a pure wall-clock layer over the
-//! sequential path-sensitive walk. For random programs — bounded loops,
-//! branch-spliced ALU churn, and store-verdict programs whose mask
-//! decides accept/reject — every combination of job count, spawn depth,
-//! visited-table cap, and liveness masking must produce verdicts,
-//! rejection messages, and per-instruction reports identical to the
-//! sequential strategy.
+//! ([`Strategy::PathParallel`]) is a pure wall-clock layer over the
+//! sequential path walk. Every job count × spawn depth × visited cap ×
+//! masking combination must reproduce the sequential verdict, rejection
+//! text and per-pc report ([`Relation::Parallel`]).
 //!
-//! This is the fuzz lock on the three ways intra-program parallelism
-//! could go wrong: subtree scheduling (stealing reorders *execution*,
-//! never the merged report), the shared concurrent visited table (a
-//! cross-worker prune may only skip work, never change a join), and the
-//! error path (any worker's rejection must reproduce the sequential
-//! rejection verbatim, not a scheduling-dependent one).
+//! This locks the three ways intra-program parallelism could go wrong:
+//! subtree scheduling (stealing reorders execution, never the merged
+//! report), the shared concurrent visited table (a cross-worker prune may
+//! only skip work) and the error path (any worker's rejection must be the
+//! sequential one verbatim).
 
-use domain::rng::SplitMix64;
-use ebpf::asm::assemble;
-use ebpf::{AluOp, Insn, Program, Reg, Src, Width};
-use verifier::{AnalyzerOptions, Strategy, VerificationSession};
+mod oracle;
 
-/// Asserts the parallel explorer reproduces the sequential verdict,
-/// report, and per-pc states for one program/options pair.
-fn assert_matches_sequential(prog: &Program, options: AnalyzerOptions, label: &str) {
-    let sequential = VerificationSession::new()
-        .with_strategy(Strategy::PathSensitive)
-        .with_options(AnalyzerOptions {
-            explore_jobs: 0,
-            spawn_depth: 0,
-            ..options.clone()
-        })
-        .run(prog);
-    let parallel = VerificationSession::new()
-        .with_strategy(Strategy::PathParallel)
-        .with_options(options)
-        .run(prog);
-    match (&parallel, &sequential) {
-        (Ok(par), Ok(seq)) => {
-            assert_eq!(
-                par.annotate(prog),
-                seq.annotate(prog),
-                "{label}: report diverged"
-            );
-            for pc in 0..prog.len() {
-                assert_eq!(
-                    par.state_before(pc),
-                    seq.state_before(pc),
-                    "{label}: state diverged at pc {pc}"
-                );
-            }
-        }
-        (Err(par), Err(seq)) => {
-            assert_eq!(
-                par.to_string(),
-                seq.to_string(),
-                "{label}: rejection diverged"
-            );
-        }
-        (par, seq) => panic!("{label}: verdict diverged: {par:?} vs {seq:?}"),
-    }
-}
-
-/// The fuzzed register set: seeded with constants up front so every
-/// random use reads an initialized register.
-const FUZZ_REGS: [Reg; 5] = [Reg::R0, Reg::R3, Reg::R4, Reg::R6, Reg::R7];
-
-/// Seed instructions giving every fuzzed register a random constant.
-fn seed_regs(rng: &mut SplitMix64) -> Vec<Insn> {
-    FUZZ_REGS
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| Insn::Alu {
-            width: Width::W64,
-            op: AluOp::Mov,
-            dst: r,
-            src: Src::Imm(rng.next_i32() >> (i * 3)),
-        })
-        .collect()
-}
-
-/// One random ALU instruction over [`FUZZ_REGS`].
-fn random_alu_insn(rng: &mut SplitMix64) -> Insn {
-    let ops = [
-        AluOp::Add,
-        AluOp::Sub,
-        AluOp::Mul,
-        AluOp::And,
-        AluOp::Or,
-        AluOp::Xor,
-        AluOp::Rsh,
-        AluOp::Mov,
-    ];
-    let op = ops[rng.below(ops.len() as u64) as usize];
-    let width = if rng.ratio(3, 10) {
-        Width::W32
-    } else {
-        Width::W64
-    };
-    let dst = FUZZ_REGS[rng.below(FUZZ_REGS.len() as u64) as usize];
-    let src = if rng.coin() {
-        Src::Reg(FUZZ_REGS[rng.below(FUZZ_REGS.len() as u64) as usize])
-    } else if op == AluOp::Rsh {
-        Src::Imm(rng.below(if width == Width::W32 { 32 } else { 64 }) as i32)
-    } else {
-        Src::Imm(rng.next_i32())
-    };
-    Insn::Alu {
-        width,
-        op,
-        dst,
-        src,
-    }
-}
-
-/// Splices a random forward conditional branch into `insns` (which must
-/// not yet carry its `Exit`), creating a two-successor fork the parallel
-/// explorer can spawn at.
-fn splice_branch(rng: &mut SplitMix64, insns: &mut Vec<Insn>) {
-    let at = rng.range(6, insns.len() as u64) as usize;
-    let skip = rng.below((insns.len() - at) as u64) as i16;
-    let cmp_ops = [
-        ebpf::JmpOp::Eq,
-        ebpf::JmpOp::Ne,
-        ebpf::JmpOp::Lt,
-        ebpf::JmpOp::Ge,
-        ebpf::JmpOp::Sgt,
-        ebpf::JmpOp::Sle,
-    ];
-    insns.insert(
-        at,
-        Insn::Jmp {
-            width: Width::W64,
-            op: cmp_ops[rng.below(cmp_ops.len() as u64) as usize],
-            dst: Reg::R3,
-            src: if rng.coin() {
-                Src::Reg(Reg::R4)
-            } else {
-                Src::Imm(rng.next_i32())
-            },
-            off: skip,
-        },
-    );
-}
-
-/// Appends the store-verdict tail: a byte store through
-/// `r10 - 16 + (r3 & mask)` — masks 7/15 keep it in bounds (accept),
-/// 31/63 provably overrun on some path (reject). `overrun` picks the
-/// side, so the campaign exercises both verdicts deterministically.
-fn push_store_tail(rng: &mut SplitMix64, insns: &mut Vec<Insn>, overrun: bool) {
-    let mask = if overrun {
-        [31i32, 63][rng.below(2) as usize]
-    } else {
-        [7i32, 15][rng.below(2) as usize]
-    };
-    insns.extend([
-        Insn::Alu {
-            width: Width::W64,
-            op: AluOp::And,
-            dst: Reg::R3,
-            src: Src::Imm(mask),
-        },
-        Insn::Alu {
-            width: Width::W64,
-            op: AluOp::Mov,
-            dst: Reg::R9,
-            src: Src::Reg(Reg::R10),
-        },
-        Insn::Alu {
-            width: Width::W64,
-            op: AluOp::Add,
-            dst: Reg::R9,
-            src: Src::Imm(-16),
-        },
-        Insn::Alu {
-            width: Width::W64,
-            op: AluOp::Add,
-            dst: Reg::R9,
-            src: Src::Reg(Reg::R3),
-        },
-        Insn::Store {
-            size: ebpf::MemSize::B,
-            base: Reg::R9,
-            off: 0,
-            src: Src::Imm(0),
-        },
-    ]);
-}
-
-/// A random counter loop: an untrusted-input trip count, a random ALU
-/// body, and a `r8 < limit` back edge at the given guard width — limits
-/// straddle the `unroll_k` the campaign runs with, so both exact
-/// unrolling and the widening-fallback summaries are exercised.
-fn random_loop_program(rng: &mut SplitMix64, body_len: usize, width: Width) -> Program {
-    let mut insns: Vec<Insn> = vec![
-        Insn::Load {
-            size: ebpf::MemSize::B,
-            dst: Reg::R8,
-            base: Reg::R1,
-            off: 0,
-        },
-        Insn::Alu {
-            width: Width::W64,
-            op: AluOp::And,
-            dst: Reg::R8,
-            src: Src::Imm(7),
-        },
-    ];
-    insns.extend(seed_regs(rng));
-    let head = insns.len();
-    for _ in 0..body_len {
-        insns.push(random_alu_insn(rng));
-    }
-    insns.push(Insn::Alu {
-        width: Width::W64,
-        op: AluOp::Add,
-        dst: Reg::R8,
-        src: Src::Imm(1),
-    });
-    let limit = rng.range(8, 25) as i32;
-    let jmp_index = insns.len();
-    insns.push(Insn::Jmp {
-        width,
-        op: ebpf::JmpOp::Lt,
-        dst: Reg::R8,
-        src: Src::Imm(limit),
-        off: (head as i64 - (jmp_index + 1) as i64) as i16,
-    });
-    insns.push(Insn::Exit);
-    Program::new(insns).expect("loop programs validate")
-}
-
-/// The mixed campaign corpus, round-robin over the three shapes the
-/// parallel explorer must handle: bounded loops (back edges never
-/// spawn), branch-spliced straight-line programs with a store verdict
-/// (forks spawn, mask decides accept/reject), and doubly-spliced
-/// branch trees (nested forks, pure ALU).
-fn campaign_program(rng: &mut SplitMix64, round: usize) -> Program {
-    match round % 3 {
-        0 => {
-            let width = if round % 2 == 0 {
-                Width::W64
-            } else {
-                Width::W32
-            };
-            random_loop_program(rng, 8, width)
-        }
-        1 => {
-            let mut insns = seed_regs(rng);
-            for _ in 0..10 {
-                insns.push(random_alu_insn(rng));
-            }
-            splice_branch(rng, &mut insns);
-            push_store_tail(rng, &mut insns, (round / 3) % 2 == 0);
-            insns.push(Insn::Exit);
-            Program::new(insns).expect("store programs validate")
-        }
-        _ => {
-            let mut insns = seed_regs(rng);
-            for _ in 0..12 {
-                insns.push(random_alu_insn(rng));
-            }
-            splice_branch(rng, &mut insns);
-            splice_branch(rng, &mut insns);
-            insns.push(Insn::Exit);
-            Program::new(insns).expect("branchy ALU programs validate")
-        }
-    }
-}
+use oracle::{campaign, cases, check, gen, Case, Relation::*};
+use verifier::{AnalyzerOptions, Strategy};
 
 #[test]
 fn parallel_explorer_is_bit_identical_across_the_matrix() {
-    let mut rng = SplitMix64::new(0x9A51);
-    let (mut accepts, mut rejects) = (0u32, 0u32);
-    for round in 0..24 {
-        let prog = campaign_program(&mut rng, round);
-        // Alternate between forced widening-fallback summaries and pure
-        // unrolling so both job-local loop regimes are locked.
-        let unroll_k = if round % 2 == 0 { 4 } else { 32 };
-        let mut counted = false;
-        for masking in [true, false] {
-            for cap in [0u32, 2, 32] {
-                let options = |explore_jobs: u32, spawn_depth: u32| AnalyzerOptions {
-                    visited_cap: cap,
-                    unroll_k,
-                    liveness_pruning: masking,
-                    explore_jobs,
-                    spawn_depth,
-                    ..AnalyzerOptions::default()
-                };
-                let sequential = VerificationSession::new()
-                    .with_strategy(Strategy::PathSensitive)
-                    .with_options(options(0, 0))
-                    .run(&prog);
-                if !counted {
-                    match &sequential {
-                        Ok(_) => accepts += 1,
-                        Err(_) => rejects += 1,
-                    }
-                    counted = true;
-                }
-                for jobs in [1u32, 2, 8] {
-                    for spawn_depth in [0u32, 2, 8] {
-                        let parallel = VerificationSession::new()
-                            .with_strategy(Strategy::PathParallel)
-                            .with_options(options(jobs, spawn_depth))
-                            .run(&prog);
-                        let label = format!(
-                            "round {round} (jobs={jobs}, spawn_depth={spawn_depth}, \
-                             cap={cap}, masking={masking}, unroll_k={unroll_k})"
-                        );
-                        match (&parallel, &sequential) {
-                            (Ok(par), Ok(seq)) => {
-                                assert_eq!(
-                                    par.annotate(&prog),
-                                    seq.annotate(&prog),
-                                    "{label}: report diverged\n{}",
-                                    prog.disassemble(),
-                                );
-                                for pc in 0..prog.len() {
-                                    assert_eq!(
-                                        par.state_before(pc),
-                                        seq.state_before(pc),
-                                        "{label}: state diverged at pc {pc}\n{}",
-                                        prog.disassemble(),
-                                    );
-                                }
-                            }
-                            (Err(par), Err(seq)) => assert_eq!(
-                                par.to_string(),
-                                seq.to_string(),
-                                "{label}: rejection diverged\n{}",
-                                prog.disassemble(),
-                            ),
-                            (par, seq) => panic!(
-                                "{label}: verdict diverged: {par:?} vs {seq:?}\n{}",
-                                prog.disassemble(),
-                            ),
-                        }
-                    }
-                }
-            }
-        }
-    }
-    assert!(
-        accepts > 10 && rejects >= 3,
-        "campaign must exercise both verdicts: {accepts} accepts, {rejects} rejects"
+    let cases = cases(0x9A51, 24, 0x984f_6517_5e9f_7f15, gen::parallel_mix);
+    let tally = campaign(
+        &cases,
+        |c| {
+            c.matrix(
+                &[Strategy::PathSensitive],
+                &[true, false],
+                &[false],
+                &[0, 2, 32],
+            )
+        },
+        &[Parallel {
+            jobs: &[1, 2, 8],
+            spawn_depths: &[0, 2, 8],
+        }],
     );
+    assert!(tally.accepts > 10 && tally.rejects >= 3, "{tally:?}");
 }
 
 #[test]
 fn fork_before_widening_loop_matches_sequential() {
-    // A branch fork feeding a loop that outruns `unroll_k = 4`: the
-    // spawned subtree and the stealing worker both hit the widening
-    // fallback, and the merged report must still be the sequential one.
-    let prog = assemble(
+    // A fork feeding a loop that outruns `unroll_k = 4`: the spawned
+    // subtree and the stealing worker both hit the widening fallback.
+    let case = Case::asm(
         r"
         r2 = *(u8 *)(r1 + 0)
         r3 = 1
@@ -368,29 +56,27 @@ fn fork_before_widening_loop_matches_sequential() {
         exit
     ",
     )
-    .expect("assembles");
-    for jobs in [1u32, 2, 8] {
-        for depth in [0u32, 1] {
-            let options = AnalyzerOptions {
-                unroll_k: 4,
-                explore_jobs: jobs,
-                spawn_depth: depth,
-                ..AnalyzerOptions::default()
-            };
-            assert_matches_sequential(&prog, options, &format!("jobs={jobs} depth={depth}"));
-        }
-    }
+    .strategy(Strategy::PathSensitive)
+    .options(AnalyzerOptions {
+        unroll_k: 4,
+        ..AnalyzerOptions::default()
+    });
+    check(
+        &case,
+        &[Parallel {
+            jobs: &[1, 2, 8],
+            spawn_depths: &[0, 1],
+        }],
+    );
 }
 
 #[test]
 fn map_helper_programs_are_bit_identical_across_the_matrix() {
-    // Map-heavy shapes stress exactly the state the parallel layer must
-    // ship across workers: MapHandle/MapValuePtr registers (their
-    // fingerprints feed the shared visited table), the NULL-check fork
-    // (a spawnable two-successor branch whose edges differ in register
-    // *kind*, not just range), and helper clobbers inside loops.
-    let lookup_filter = assemble(
-        r"
+    // Map-heavy shapes stress the state the parallel layer ships across
+    // workers: MapHandle/MapValuePtr registers (their fingerprints feed
+    // the shared visited table), the NULL-check fork (edges differ in
+    // register kind, not just range) and helper clobbers inside loops.
+    let lookup_filter = r"
         *(u32 *)(r10 - 4) = 1
         r1 = map 0
         r2 = r10
@@ -405,11 +91,8 @@ fn map_helper_programs_are_bit_identical_across_the_matrix() {
     miss:
         r0 = 0
         exit
-    ",
-    )
-    .expect("assembles");
-    let update_loop = assemble(
-        r"
+    ";
+    let update_loop = r"
         r6 = 0
     loop:
         *(u32 *)(r10 - 4) = r6
@@ -425,13 +108,10 @@ fn map_helper_programs_are_bit_identical_across_the_matrix() {
         if r6 < 8 goto loop
         r0 = 0
         exit
-    ",
-    )
-    .expect("assembles");
-    // Lookup under a data-dependent fork, delete on one side — both
-    // edges re-join on a second NULL check.
-    let forked_lookup = assemble(
-        r"
+    ";
+    // Lookup under a data-dependent fork, delete on one side; both edges
+    // re-join on a second NULL check.
+    let forked_lookup = r"
         r6 = *(u8 *)(r1 + 0)
         *(u32 *)(r10 - 4) = r6
         r1 = map 0
@@ -450,67 +130,55 @@ fn map_helper_programs_are_bit_identical_across_the_matrix() {
         r7 = *(u64 *)(r0 + 0)
         r0 = r7
         exit
-    ",
-    )
-    .expect("assembles");
-    for (name, prog) in [
-        ("lookup_filter", &lookup_filter),
-        ("update_loop", &update_loop),
-        ("forked_lookup", &forked_lookup),
-    ] {
-        for masking in [true, false] {
-            for cap in [0u32, 2, 32] {
-                for jobs in [1u32, 2, 8] {
-                    for spawn_depth in [0u32, 2] {
-                        let options = AnalyzerOptions {
-                            visited_cap: cap,
-                            unroll_k: 4,
-                            liveness_pruning: masking,
-                            explore_jobs: jobs,
-                            spawn_depth,
-                            ..AnalyzerOptions::default()
-                        };
-                        let label = format!(
-                            "{name} (jobs={jobs}, spawn_depth={spawn_depth}, \
-                             cap={cap}, masking={masking})"
-                        );
-                        assert_matches_sequential(prog, options, &label);
-                    }
-                }
-            }
-        }
-    }
+    ";
+    let cases: Vec<Case> = [lookup_filter, update_loop, forked_lookup]
+        .iter()
+        .map(|src| {
+            Case::asm(src).options(AnalyzerOptions {
+                unroll_k: 4,
+                ..AnalyzerOptions::default()
+            })
+        })
+        .collect();
+    campaign(
+        &cases,
+        |c| {
+            c.matrix(
+                &[Strategy::PathSensitive],
+                &[true, false],
+                &[false],
+                &[0, 2, 32],
+            )
+        },
+        &[Parallel {
+            jobs: &[1, 2, 8],
+            spawn_depths: &[0, 2],
+        }],
+    );
 }
 
 #[test]
 fn budget_exhaustion_reproduces_the_sequential_error() {
-    // A tiny analysis budget trips mid-walk on every job count; the
-    // parallel explorer discards its partial work and re-runs
-    // sequentially, so the budget error (and its pc) must be the
-    // sequential one verbatim, not whichever worker happened to cross
-    // the global counter first.
-    let mut rng = SplitMix64::new(0xB0D6);
-    let prog = random_loop_program(&mut rng, 8, Width::W64);
-    let options = |explore_jobs: u32| AnalyzerOptions {
-        analysis_budget: 40,
-        explore_jobs,
-        ..AnalyzerOptions::default()
-    };
-    let sequential = VerificationSession::new()
-        .with_strategy(Strategy::PathSensitive)
-        .with_options(options(0))
-        .run(&prog)
-        .expect_err("a 40-visit budget cannot cover the loop");
-    for jobs in [1u32, 2, 8] {
-        let parallel = VerificationSession::new()
-            .with_strategy(Strategy::PathParallel)
-            .with_options(options(jobs))
-            .run(&prog)
-            .expect_err("same budget, same exhaustion");
-        assert_eq!(
-            parallel.to_string(),
-            sequential.to_string(),
-            "jobs={jobs}: budget error diverged"
-        );
-    }
+    // A 40-visit budget trips mid-walk at every job count; the parallel
+    // explorer discards its partial work and re-runs sequentially, so the
+    // budget error (and its pc) is the sequential one verbatim.
+    let cases = cases(0xB0D6, 1, 0x5d97_004b_5fc4_892e, |rng, _| {
+        let prog = gen::NARROW.counted_loop(rng, 8, gen::Counter::Ctx, ebpf::Width::W64);
+        Case::new("", prog)
+            .strategy(Strategy::PathSensitive)
+            .options(AnalyzerOptions {
+                analysis_budget: 40,
+                ..AnalyzerOptions::default()
+            })
+    });
+    check(
+        &cases[0],
+        &[
+            Rejects,
+            Parallel {
+                jobs: &[1, 2, 8],
+                spawn_depths: &[2], // the default
+            },
+        ],
+    );
 }
