@@ -1,7 +1,8 @@
 //! Benchmarks of the end-to-end substrate: the `Scalar` reduced product
-//! every transfer and join goes through, then assembling, verifying (with
-//! and without branch refinement — an ablation from DESIGN.md), and
-//! concretely executing representative programs.
+//! every transfer and join goes through, the path walk's per-pc report
+//! fold, then assembling, verifying (with and without branch refinement
+//! — an ablation from DESIGN.md), and concretely executing
+//! representative programs.
 //!
 //! Run with: `cargo bench -p bench --bench verifier`
 
@@ -9,10 +10,10 @@ use std::hint::black_box;
 
 use bench::harness::Group;
 use ebpf::asm::assemble;
-use ebpf::{Program, Vm};
+use ebpf::{Program, Reg, Vm};
 use interval_domain::{Bounds, UInterval};
 use tnum::Tnum;
-use verifier::{AnalyzerOptions, Scalar, VerificationSession};
+use verifier::{AbsState, AnalyzerOptions, RegValue, Scalar, StackSlot, VerificationSession};
 
 fn sample_programs() -> Vec<(&'static str, Program)> {
     let masked_index = assemble(
@@ -124,6 +125,39 @@ fn bench_scalar_product() {
     group.finish();
 }
 
+/// The path walk's per-pc report: the arrivals of one 64-trip loop at
+/// its body, where each trip changes three registers and one stack slot
+/// and shares the rest with the trip before. Folded through
+/// `flow_join` (a reduced join per arrival) and through `join_all` (the
+/// walk's accumulator: raw joins, one reduction at the end); each row
+/// is one whole fold of 63 joins.
+fn bench_report_absorb() {
+    let mut trip = AbsState::entry();
+    for r in [Reg::R6, Reg::R7, Reg::R8] {
+        trip.set_reg(r, RegValue::Scalar(Scalar::constant(0)));
+    }
+    let mut arrivals = vec![trip.clone()];
+    for t in 1..64u64 {
+        trip.set_reg(Reg::R6, RegValue::Scalar(Scalar::constant(t)));
+        trip.set_reg(Reg::R7, RegValue::Scalar(Scalar::constant(2 * t)));
+        trip.set_reg(Reg::R8, RegValue::Scalar(Scalar::constant(t * t)));
+        trip.set_stack_slot(-8, StackSlot::Spill(RegValue::Scalar(Scalar::constant(t))));
+        arrivals.push(trip.clone());
+    }
+    let mut group = Group::new("report_absorb");
+    group.bench("flow_join/64_trips", || {
+        let mut report = black_box(&arrivals[0]).clone();
+        for arrival in &arrivals[1..] {
+            report.flow_join(black_box(arrival), None);
+        }
+        report
+    });
+    group.bench("join_all/64_trips", || {
+        AbsState::join_all(black_box(&arrivals))
+    });
+    group.finish();
+}
+
 fn bench_analyze() {
     let programs = sample_programs();
     let mut group = Group::new("verifier_analyze");
@@ -163,6 +197,7 @@ fn bench_assemble() {
 
 fn main() {
     bench_scalar_product();
+    bench_report_absorb();
     bench_analyze();
     bench_vm();
     bench_assemble();

@@ -54,7 +54,7 @@ use crate::error::VerifierError;
 use crate::failpoint::FaultSite;
 use crate::fixpoint::{self, AnalysisStats};
 use crate::passes::CheckpointLiveness;
-use crate::state::{stats, AbsState, JoinCounters, WidenCtx};
+use crate::state::{stats, AbsState, JoinCounters, ReportAcc, WidenCtx};
 use crate::transfer::Transfer;
 use crate::visited::VisitedTable;
 
@@ -66,7 +66,9 @@ use crate::visited::VisitedTable;
 #[derive(Clone, Debug)]
 pub struct Exploration {
     /// Per-instruction abstract states; under [`PathSensitive`] each is
-    /// the *join over the explored path states* reaching that pc.
+    /// the *join over the explored path states* reaching that pc, equal
+    /// to folding them with [`AbsState::flow_join`] (the walk folds raw
+    /// joins and reduces once per pc when it ends).
     pub states: Vec<Option<AbsState>>,
     /// The run's sharing, widening, and pruning counters.
     pub stats: AnalysisStats,
@@ -191,14 +193,18 @@ impl ExplorationStrategy for WideningFixpoint {
 ///    matches plus a small newest-first budget — and chains are kept
 ///    short by dominance eviction and the
 ///    [`AnalyzerOptions::visited_cap`] chain cap;
-/// 3. joins the arrival into the per-pc reported state (so
+/// 3. folds the arrival into the pc's report accumulator, then steps
+///    the transfer layer. A single successor is visited next in place,
+///    without touching the DFS stack; a fork pushes both edges
+///    (fall-through below taken, so the taken edge is walked first), each
+///    carrying the path's `Rc`'d trip vector. The accumulator skips, by
+///    write stamp, every register and slot whose value it already holds,
+///    and folds the rest with raw joins: tnum join and interval hulls,
+///    without the tnum ⇄ bounds reduction. Once the walk is over, each
+///    pc's report is reduced once, at the positions that changed, so
 ///    [`Analysis::state_before`](crate::Analysis::state_before) is the
-///    join over explored paths), then steps the transfer layer. A single
-///    successor is visited next in place, without touching the DFS
-///    stack; a fork pushes both edges (fall-through below taken, so the
-///    taken edge is walked first), each carrying the path's `Rc`'d trip
-///    vector. The reported-state join skips, by write stamp, every
-///    register and slot the arrival still shares with the accumulator.
+///    same join over explored paths that a reduced join per arrival
+///    (`AbsState::flow_join`) would give.
 ///
 /// Termination: acyclic path segments are finite, every cycle passes a
 /// loop head, and past the unroll bound the head's summary chain is a
@@ -236,6 +242,7 @@ impl ExplorationStrategy for PathSensitive {
             Rc::new(plan.entry_trips()),
             (),
         )?;
+        let states = walk.finish_report();
         let stats = AnalysisStats::of_run(
             stats::snapshot(),
             crate::memo::counters::snapshot(),
@@ -243,10 +250,7 @@ impl ExplorationStrategy for PathSensitive {
             policy.visited.ledger(),
             walk.totals,
         );
-        Ok(Exploration {
-            states: walk.report,
-            stats,
-        })
+        Ok(Exploration { states, stats })
     }
 }
 
@@ -362,8 +366,9 @@ type Arrival<D> = (usize, AbsState, Rc<Vec<u32>>, D);
 pub(crate) struct Walk<'p> {
     plan: &'p Plan<'p>,
     transfer: Transfer,
-    /// The per-pc join over every arrival this walk explored.
-    pub(crate) report: Vec<Option<AbsState>>,
+    /// The per-pc join over every arrival this walk explored, reduced
+    /// once by [`Walk::finish_report`].
+    report: Vec<Option<ReportAcc>>,
     summaries: Vec<Option<AbsState>>,
     counters: Vec<JoinCounters>,
     pub(crate) totals: WalkTotals,
@@ -375,7 +380,7 @@ impl<'p> Walk<'p> {
         Walk {
             plan,
             transfer: Transfer::new(plan.options.clone()),
-            report: vec![None; plan.prog.len()],
+            report: (0..plan.prog.len()).map(|_| None).collect(),
             summaries: vec![None; heads],
             counters: (0..heads).map(|_| JoinCounters::new()).collect(),
             totals: WalkTotals::default(),
@@ -493,12 +498,8 @@ impl<'p> Walk<'p> {
                 continue;
             }
             match &mut self.report[pc] {
-                slot @ None => *slot = Some(state.clone()),
-                // In-place join: the accumulator materializes once and
-                // then absorbs later paths without fresh allocations.
-                Some(existing) => {
-                    existing.flow_join(&state, None);
-                }
+                slot @ None => *slot = Some(ReportAcc::new(state.clone())),
+                Some(report) => report.absorb(&state),
             }
             let mut succs = self.transfer.step(plan.prog, state, pc)?.into_iter();
             match (succs.next(), succs.next()) {
@@ -514,6 +515,15 @@ impl<'p> Walk<'p> {
             }
         }
         Ok(())
+    }
+
+    /// The per-pc reported states: each pc's accumulator finished, `None`
+    /// where no arrival was explored.
+    pub(crate) fn finish_report(&mut self) -> Vec<Option<AbsState>> {
+        std::mem::take(&mut self.report)
+            .into_iter()
+            .map(|report| report.map(ReportAcc::finish))
+            .collect()
     }
 }
 

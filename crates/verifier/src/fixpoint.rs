@@ -78,6 +78,11 @@ pub struct AnalysisStats {
     pub states_shared: u64,
     /// Joins/inclusion checks that resolved a whole component (register
     /// file or stack frame) by pointer identity without pointwise work.
+    /// Only `flow_join` counts here: the fixpoint's merges and the path
+    /// walk's loop-head summaries. The path walk's per-pc report folds
+    /// without it (on `deep_path`, seed 1, traced, this row fell from
+    /// 1,149,309 to 14,749 when the report stopped going through
+    /// `flow_join`).
     pub joins_short_circuited: u64,
     /// Widening operator applications to individual registers or stack
     /// slots at loop heads.

@@ -351,10 +351,10 @@ fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
         id: job.id,
         children: shard.children,
         report: walk
-            .report
+            .finish_report()
             .into_iter()
             .enumerate()
-            .filter_map(|(pc, acc)| Some((pc, acc?.to_parts())))
+            .filter_map(|(pc, state)| Some((pc, state?.to_parts())))
             .collect(),
         error,
         totals: walk.totals,

@@ -114,12 +114,29 @@ where
         if self.a.fast_eq(&other.a) && self.b.fast_eq(&other.b) {
             return self;
         }
+        self.raw_join(other)
+            .normalize()
+            .expect("join of non-empty products is non-empty")
+    }
+
+    /// The componentwise join **without** the reduction: what
+    /// [`union`](Self::union) normalizes. For reduced operands, folding
+    /// `raw_join` and normalizing once equals folding `union` — the
+    /// join-then-reduce law the path walk's report accumulator rests on,
+    /// checked in this module's tests.
+    #[must_use]
+    pub(crate) fn raw_join(self, other: Self) -> Self {
         Product {
             a: self.a.join(other.a),
             b: self.b.join(other.b),
         }
-        .normalize()
-        .expect("join of non-empty products is non-empty")
+    }
+
+    /// Whether the product is reduced: exactly `normalize() == Some(self)`,
+    /// decided by normalize's own fixpoint test without refining.
+    #[must_use]
+    pub(crate) fn is_reduced(self) -> bool {
+        self.b.is_refined_by(&self.a) && self.a.is_refined_by(&self.b)
     }
 
     /// Meet; `None` when the two abstractions are contradictory (the
@@ -155,13 +172,13 @@ where
     /// reduced or not.
     #[must_use]
     pub fn normalize(self) -> Option<Self> {
-        let Product { mut a, mut b } = self;
+        let mut p = self;
         loop {
-            if b.is_refined_by(&a) && a.is_refined_by(&b) {
-                return Some(Product { a, b });
+            if p.is_reduced() {
+                return Some(p);
             }
-            b = b.refine_from(&a)?;
-            a = a.refine_from(&b)?;
+            p.b = p.b.refine_from(&p.a)?;
+            p.a = p.a.refine_from(&p.b)?;
         }
     }
 
@@ -368,6 +385,127 @@ mod tests {
             }
         }
         assert!(widened > 1_000, "only {widened} unreduced widening outputs");
+    }
+
+    /// Every distinct reduced product over the given components, in
+    /// enumeration order.
+    fn reduced_products(tnums: &[Tnum], bounds: &[Bounds]) -> Vec<P> {
+        let mut seen = std::collections::HashSet::new();
+        tnums
+            .iter()
+            .flat_map(|&t| bounds.iter().filter_map(move |&b| P::from_parts(t, b)))
+            .filter(|&p| seen.insert(p))
+            .collect()
+    }
+
+    /// The join-then-reduce law on one sequence of reduced scalars:
+    /// folding `union` left to right equals reducing the raw fold once.
+    fn assert_join_then_reduce(xs: &[P]) {
+        let folded = xs[1..].iter().fold(xs[0], |acc, &x| acc.union(x));
+        let raw = xs[1..].iter().fold(xs[0], |acc, &x| acc.raw_join(x));
+        assert_eq!(
+            Some(folded),
+            raw.normalize(),
+            "join-then-reduce fails on {xs:?}"
+        );
+    }
+
+    /// Checks the law on `count` triples of reduced products, each
+    /// built from a tnum and a bounds pair drawn from the given sets.
+    fn assert_join_then_reduce_on_sampled_triples(
+        tnums: &[Tnum],
+        bounds: &[Bounds],
+        count: usize,
+        seed: u64,
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let mut pick = || loop {
+            let t = tnums[rng.below(tnums.len() as u64) as usize];
+            let b = bounds[rng.below(bounds.len() as u64) as usize];
+            if let Some(p) = P::from_parts(t, b) {
+                return p;
+            }
+        };
+        for _ in 0..count {
+            assert_join_then_reduce(&[pick(), pick(), pick()]);
+        }
+    }
+
+    #[test]
+    fn join_then_reduce_law_on_every_triple_w3() {
+        use domain::AbstractDomain;
+        let pool = reduced_products(
+            &<Tnum as AbstractDomain>::enumerate_at_width(3),
+            &<Bounds as AbstractDomain>::enumerate_at_width(3),
+        );
+        // `union` is commutative, so the first two operands need only
+        // run over unordered pairs.
+        for (i, &x) in pool.iter().enumerate() {
+            for &y in &pool[i..] {
+                for &z in &pool {
+                    assert_join_then_reduce(&[x, y, z]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn join_then_reduce_law_on_sampled_triples_w6_and_the_sign_lattice() {
+        use domain::AbstractDomain;
+        assert_join_then_reduce_on_sampled_triples(
+            &<Tnum as AbstractDomain>::enumerate_at_width(6),
+            &<Bounds as AbstractDomain>::enumerate_at_width(6),
+            40_000,
+            0x1A3_0006,
+        );
+        assert_join_then_reduce_on_sampled_triples(
+            &sign_lattice::tnums(),
+            &sign_lattice::bounds(),
+            40_000,
+            0x1A3_5167,
+        );
+    }
+
+    /// Folds of 2–6 seeded 64-bit scalars.
+    fn assert_join_then_reduce_on_seeded_folds(folds: usize, seed: u64) {
+        let mut rng = SplitMix64::new(seed);
+        for _ in 0..folds {
+            let n = 2 + rng.below(5) as usize;
+            let xs: Vec<P> = (0..n).map(|_| seeded_scalar(&mut rng)).collect();
+            assert_join_then_reduce(&xs);
+        }
+    }
+
+    #[test]
+    fn join_then_reduce_law_on_seeded_64_bit_folds() {
+        assert_join_then_reduce_on_seeded_folds(100_000, 0x1A3_0064);
+    }
+
+    /// The long campaign behind the law; run it in release:
+    /// `cargo test --release -p verifier --lib -- --ignored join_then_reduce`.
+    #[test]
+    #[ignore = "10M folds: minutes in debug, run in release"]
+    fn join_then_reduce_law_on_ten_million_seeded_64_bit_folds() {
+        assert_join_then_reduce_on_seeded_folds(10_000_000, 0x1A3_1E7);
+    }
+
+    #[test]
+    fn join_then_reduce_law_needs_reduced_operands() {
+        // `x` is unreduced: its bounds [0, 100] are wider than its tnum
+        // (0 or 1) allows. Reducing after the first join forgets the wide
+        // bounds; the raw fold keeps them until the end, where the tnum
+        // of the three joined values (`xxx`) narrows them only to [0, 7].
+        let x = P::raw(
+            "0x".parse().unwrap(),
+            Bounds::from_unsigned(UInterval::new(0, 100).unwrap()),
+        );
+        let (y, z) = (P::constant(2), P::constant(4));
+        let folded = x.union(y).union(z);
+        let reduced_once = x.raw_join(y).raw_join(z).normalize().unwrap();
+        assert_eq!(
+            (folded.second().umax(), reduced_once.second().umax()),
+            (4, 7)
+        );
     }
 
     #[test]

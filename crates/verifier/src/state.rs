@@ -10,9 +10,9 @@
 //!   11-register file and the stack frame — so cloning a state is two
 //!   reference-count bumps. The `Rc` identity doubles as change
 //!   tracking: a component that was never written keeps its pointer,
-//!   letting [`AbsState::is_subset_of`], [`AbsState::union`], and
-//!   [`AbsState::flow_join`] short-circuit whole components on
-//!   `Rc::ptr_eq` before falling into pointwise lattice operations.
+//!   letting [`AbsState::is_subset_of`] and [`AbsState::flow_join`]
+//!   short-circuit whole components on `Rc::ptr_eq` before falling into
+//!   pointwise lattice operations.
 //! * **Chunking.** The 64-slot stack frame is not one array but
 //!   [`STACK_CHUNKS`] independently-`Rc`'d chunks of [`CHUNK_SLOTS`]
 //!   slots behind a small shared spine, so a single spill materializes
@@ -60,6 +60,7 @@
 //! exploration engines snapshot into `AnalysisStats`.
 
 use core::fmt;
+use std::cell::Cell;
 use std::rc::Rc;
 
 use ebpf::{Reg, STACK_SIZE};
@@ -200,6 +201,11 @@ impl StackSlot {
         self.merge(other, RegValue::union)
     }
 
+    /// [`StackSlot::union`] without the reduction of spilled scalars.
+    fn raw_union(self, other: StackSlot) -> StackSlot {
+        self.merge(other, RegValue::raw_union)
+    }
+
     /// Widening of slot states at a loop head: spills widen their tracked
     /// values; disagreement invalidates the slot exactly as in the join.
     #[must_use]
@@ -282,6 +288,12 @@ trait Component: Copy + PartialEq {
     /// Fingerprint domain separating this component type's hashes.
     const DOMAIN: u64;
     fn union(self, other: Self) -> Self;
+    /// `union` with the carried scalars joined but not reduced.
+    fn raw_union(self, other: Self) -> Self;
+    /// Whether every carried scalar is reduced.
+    fn is_reduced(self) -> bool;
+    /// The value with every carried scalar reduced.
+    fn reduced(self) -> Self;
     fn is_subset_of(self, other: Self) -> bool;
     fn widen_with(self, newer: Self, thresholds: &WidenThresholds) -> Self;
     /// Equality-respecting content hash: `a == b ⟹ hash(a) == hash(b)`.
@@ -293,6 +305,15 @@ impl Component for RegValue {
 
     fn union(self, other: Self) -> Self {
         RegValue::union(self, other)
+    }
+    fn raw_union(self, other: Self) -> Self {
+        RegValue::raw_union(self, other)
+    }
+    fn is_reduced(self) -> bool {
+        RegValue::is_reduced(self)
+    }
+    fn reduced(self) -> Self {
+        RegValue::reduced(self)
     }
     fn is_subset_of(self, other: Self) -> bool {
         RegValue::is_subset_of(self, other)
@@ -321,6 +342,21 @@ impl Component for StackSlot {
 
     fn union(self, other: Self) -> Self {
         StackSlot::union(self, other)
+    }
+    fn raw_union(self, other: Self) -> Self {
+        StackSlot::raw_union(self, other)
+    }
+    fn is_reduced(self) -> bool {
+        match self {
+            StackSlot::Spill(v) => v.is_reduced(),
+            StackSlot::Uninit | StackSlot::Misc => true,
+        }
+    }
+    fn reduced(self) -> Self {
+        match self {
+            StackSlot::Spill(v) => StackSlot::Spill(v.reduced()),
+            StackSlot::Uninit | StackSlot::Misc => self,
+        }
     }
     fn is_subset_of(self, other: Self) -> bool {
         StackSlot::is_subset_of(self, other)
@@ -396,6 +432,12 @@ struct Cells<T, const N: usize> {
     hashes: [u64; N],
     stamps: [u64; N],
     vals: [T; N],
+    /// Positions whose value is known to be reduced: a memo of
+    /// [`Component::is_reduced`] for the report accumulator, which asks
+    /// about every value it folds. A value reaches the reports of every
+    /// pc it lives through in the same cells (or a copy-on-write copy),
+    /// so it is decided once; a write forgets its position.
+    reduced: Cell<u32>,
 }
 
 impl<T: Component, const N: usize> Cells<T, N> {
@@ -412,6 +454,7 @@ impl<T: Component, const N: usize> Cells<T, N> {
             hashes,
             stamps: std::array::from_fn(|_| stamp::fresh()),
             vals,
+            reduced: Cell::new(0),
         }
     }
 
@@ -423,6 +466,20 @@ impl<T: Component, const N: usize> Cells<T, N> {
         self.hashes[i] = new;
         self.stamps[i] = stamp::fresh();
         self.vals[i] = v;
+        self.reduced.set(self.reduced.get() & !(1 << i));
+    }
+
+    /// Whether the value at position `i` is reduced, memoized.
+    fn is_reduced_at(&self, i: usize) -> bool {
+        let bit = 1 << i;
+        if self.reduced.get() & bit != 0 {
+            return true;
+        }
+        let reduced = self.vals[i].is_reduced();
+        if reduced {
+            self.reduced.set(self.reduced.get() | bit);
+        }
+        reduced
     }
 
     /// Pointwise equality, skipping positions whose stamps match.
@@ -817,17 +874,6 @@ impl AbsState {
             .all(|off| slot_index(off).is_some_and(|i| self.stack.slot(i).is_initialized()))
     }
 
-    /// Pointwise join of two states at a control-flow merge: `self`
-    /// with `other` flowed in by [`AbsState::flow_join`]. Stack chunks
-    /// that do not grow stay shared with `self`, but the stack spine is
-    /// copied whenever any chunk pointer differs, even if nothing grows.
-    #[must_use]
-    pub fn union(&self, other: &AbsState) -> AbsState {
-        let mut out = self.clone();
-        out.flow_join(other, None);
-        out
-    }
-
     /// Merges `incoming` into `self` in place — the join the fixpoint
     /// engine performs when an edge flows into an instruction that
     /// already has a state — and reports whether `self` actually grew.
@@ -859,6 +905,21 @@ impl AbsState {
         let regs_changed = flow_cells(&mut self.regs, &incoming.regs, regs_widen);
         let stack_changed = flow_frame(&mut self.stack, &incoming.stack, stack_widen);
         regs_changed || stack_changed
+    }
+
+    /// The join of `states`, or `None` for none: equal to folding them
+    /// left to right with [`AbsState::flow_join`], computed the way the
+    /// path walk builds its per-pc report — raw joins per arrival and
+    /// one reduction per changed position at the end (see
+    /// [`crate::explore::PathSensitive`]). Components no later state
+    /// changes stay shared with the first.
+    pub fn join_all<'a>(states: impl IntoIterator<Item = &'a AbsState>) -> Option<AbsState> {
+        let mut states = states.into_iter();
+        let mut report = ReportAcc::new(states.next()?.clone());
+        for state in states {
+            report.absorb(state);
+        }
+        Some(report.finish())
     }
 
     /// Pointwise widening `self ∇ newer` (kept for completeness and the
@@ -1149,6 +1210,207 @@ fn flow_frame(
     changed
 }
 
+/// The per-pc report of the path walk: the join of every state that
+/// arrived at one pc, folded with raw joins and reduced once, in
+/// [`ReportAcc::finish`].
+///
+/// Folding the arrivals with [`AbsState::flow_join`] would pay a full
+/// reduced-product join per changed register and slot per arrival: the
+/// reduction (`Product::normalize`, the kernel's `reg_bounds_sync`), a
+/// fingerprint update and a fresh write stamp. The report is read only
+/// once the walk is over, so the accumulator keeps what it needs to
+/// produce the same state then:
+///
+/// * the first arrival, as an `Rc` clone, whose components the result
+///   reuses wherever nothing changed;
+/// * dense values for the register file and for each stack chunk, copied
+///   only once an arrival's write stamps there differ from the first
+///   arrival's;
+/// * per position, the stamp of an arrival known to change nothing, so a
+///   value the fold already holds is skipped in O(1).
+///
+/// Reduced values fold by raw join: tnum join and interval hulls under
+/// the kind rules of [`RegValue::union`] and [`StackSlot::union`], and
+/// no reduction. For reduced scalars, folding `Product::union` equals
+/// reducing the raw fold once (the join-then-reduce law, checked in
+/// `product.rs`), so `finish` reduces each changed position once and
+/// gets what the `flow_join` fold would hold. The law does not cover
+/// unreduced values, and widened loop-head summaries are left unreduced
+/// on purpose: a position that meets one takes that arrival as one
+/// `flow_join` step, whose result is reduced, and folds raw again from
+/// there. Whether a value is reduced is memoized per position in the
+/// arrival's cells, so each written value is tested once.
+pub(crate) struct ReportAcc {
+    first: AbsState,
+    regs: Option<Box<Folded<RegValue, REGS>>>,
+    chunks: [Option<Box<Folded<StackSlot, CHUNK_SLOTS>>>; STACK_CHUNKS],
+}
+
+impl ReportAcc {
+    /// A report holding only its first arrival.
+    pub(crate) fn new(first: AbsState) -> ReportAcc {
+        ReportAcc {
+            first,
+            regs: None,
+            chunks: Default::default(),
+        }
+    }
+
+    /// Joins one more arrival into the report.
+    pub(crate) fn absorb(&mut self, arrival: &AbsState) {
+        fold_cells(&mut self.regs, &self.first.regs, &arrival.regs);
+        if Rc::ptr_eq(&self.first.stack, &arrival.stack) {
+            return;
+        }
+        for (c, folded) in self.chunks.iter_mut().enumerate() {
+            fold_cells(
+                folded,
+                &self.first.stack.chunks[c],
+                &arrival.stack.chunks[c],
+            );
+        }
+    }
+
+    /// The joined state: the first arrival with every changed position
+    /// written (reduced once), sharing every component that did not
+    /// change.
+    pub(crate) fn finish(self) -> AbsState {
+        let ReportAcc {
+            mut first,
+            regs,
+            chunks,
+        } = self;
+        if let Some(folded) = regs {
+            for (i, v) in folded.changed() {
+                if first.regs.vals[i] != v {
+                    first.regs_mut().set(i, v);
+                }
+            }
+        }
+        for (c, folded) in chunks.iter().enumerate() {
+            let Some(folded) = folded else { continue };
+            for (j, v) in folded.changed() {
+                let i = c * CHUNK_SLOTS + j;
+                if first.stack.slot(i) != v {
+                    first.frame_mut().set_slot(i, v);
+                }
+            }
+        }
+        first
+    }
+}
+
+// Position sets of a `Folded` are `u32` bit masks.
+const _: () = assert!(REGS <= 32 && CHUNK_SLOTS <= 32);
+
+/// One array's share of a [`ReportAcc`] — the register file, or one
+/// stack chunk — from the first arrival that differed there.
+struct Folded<T, const N: usize> {
+    /// Per position: a raw join of reduced values (`raw` positions), or
+    /// the first arrival's unreduced value.
+    vals: [T; N],
+    /// Per position, the stamp of an arrival known to change nothing;
+    /// 0, which no write draws, once there is none.
+    skip: [u64; N],
+    /// Positions whose first-arrival value has been classified.
+    seen: u32,
+    /// Positions holding a raw join of reduced values: the report holds
+    /// its reduction.
+    raw: u32,
+    /// Positions whose raw join still includes the first arrival's
+    /// (reduced) value, so that arrival's stamp changes nothing.
+    first_in: u32,
+    /// Positions whose value may differ from the first arrival's; all
+    /// of them are `raw`.
+    changed: u32,
+}
+
+impl<T: Component, const N: usize> Folded<T, N> {
+    /// Whether an arrival's value at position `i`, written under stamp
+    /// `s`, is known to change nothing there; `first_stamp` is the first
+    /// arrival's stamp at `i`.
+    fn skips(&self, i: usize, first_stamp: u64, s: u64) -> bool {
+        s == self.skip[i] || (s == first_stamp && self.first_in & (1 << i) != 0)
+    }
+
+    /// Folds the arrival's value at position `i` into the report; `first`
+    /// is the first arrival's array.
+    fn absorb(&mut self, i: usize, first: &Cells<T, N>, arrival: &Cells<T, N>) {
+        let bit = 1 << i;
+        if self.seen & bit == 0 {
+            self.seen |= bit;
+            if first.is_reduced_at(i) {
+                self.raw |= bit;
+                self.first_in |= bit;
+            }
+        }
+        let (v, s) = (arrival.vals[i], arrival.stamps[i]);
+        let v_reduced = arrival.is_reduced_at(i);
+        if self.raw & bit != 0 && v_reduced {
+            // Re-folding a value the raw join already holds changes
+            // nothing, by the join-then-reduce law.
+            if !v.is_subset_of(self.vals[i]) {
+                self.vals[i] = self.vals[i].raw_union(v);
+                self.changed |= bit;
+            }
+            self.skip[i] = s;
+            return;
+        }
+        // An unreduced value on either side (widened loop-head summaries
+        // are left unreduced on purpose), which the law does not cover:
+        // one `flow_join` step from the value the report holds.
+        let cur = if self.raw & bit != 0 {
+            self.vals[i].reduced()
+        } else {
+            self.vals[i]
+        };
+        if v == cur || v.is_subset_of(cur) {
+            return;
+        }
+        // The union is reduced, so the position folds raw again from it.
+        // The stamps skipped so far need not be included in it.
+        self.vals[i] = cur.union(v);
+        self.raw |= bit;
+        self.first_in &= !bit;
+        self.skip[i] = 0;
+        self.changed |= bit;
+    }
+
+    /// The positions that may have changed, with their reported values.
+    fn changed(&self) -> impl Iterator<Item = (usize, T)> + '_ {
+        (0..N)
+            .filter(|i| self.changed & (1 << i) != 0)
+            .map(|i| (i, self.vals[i].reduced()))
+    }
+}
+
+/// Folds one array of an arrival into its share of a [`ReportAcc`],
+/// copying the first arrival's values only once a stamp differs.
+fn fold_cells<T: Component, const N: usize>(
+    folded: &mut Option<Box<Folded<T, N>>>,
+    first: &Rc<Cells<T, N>>,
+    arrival: &Rc<Cells<T, N>>,
+) {
+    if Rc::ptr_eq(first, arrival) || (folded.is_none() && first.stamps == arrival.stamps) {
+        return;
+    }
+    let folded = folded.get_or_insert_with(|| {
+        Box::new(Folded {
+            vals: first.vals,
+            skip: first.stamps,
+            seen: 0,
+            raw: 0,
+            first_in: 0,
+            changed: 0,
+        })
+    });
+    for i in 0..N {
+        if !folded.skips(i, first.stamps[i], arrival.stamps[i]) {
+            folded.absorb(i, first, arrival);
+        }
+    }
+}
+
 /// Maps a stack-relative byte offset (negative) to its slot index.
 fn slot_index(offset: i64) -> Option<usize> {
     if (-(STACK_SIZE as i64)..0).contains(&offset) {
@@ -1279,7 +1541,8 @@ mod tests {
         let mut b = AbsState::entry();
         a.set_reg(Reg::R3, RegValue::Scalar(Scalar::constant(1)));
         b.set_reg(Reg::R3, RegValue::Scalar(Scalar::constant(2)));
-        let j = a.union(&b);
+        let mut j = a.clone();
+        j.flow_join(&b, None);
         assert!(a.is_subset_of(&j));
         assert!(b.is_subset_of(&j));
         let r3 = j.reg(Reg::R3).as_scalar().unwrap();
@@ -1304,6 +1567,19 @@ mod tests {
         assert!(head.flow_join(&incoming, None));
         let r3 = head.reg(Reg::R3).as_scalar().unwrap();
         assert!(r3.contains(0) && r3.contains(1));
+    }
+
+    #[test]
+    fn flow_join_into_a_shared_clone_materializes_nothing() {
+        let mut entry = AbsState::entry();
+        entry.set_reg(Reg::R3, RegValue::Scalar(Scalar::constant(7)));
+        let mut j = entry.clone();
+        stats::reset();
+        assert!(!j.flow_join(&entry, None), "a state joined into itself");
+        let traffic = stats::snapshot();
+        assert_eq!((traffic.bytes, traffic.allocated), (0, 0));
+        // The join literally shares the operand's components.
+        assert!(j.shares_regs_with(&entry) && j.shares_stack_with(&entry));
     }
 
     #[test]
@@ -1616,5 +1892,132 @@ mod tests {
             }
             other => panic!("unexpected slot {other:?}"),
         }
+    }
+
+    /// A register value for the report-accumulator pool: every kind, and
+    /// scalars that are reduced joins of small constants or unreduced
+    /// widening outputs.
+    fn report_value(rng: &mut SplitMix64) -> RegValue {
+        let small = |rng: &mut SplitMix64| {
+            let s = Scalar::constant(rng.below(6));
+            if rng.coin() {
+                s.union(Scalar::constant(rng.below(9)))
+            } else {
+                s
+            }
+        };
+        match rng.below(10) {
+            0 => RegValue::Uninit,
+            1 => RegValue::unknown_scalar(),
+            2 => RegValue::StackPtr {
+                offset: small(rng).alu64(ebpf::AluOp::Sub, Scalar::constant(16)),
+            },
+            3 => RegValue::CtxPtr { offset: small(rng) },
+            4 => RegValue::MapHandle {
+                map: rng.below(2) as u32,
+            },
+            5 => RegValue::MapValuePtr {
+                map: rng.below(2) as u32,
+                or_null: rng.coin(),
+                offset: small(rng),
+            },
+            6 | 7 => {
+                // Widening leaves its output unreduced on purpose.
+                let (a, b) = (small(rng), small(rng));
+                RegValue::Scalar(a.widen_with(a.union(b), &WidenThresholds::EMPTY))
+            }
+            8 => RegValue::Scalar(Scalar::raw(
+                Scalar::constant(rng.below(4)).tnum(),
+                Scalar::constant(0).union(Scalar::constant(100)).bounds(),
+            )),
+            _ => RegValue::Scalar(small(rng)),
+        }
+    }
+
+    #[test]
+    fn report_accumulator_matches_the_flow_join_fold() {
+        // A pool of states forked from each other, so arrivals share
+        // components and write stamps the way a walk's arrivals do, is
+        // snapshotted after every write; each round folds a random
+        // sequence of snapshots both ways and compares the results.
+        let mut rng = SplitMix64::new(0x4E_9047);
+        let mut unreduced = 0;
+        for _ in 0..200 {
+            let mut pool: Vec<AbsState> = vec![AbsState::entry(); 3];
+            let mut history = Vec::new();
+            for _ in 0..48 {
+                let a = rng.below(3) as usize;
+                match rng.below(6) {
+                    0 | 1 => {
+                        // Four registers take most writes, so arrivals
+                        // fold several values at each.
+                        let regs = if rng.coin() { 4 } else { REGS as u64 };
+                        let reg = Reg::ALL[rng.below(regs) as usize];
+                        pool[a].set_reg(reg, report_value(&mut rng));
+                    }
+                    2 => {
+                        // Two chunks take most writes, so chunk stamps
+                        // collide; any slot may be written.
+                        let i = if rng.coin() {
+                            rng.below(2 * CHUNK_SLOTS as u64)
+                        } else {
+                            rng.below(SLOTS as u64)
+                        };
+                        let slot = match rng.below(4) {
+                            0 => StackSlot::Uninit,
+                            1 => StackSlot::Misc,
+                            _ => StackSlot::Spill(report_value(&mut rng)),
+                        };
+                        pool[a].set_stack_slot(i as i64 * 8 - 512, slot);
+                    }
+                    3 => {
+                        let start = -(rng.range(1, 512) as i64);
+                        pool[a].smear_stack(start, (start + rng.range(1, 24) as i64).min(0));
+                    }
+                    4 => {
+                        // Liveness cleaning: one dead register, one dead
+                        // chunk.
+                        let dead_chunk = 0xFFu64 << (CHUNK_SLOTS * rng.below(2) as usize);
+                        pool[a].clear_dead(!(1 << rng.below(10)), !dead_chunk);
+                    }
+                    _ => pool[a] = pool[rng.below(3) as usize].clone(),
+                }
+                history.push(pool[a].clone());
+            }
+            for _ in 0..8 {
+                let arrivals: Vec<&AbsState> = (0..rng.range(2, 12))
+                    .map(|_| &history[rng.below(history.len() as u64) as usize])
+                    .collect();
+                let got = AbsState::join_all(arrivals.iter().copied()).unwrap();
+                let mut want = arrivals[0].clone();
+                for &arrival in &arrivals[1..] {
+                    want.flow_join(arrival, None);
+                }
+                assert_eq!(
+                    values(&got),
+                    values(&want),
+                    "report diverges from flow_join"
+                );
+                assert_eq!(got.fingerprint(), want.fingerprint());
+                assert_eq!(
+                    got.shares_regs_with(arrivals[0]),
+                    want.shares_regs_with(arrivals[0]),
+                    "register file shared differently"
+                );
+                assert_eq!(
+                    got.shared_stack_chunks(arrivals[0]),
+                    want.shared_stack_chunks(arrivals[0]),
+                    "stack chunks shared differently"
+                );
+                unreduced += arrivals
+                    .iter()
+                    .filter(|s| s.regs.vals.iter().any(|v| !v.is_reduced()))
+                    .count();
+            }
+        }
+        assert!(
+            unreduced > 500,
+            "only {unreduced} arrivals carry unreduced values"
+        );
     }
 }

@@ -127,6 +127,52 @@ impl RegValue {
         self.merge(other, Scalar::union)
     }
 
+    /// [`RegValue::union`] without the reduction: the same kind rules,
+    /// with the scalars joined componentwise and left unnormalized.
+    pub(crate) fn raw_union(self, other: RegValue) -> RegValue {
+        self.merge(other, Scalar::raw_join)
+    }
+
+    /// The scalar this value carries: its own, or its pointer offset.
+    fn scalar_part(self) -> Option<Scalar> {
+        match self {
+            RegValue::Scalar(s)
+            | RegValue::StackPtr { offset: s }
+            | RegValue::CtxPtr { offset: s }
+            | RegValue::MapValuePtr { offset: s, .. } => Some(s),
+            RegValue::Uninit | RegValue::MapHandle { .. } => None,
+        }
+    }
+
+    /// Whether the carried scalar, if any, is reduced.
+    pub(crate) fn is_reduced(self) -> bool {
+        self.scalar_part().map_or(true, Scalar::is_reduced)
+    }
+
+    /// The value with its carried scalar reduced.
+    pub(crate) fn reduced(self) -> RegValue {
+        let reduce = |s: Scalar| s.normalize().expect("a join of non-empty scalars");
+        match self {
+            RegValue::Scalar(s) => RegValue::Scalar(reduce(s)),
+            RegValue::StackPtr { offset } => RegValue::StackPtr {
+                offset: reduce(offset),
+            },
+            RegValue::CtxPtr { offset } => RegValue::CtxPtr {
+                offset: reduce(offset),
+            },
+            RegValue::MapValuePtr {
+                map,
+                or_null,
+                offset,
+            } => RegValue::MapValuePtr {
+                map,
+                or_null,
+                offset: reduce(offset),
+            },
+            RegValue::Uninit | RegValue::MapHandle { .. } => self,
+        }
+    }
+
     /// Widening `self ∇ newer` at a loop head: like [`RegValue::union`]
     /// but extrapolating with [`Scalar::widen`] so growing scalars (and
     /// growing pointer offsets) stabilize. Mismatched kinds collapse to

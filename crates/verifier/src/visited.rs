@@ -288,29 +288,6 @@ impl VisitedTable {
         self.buckets[pc].iter().map(|e| &e.state)
     }
 
-    /// The join over every surviving state recorded at `pc`, or `None`
-    /// when the instruction was never checkpointed — a single-state
-    /// summary of a checkpoint for diagnostics and tooling. (The
-    /// explorer itself reports per-pc joins through its own accumulator,
-    /// which also covers non-checkpoint instructions.)
-    #[must_use]
-    pub fn joined(&self, pc: usize) -> Option<AbsState> {
-        let (first, rest) = self.buckets[pc].split_first()?;
-        if rest.is_empty() {
-            // The common single-entry checkpoint: an `AbsState` clone is
-            // two `Rc` bumps, so the summary *shares* the entry's
-            // components outright — zero bytes materialized.
-            return Some(first.state.clone());
-        }
-        // One O(1) clone of the first entry seeds the fold; `union`
-        // already shares unchanged components, so the accumulator never
-        // deep-copies what the entries agree on.
-        Some(
-            rest.iter()
-                .fold(first.state.clone(), |acc, e| acc.union(&e.state)),
-        )
-    }
-
     /// Total number of states recorded across all instructions.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -552,6 +529,12 @@ mod tests {
         }
     }
 
+    fn join(a: &AbsState, b: &AbsState) -> AbsState {
+        let mut j = a.clone();
+        j.flow_join(b, None);
+        j
+    }
+
     fn with_r3(c: u64) -> AbsState {
         let mut s = AbsState::entry();
         s.set_reg(Reg::R3, RegValue::Scalar(Scalar::constant(c)));
@@ -568,7 +551,7 @@ mod tests {
         assert!(table.is_covered(2, &a));
         // A strictly smaller state is covered too (strict-probe path:
         // its fingerprint differs from the recorded join's)…
-        let joined = a.union(&with_r3(5));
+        let joined = join(&a, &with_r3(5));
         table.insert(2, joined);
         assert!(table.is_covered(2, &with_r3(5)));
         // …but a different pc is a different bucket…
@@ -588,7 +571,7 @@ mod tests {
         assert_eq!(table.entries(1).len(), 1);
         // The join subsumes `a`: inserting it evicts `a`, and anything
         // `a` covered is still covered by the survivor.
-        let joined = a.union(&with_r3(5));
+        let joined = join(&a, &with_r3(5));
         table.insert(1, joined);
         assert_eq!(table.entries(1).len(), 1, "dominated entry evicted");
         assert_eq!(table.visited_evicted(), 1);
@@ -658,33 +641,17 @@ mod tests {
     }
 
     #[test]
-    fn joined_is_the_union_over_entries() {
+    fn flow_join_over_entries_covers_every_entry() {
         let mut table = VisitedTable::new(2);
-        assert!(table.joined(1).is_none());
         table.insert(1, with_r3(1));
         table.insert(1, with_r3(4));
-        let j = table.joined(1).expect("two entries");
-        let r3 = j.reg(Reg::R3).as_scalar().unwrap();
+        let entries: Vec<&AbsState> = table.entries(1).collect();
+        assert_eq!((entries.len(), table.len()), (2, 2));
+        let r3 = join(entries[0], entries[1])
+            .reg(Reg::R3)
+            .as_scalar()
+            .unwrap();
         assert!(r3.contains(1) && r3.contains(4));
-        assert_eq!(table.entries(1).len(), 2);
-        assert_eq!(table.len(), 2);
-    }
-
-    #[test]
-    fn joined_single_entry_is_an_rc_share_with_zero_bytes_materialized() {
-        let mut table = VisitedTable::new(2);
-        table.insert(1, with_r3(7));
-        crate::state::stats::reset();
-        let j = table.joined(1).expect("one entry");
-        let traffic = crate::state::stats::snapshot();
-        assert_eq!(
-            traffic.bytes, 0,
-            "a single-entry join must not materialize anything"
-        );
-        assert_eq!(traffic.allocated, 0);
-        // The summary literally shares the entry's components.
-        let entry = table.entries(1).next().unwrap();
-        assert!(j.shares_regs_with(entry) && j.shares_stack_with(entry));
     }
 
     #[test]
@@ -706,7 +673,7 @@ mod tests {
         // Equality hit deep in the chain; a strictly smaller arrival hits
         // through the strict budget.
         assert!(par.is_covered(0, &with_r3(100), 0));
-        let joined = with_r3(1).union(&with_r3(5));
+        let joined = join(&with_r3(1), &with_r3(5));
         seq.insert(1, joined.clone());
         par.insert(1, &joined, 0);
         assert!(par.is_covered(1, &with_r3(5), 0));
@@ -739,7 +706,7 @@ mod tests {
         // subsumes, exactly as in the sequential table.
         let par = ConcurrentVisitedTable::with_cap(2, 0);
         par.insert(1, &with_r3(1), 0);
-        let joined = with_r3(1).union(&with_r3(5));
+        let joined = join(&with_r3(1), &with_r3(5));
         par.insert(1, &joined, 0);
         assert_eq!(par.visited_evicted(), 1);
         assert!(par.is_covered(1, &with_r3(1), 0), "survivor still covers");

@@ -57,7 +57,7 @@ fn path_explorer_work_counters_are_pinned() {
         (
             "spill_loop",
             fixture("spill_loop"),
-            [388, 125, 0, 32, 64, 209, 190],
+            [388, 125, 0, 32, 64, 208, 190],
         ),
         (
             "two_back_edge",
