@@ -1,8 +1,8 @@
 //! Benchmarks of the end-to-end substrate: the `Scalar` reduced product
 //! every transfer and join goes through, the path walk's per-pc report
-//! fold, then assembling, verifying (with and without branch refinement
-//! — an ablation from DESIGN.md), and concretely executing
-//! representative programs.
+//! fold, then assembling, verifying (with and without branch
+//! refinement, the `AnalyzerOptions::refine_branches` ablation), and
+//! concretely executing representative programs.
 //!
 //! Run with: `cargo bench -p bench --bench verifier`
 

@@ -6,8 +6,7 @@
 //! per-program verdict table plus the throughput roll-up. With
 //! `--passes` it skips verification entirely and dumps the static
 //! pass framework's facts (`verifier::passes`): per-pc live registers,
-//! live stack-slot counts, reaching-definition counts, and
-//! dead/unreachable-instruction diagnostics.
+//! live stack-slot counts, and dead/unreachable-instruction diagnostics.
 //!
 //! Usage:
 //!
@@ -53,14 +52,38 @@ use std::sync::Arc;
 use bench::cli::Args;
 use ebpf::asm::assemble;
 use ebpf::Program;
-use verifier::passes::reaching_def_counts;
 use verifier::{
     AnalyzerOptions, Cfg, DegradationPolicy, ProgramPasses, Strategy, TransferMemo,
     VerificationSession,
 };
 
+/// Every flag `annotate` accepts; any other exits 2.
+const FLAGS: &[&str] = &[
+    "list-helpers",
+    "passes",
+    "dir",
+    "file",
+    "jobs",
+    "strategy",
+    "ctx-size",
+    "strict-alignment",
+    "no-refine",
+    "reject-loops",
+    "widen-delay",
+    "no-thresholds",
+    "budget",
+    "unroll-k",
+    "visited-cap",
+    "memo",
+    "no-liveness",
+    "explore-jobs",
+    "spawn-depth",
+    "deadline-ms",
+    "fail-fast",
+];
+
 fn main() -> ExitCode {
-    let args = Args::parse();
+    let args = Args::parse(FLAGS);
     // Holds the fault plan (if any) armed for the whole run; dropping
     // it at exit disarms the fail points.
     let _failpoints = match verifier::failpoint::arm_from_env() {
@@ -261,10 +284,8 @@ fn collect_fixtures(dir: &str) -> Result<(Vec<String>, Vec<Program>), ExitCode> 
 }
 
 /// The per-pc pass dump of one program: live registers, live stack-slot
-/// and reaching-definition counts, and dead-code diagnostics. Reaching
-/// definitions are solved here, on demand; the engines never need them.
-fn dump_passes(prog: &Program, cfg: &Cfg, passes: &ProgramPasses) {
-    let reach = reaching_def_counts(prog, cfg);
+/// counts, and dead-code diagnostics.
+fn dump_passes(prog: &Program, passes: &ProgramPasses) {
     for (pc, insn) in prog.insns().iter().enumerate() {
         if passes.is_unreachable(pc) {
             println!("{pc:>3}: {insn:<32} [unreachable]");
@@ -281,10 +302,9 @@ fn dump_passes(prog: &Program, cfg: &Cfg, passes: &ProgramPasses) {
             ""
         };
         println!(
-            "{pc:>3}: {insn:<32} live={{{}}} slots={} reach={}{note}",
+            "{pc:>3}: {insn:<32} live={{{}}} slots={}{note}",
             regs.join(","),
             live.slot_count(),
-            reach[pc],
         );
     }
 }
@@ -298,14 +318,13 @@ fn run_passes_single(source: &str) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let cfg = Cfg::build(&prog);
-    let passes = ProgramPasses::compute(&prog, &cfg);
+    let passes = ProgramPasses::compute(&prog, &Cfg::build(&prog));
     println!(
         "PASSES ({} instructions, {} dead)\n",
         prog.len(),
         passes.dead_insns()
     );
-    dump_passes(&prog, &cfg, &passes);
+    dump_passes(&prog, &passes);
     ExitCode::SUCCESS
 }
 
@@ -313,14 +332,13 @@ fn run_passes_single(source: &str) -> ExitCode {
 /// per-file header.
 fn run_passes_dir(names: &[String], progs: &[Program]) -> ExitCode {
     for (name, prog) in names.iter().zip(progs) {
-        let cfg = Cfg::build(prog);
-        let passes = ProgramPasses::compute(prog, &cfg);
+        let passes = ProgramPasses::compute(prog, &Cfg::build(prog));
         println!(
             "== {name} ({} instructions, {} dead)",
             prog.len(),
             passes.dead_insns()
         );
-        dump_passes(prog, &cfg, &passes);
+        dump_passes(prog, &passes);
         println!();
     }
     ExitCode::SUCCESS

@@ -48,7 +48,7 @@ fn run(name: &str, a: Op2<Tnum>, b: Op2<Tnum>, width: u32) -> Vec<Vec<String>> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["width"]);
     let width = args.get_u64("width", 8) as u32;
     assert!((2..=10).contains(&width), "--width must be in 2..=10");
 

@@ -41,7 +41,7 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["pairs", "trials", "seed", "naive"]);
     let pairs = args.get_u64("pairs", 200_000);
     let trials = args.get_u64("trials", 10) as u32;
     let seed = args.get_u64("seed", 1);

@@ -128,7 +128,7 @@ const PARSHARD_GATE_JOBS: usize = 4;
 const MAPS_WALL_TOLERANCE_PERCENT: u64 = 150;
 
 fn main() -> ExitCode {
-    let args = Args::parse();
+    let args = Args::parse(&["baseline"]);
     let path = args
         .get_str("baseline")
         .unwrap_or("BENCH_PR13.json")

@@ -26,7 +26,7 @@ use tnum_verify::ops::OpCatalog;
 use tnum_verify::{compare_precision_sampled, compare_precision_unordered, PrecisionReport};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["min", "max", "top", "samples", "full"]);
     let min = args.get_u64("min", 5) as u32;
     let max = args.get_u64("max", 8) as u32;
     let top = args.get_u64("top", 10) as u32;

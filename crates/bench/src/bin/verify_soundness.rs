@@ -58,12 +58,19 @@ fn campaign_rows(report: &CampaignReport) -> Vec<Vec<String>> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "width",
+        "spot",
+        "optimality",
+        "domains",
+        "bounds-width",
+        "algebra",
+    ]);
     let width = args.get_u64("width", 6) as u32;
     let spot_pairs = args.get_u64("spot", 20_000);
     assert!((3..=8).contains(&width), "--width must be in 3..=8");
 
-    println!("E1: exhaustive soundness at width {width} (the SMT substitute; see DESIGN.md)\n");
+    println!("E1: exhaustive soundness at width {width} (the SMT substitute; see README)\n");
     let mut rows = Vec::new();
     for op in OpCatalog::<Tnum>::paper_suite() {
         let r = check_soundness(op, width);

@@ -1,24 +1,30 @@
 //! A tiny `--flag value` parser for the experiment binaries (keeps the
 //! workspace dependency-free beyond the approved list).
 
-use std::collections::HashMap;
-
-/// Parsed command-line flags: `--name value` pairs and bare `--switch`es.
+/// Parsed command-line flags, in command-line order: `--name value`
+/// pairs and bare `--switch`es (no value).
 #[derive(Clone, Debug, Default)]
 pub struct Args {
-    values: HashMap<String, String>,
-    switches: Vec<String>,
+    flags: Vec<(String, Option<String>)>,
 }
 
 impl Args {
-    /// Parses the process arguments (skipping the binary name).
+    /// Parses the process arguments (skipping the binary name), accepting
+    /// only the flag names in `known`. Any other flag prints the accepted
+    /// ones and exits with status 2, so a misspelled flag cannot silently
+    /// change a run.
     ///
     /// # Panics
     ///
     /// Panics with a usage hint when a non-flag token is encountered.
     #[must_use]
-    pub fn parse() -> Args {
-        Args::from_iter(std::env::args().skip(1))
+    pub fn parse(known: &[&str]) -> Args {
+        let args = Args::from_iter(std::env::args().skip(1));
+        if let Some(name) = args.unknown(known) {
+            eprintln!("unknown flag --{name}; accepted: --{}", known.join(", --"));
+            std::process::exit(2);
+        }
+        args
     }
 
     /// Parses from an explicit token list (testable entry point).
@@ -35,15 +41,19 @@ impl Args {
                 .strip_prefix("--")
                 .unwrap_or_else(|| panic!("unexpected argument {tok:?}; flags are --name [value]"))
                 .to_string();
-            match iter.peek() {
-                Some(next) if !next.starts_with("--") => {
-                    let value = iter.next().expect("peeked");
-                    args.values.insert(name, value);
-                }
-                _ => args.switches.push(name),
-            }
+            let value = iter.next_if(|next| !next.starts_with("--"));
+            args.flags.push((name, value));
         }
         args
+    }
+
+    /// The first flag, in command-line order, whose name `known` lacks.
+    #[must_use]
+    pub fn unknown(&self, known: &[&str]) -> Option<&str> {
+        self.flags
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .find(|name| !known.contains(name))
     }
 
     /// Integer flag with default.
@@ -53,8 +63,7 @@ impl Args {
     /// Panics when the value does not parse as the requested type.
     #[must_use]
     pub fn get_u64(&self, name: &str, default: u64) -> u64 {
-        self.values
-            .get(name)
+        self.get_str(name)
             .map(|v| {
                 v.parse()
                     .unwrap_or_else(|_| panic!("--{name} expects an integer, got {v:?}"))
@@ -62,16 +71,20 @@ impl Args {
             .unwrap_or(default)
     }
 
-    /// String flag, if present.
+    /// String flag, if present (the last one when repeated).
     #[must_use]
     pub fn get_str(&self, name: &str) -> Option<&str> {
-        self.values.get(name).map(String::as_str)
+        self.flags
+            .iter()
+            .rev()
+            .filter(|(n, _)| n == name)
+            .find_map(|(_, v)| v.as_deref())
     }
 
     /// Boolean switch.
     #[must_use]
     pub fn has(&self, name: &str) -> bool {
-        self.switches.iter().any(|s| s == name)
+        self.flags.iter().any(|(n, v)| n == name && v.is_none())
     }
 }
 
@@ -91,6 +104,16 @@ mod tests {
         assert_eq!(a.get_u64("missing", 7), 7);
         assert!(a.has("full"));
         assert!(!a.has("naive"));
+    }
+
+    #[test]
+    fn reports_the_first_undeclared_flag() {
+        let a = args(&["--widen-delay", "0", "--no-threshold", "--stratgy", "path"]);
+        assert_eq!(
+            a.unknown(&["widen-delay", "no-thresholds", "strategy"]),
+            Some("no-threshold")
+        );
+        assert_eq!(a.unknown(&["widen-delay", "no-threshold", "stratgy"]), None);
     }
 
     #[test]

@@ -47,34 +47,15 @@ pub fn masked_memset(trips: u32) -> Program {
     .expect("assembles")
 }
 
-/// The two-back-edge counter+accumulator loop (13 trips over a 13-byte
-/// buffer): a continue-style loop whose accumulator differs across the
-/// two paths back to the head. Under the path-sensitive strategy the
-/// re-converging paths are where visited-state pruning actually fires —
-/// the workload behind the `states_pruned` counters in the baseline.
+/// The two-back-edge counter+accumulator loop of
+/// `fixtures/two_back_edge.ebpf` (13 trips over a 13-byte buffer): a
+/// continue-style loop whose accumulator differs across the two paths
+/// back to the head. Under the path-sensitive strategy the re-converging
+/// paths are where visited-state pruning actually fires — the workload
+/// behind the `states_pruned` counters in the baseline.
 #[must_use]
 pub fn two_back_edge() -> Program {
-    assemble(
-        r"
-            r1 = 0              ; i
-            r6 = 0              ; sum
-        loop:
-            r3 = r10
-            r3 += -13
-            r3 += r1
-            *(u8 *)(r3 + 0) = 0 ; in bounds iff i <= 12
-            r1 += 1
-            r6 += 1
-            if r1 > 12 goto out
-            if r2 > 0 goto loop ; back-edge 1
-            r6 += 7
-            goto loop           ; back-edge 2
-        out:
-            r0 = r1
-            exit
-        ",
-    )
-    .expect("assembles")
+    assemble(include_str!("../../../fixtures/two_back_edge.ebpf")).expect("assembles")
 }
 
 /// A spill-heavy loop: two loop-carried values are spilled to slots in
@@ -196,33 +177,14 @@ pub fn packet_filter(bound: u32) -> Program {
     .expect("assembles")
 }
 
-/// The canonical map-helper filter (the `fixtures/map_filter.ebpf`
-/// shape): build a key on the stack, `map_lookup` it, NULL-check the
+/// The canonical map-helper filter of `fixtures/map_filter.ebpf`: build a key on the stack, `map_lookup` it, NULL-check the
 /// returned value pointer, and bump the counter through the refined
 /// edge. Exercises the helper registry check, the `or_null` refinement
 /// in `branch_states`, and the map-value bounds proof — none of which
 /// the memo cache may serve.
 #[must_use]
 pub fn map_filter() -> Program {
-    assemble(
-        r"
-            *(u32 *)(r10 - 4) = 1
-            r1 = map 0
-            r2 = r10
-            r2 += -4
-            call 1
-            if r0 == 0 goto miss
-            r1 = *(u64 *)(r0 + 0)
-            r1 += 1
-            *(u64 *)(r0 + 0) = r1
-            r0 = 1
-            exit
-        miss:
-            r0 = 0
-            exit
-        ",
-    )
-    .expect("assembles")
+    assemble(include_str!("../../../fixtures/map_filter.ebpf")).expect("assembles")
 }
 
 /// A bounded `map_update` loop (the `fixtures/map_update_loop.ebpf`

@@ -30,8 +30,8 @@ use crate::memo::TransferMemo;
 use crate::state::AbsState;
 use crate::value::RegValue;
 
-/// Tunable analysis behaviour — each toggle corresponds to a design
-/// choice called out for ablation in `DESIGN.md`.
+/// Tunable analysis behaviour — each toggle is a design choice that can
+/// be switched off for ablation.
 #[derive(Clone, Debug)]
 pub struct AnalyzerOptions {
     /// Size of the context buffer the program may access via `r1`.
@@ -131,7 +131,10 @@ pub struct AnalyzerOptions {
     /// one job per branch past the first two nesting levels — enough
     /// subtrees to feed eight workers on branchy programs while keeping
     /// snapshot traffic negligible. Ignored by the sequential
-    /// strategies; verdicts are identical at every setting.
+    /// strategies. Reports are identical at every setting while no job
+    /// widens a loop head; past [`AnalyzerOptions::unroll_k`] a job
+    /// spawned inside a loop can report differently (see
+    /// [`crate::parshard`]).
     pub spawn_depth: u32,
     /// Wall-clock budget for one exploration, checked cooperatively at
     /// the same points as [`AnalyzerOptions::analysis_budget`] (worklist
@@ -513,9 +516,6 @@ impl VerificationSession {
     /// selects [`domain::parallel::default_threads`] (which honors the
     /// `TNUM_THREADS` environment variable).
     ///
-    /// Per-program heterogeneity (different options or strategies per
-    /// program) goes through [`batch::run`](crate::batch::run) directly.
-    ///
     /// # Examples
     ///
     /// ```
@@ -534,16 +534,7 @@ impl VerificationSession {
     /// ```
     #[must_use]
     pub fn run_batch(&self, progs: &[Program], jobs: usize) -> BatchReport {
-        let items: Vec<batch::BatchItem> = progs
-            .iter()
-            .map(|prog| batch::BatchItem {
-                prog: prog.clone(),
-                options: self.options.clone(),
-                strategy: self.strategy,
-                degradation: self.degradation,
-            })
-            .collect();
-        batch::run(&items, jobs)
+        batch::run(self, progs, jobs)
     }
 
     /// Explores the program with a caller-supplied

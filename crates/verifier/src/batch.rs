@@ -15,11 +15,12 @@
 //!   cheap acyclic programs immediately steals the remaining loopy
 //!   ones. Analysis costs within one batch differ by orders of
 //!   magnitude, which is exactly when static chunking idles.
-//! * **Cross-program memoization (opt-in).** Items whose options hold
-//!   one shared [`TransferMemo`](crate::memo::TransferMemo) `Arc` reuse
-//!   each other's pure scalar transfer results, with full operand
-//!   equality checked before each reuse. Off by default: see
-//!   [`AnalyzerOptions::memo_cache`] for when it pays.
+//! * **Cross-program memoization (opt-in).** When the session's options
+//!   hold a [`TransferMemo`](crate::memo::TransferMemo), every worker
+//!   shares that one cache and reuses the other programs' pure scalar
+//!   transfer results, with full operand equality checked before each
+//!   reuse. Off by default: see [`AnalyzerOptions::memo_cache`] for when
+//!   it pays.
 //!
 //! Results come back **in submission order** as real
 //! [`Analysis`] values: each worker flattens its per-instruction states
@@ -31,32 +32,13 @@ use std::time::{Duration, Instant};
 use domain::parallel::{default_threads, par_workers, WorkQueue};
 use ebpf::Program;
 
-use crate::analyzer::{Analysis, AnalyzerOptions, DegradationPolicy, VerificationSession};
+use crate::analyzer::{Analysis, AnalyzerOptions, VerificationSession};
 use crate::error::VerifierError;
 use crate::explore::Strategy;
 use crate::fixpoint::{self, AnalysisStats};
 use crate::memo;
 use crate::state::{AbsState, SparseStack, REGS};
 use crate::value::RegValue;
-
-/// One unit of batch work: a program with its own options and strategy.
-/// Heterogeneous batches (per-program configuration) are first-class;
-/// [`VerificationSession::run_batch`] builds homogeneous ones sharing
-/// the session's options — including its memo cache `Arc`, if any.
-#[derive(Clone, Debug)]
-pub struct BatchItem {
-    /// The program to verify.
-    pub prog: Program,
-    /// The analysis options for this program. Items whose options hold
-    /// the same `memo_cache` `Arc` share cached transfer results.
-    pub options: AnalyzerOptions,
-    /// The exploration strategy for this program.
-    pub strategy: Strategy,
-    /// What the worker's session does when a governance fault (a
-    /// contained panic or a blown deadline) hits this program: walk the
-    /// degradation ladder (the default) or fail fast.
-    pub degradation: DegradationPolicy,
-}
 
 /// The roll-up of one batch run: throughput, verdict counts, how the
 /// work spread across workers, and the memo-cache traffic.
@@ -71,12 +53,12 @@ pub struct BatchStats {
     /// Worker threads the pool actually ran (the *outer*,
     /// program-granular level).
     pub jobs: usize,
-    /// Intra-program explorer threads granted to each
-    /// [`Strategy::PathParallel`] item that left
-    /// [`AnalyzerOptions::explore_jobs`] at `0`: the batch thread
-    /// budget divided by the outer worker count, so outer × inner never
-    /// oversubscribes it. `1` when the batch has no such items or the
-    /// budget is spent on the outer level.
+    /// The batch thread budget divided by the outer worker count (at
+    /// least 1): the intra-program explorer threads each program gets
+    /// when the session runs [`Strategy::PathParallel`] with
+    /// [`AnalyzerOptions::explore_jobs`] left at `0`, so outer × inner
+    /// never oversubscribes the budget. Any other session keeps its own
+    /// `explore_jobs`.
     pub inner_jobs: usize,
     /// Wall-clock time from first claim to scope join.
     pub elapsed: Duration,
@@ -193,45 +175,44 @@ struct WorkerOutput {
     memo: (u64, u64, u64),
 }
 
-/// Verifies every item concurrently on `jobs` workers (0 =
-/// [`default_threads`], which honors `TNUM_THREADS`), returning
-/// per-program results in submission order.
-///
-/// This is the heterogeneous entry point;
-/// [`VerificationSession::run_batch`] is the common homogeneous wrapper.
-#[must_use]
-pub fn run(items: &[BatchItem], jobs: usize) -> BatchReport {
+/// Verifies every program under `session` concurrently on `jobs`
+/// workers (0 = [`default_threads`], which honors `TNUM_THREADS`),
+/// returning per-program results in submission order. The entry point
+/// is [`VerificationSession::run_batch`].
+pub(crate) fn run(session: &VerificationSession, progs: &[Program], jobs: usize) -> BatchReport {
     let jobs = if jobs == 0 { default_threads() } else { jobs };
-    let workers = jobs.min(items.len()).max(1);
+    let workers = jobs.min(progs.len()).max(1);
     // One thread budget, two levels: `workers` outer threads verify
-    // whole programs, and every `PathParallel` item that left
+    // whole programs, and a `PathParallel` session that left
     // `explore_jobs` at 0 (= auto) gets the leftover budget as its
     // intra-program worker count, so `outer × inner ≤ jobs` (plus the
     // coordinator, which only blocks).
     let inner_jobs = (jobs / workers).max(1);
-    let queue = WorkQueue::new(items.len());
+    let split;
+    let session =
+        if session.strategy() == Strategy::PathParallel && session.options().explore_jobs == 0 {
+            split = session.clone().with_options(AnalyzerOptions {
+                explore_jobs: inner_jobs as u32,
+                ..session.options()
+            });
+            &split
+        } else {
+            session
+        };
+    let queue = WorkQueue::new(progs.len());
     let start = Instant::now();
     let per_worker = par_workers(workers, |_worker| {
         let mut results = Vec::new();
         let mut visits: u64 = 0;
         let mut memo = (0u64, 0u64, 0u64);
         while let Some(i) = queue.claim() {
-            let item = &items[i];
-            let mut options = item.options.clone();
-            if item.strategy == Strategy::PathParallel && options.explore_jobs == 0 {
-                options.explore_jobs = inner_jobs as u32;
-            }
-            let session = VerificationSession::new()
-                .with_options(options)
-                .with_strategy(item.strategy)
-                .with_degradation(item.degradation);
             memo::counters::reset();
             fixpoint::ledger::reset();
             // Belt over the session's own containment: a panic anywhere
             // in this program's run (including the dense-state capture
             // below) costs only this slot, never the batch.
             let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                session.run(&item.prog).map(|a| SendAnalysis::capture(&a))
+                session.run(&progs[i]).map(|a| SendAnalysis::capture(&a))
             }))
             .unwrap_or_else(|payload| Err(VerifierError::from_panic(payload.as_ref())));
             // The thread-local memo counters and visit ledger now hold
@@ -252,7 +233,7 @@ pub fn run(items: &[BatchItem], jobs: usize) -> BatchReport {
     let elapsed = start.elapsed();
 
     let mut slots: Vec<Option<Result<Analysis, VerifierError>>> =
-        std::iter::repeat_with(|| None).take(items.len()).collect();
+        std::iter::repeat_with(|| None).take(progs.len()).collect();
     let mut per_worker_programs = Vec::with_capacity(workers);
     let mut per_worker_visits = Vec::with_capacity(workers);
     let (mut memo_hits, mut memo_misses, mut memo_evicted) = (0, 0, 0);
@@ -282,7 +263,7 @@ pub fn run(items: &[BatchItem], jobs: usize) -> BatchReport {
     }
     BatchReport {
         stats: BatchStats {
-            programs: items.len(),
+            programs: progs.len(),
             accepted,
             rejected: results.len() - accepted,
             jobs: workers,
@@ -502,17 +483,14 @@ mod tests {
             let (p, s) = (p.as_ref().unwrap(), s.as_ref().unwrap());
             assert_eq!(p.annotate(&batch[i]), s.annotate(&batch[i]));
         }
-        // An explicit per-item explore_jobs is never overridden.
-        let items = vec![BatchItem {
-            prog: batch[0].clone(),
-            options: AnalyzerOptions {
+        // An explicit explore_jobs is never overridden.
+        let report = VerificationSession::new()
+            .with_options(AnalyzerOptions {
                 explore_jobs: 1,
                 ..AnalyzerOptions::default()
-            },
-            strategy: Strategy::PathParallel,
-            degradation: DegradationPolicy::default(),
-        }];
-        let report = run(&items, 8);
+            })
+            .with_strategy(Strategy::PathParallel)
+            .run_batch(&batch[..1], 8);
         assert!(report.results[0].is_ok());
         assert_eq!(report.results[0].as_ref().unwrap().stats().steals, 0);
     }
@@ -531,33 +509,5 @@ mod tests {
         let report = VerificationSession::new().run_batch(&progs(&["r0 = 0\nexit"]), 0);
         assert_eq!(report.stats.jobs, 1, "capped by batch size");
         assert!(report.results[0].is_ok());
-    }
-
-    #[test]
-    fn heterogeneous_items_run_their_own_configuration() {
-        let loopy = assemble("l:\nr0 = 0\ngoto l\nexit").unwrap();
-        let items = vec![
-            BatchItem {
-                prog: loopy.clone(),
-                options: AnalyzerOptions::default(),
-                strategy: Strategy::WideningFixpoint,
-                degradation: DegradationPolicy::default(),
-            },
-            BatchItem {
-                prog: loopy,
-                options: AnalyzerOptions {
-                    reject_loops: true,
-                    ..AnalyzerOptions::default()
-                },
-                strategy: Strategy::WideningFixpoint,
-                degradation: DegradationPolicy::default(),
-            },
-        ];
-        let report = run(&items, 2);
-        assert!(report.results[0].is_ok(), "fixpoint accepts the loop");
-        assert!(
-            matches!(report.results[1], Err(VerifierError::LoopDetected { .. })),
-            "reject_loops item keeps its own policy"
-        );
     }
 }

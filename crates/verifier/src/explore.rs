@@ -24,7 +24,8 @@
 //!   sibling of [`PathSensitive`]: past a fork depth the fall-through
 //!   subtrees become stealable jobs, pruning runs against one shared
 //!   striped table, and verdicts/errors/reported joins stay
-//!   bit-identical to the sequential walk — see [`crate::parshard`].
+//!   bit-identical to the sequential walk while no job widens a loop
+//!   head — see [`crate::parshard`] for the contract and its limit.
 //!
 //! Both path explorers run **one walk**: the crate-private `Walk` owns
 //! the per-walk accumulators (reported joins, loop-head summaries and
@@ -115,8 +116,9 @@ pub enum Strategy {
     /// The work-stealing parallel path explorer
     /// ([`PathParallel`](crate::parshard::PathParallel)): the
     /// path-sensitive walk sharded over
-    /// [`AnalyzerOptions::explore_jobs`] workers with bit-identical
-    /// verdicts, errors, and reported joins.
+    /// [`AnalyzerOptions::explore_jobs`] workers, with verdicts, errors,
+    /// and reported joins bit-identical to [`Strategy::PathSensitive`]
+    /// while no job widens a loop head (see [`crate::parshard`]).
     PathParallel,
 }
 

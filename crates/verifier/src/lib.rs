@@ -33,7 +33,8 @@
 //!   per-trip precision, and falls back to widening past the bound;
 //!   [`Strategy::PathParallel`] ([`parshard`]) shards that same walk
 //!   over work-stealing workers with one shared, striped visited table,
-//!   bit-identical to the sequential walk;
+//!   bit-identical to the sequential walk while no job widens a loop
+//!   head;
 //! * [`fixpoint`] — the reverse-postorder priority worklist behind the
 //!   fixpoint strategy: joins at merge points, **per-register delayed
 //!   widening** at loop heads (each register and stack slot burns its
@@ -146,7 +147,7 @@ mod value;
 pub mod visited;
 
 pub use analyzer::{Analysis, AnalyzerOptions, DegradationPolicy, VerificationSession};
-pub use batch::{BatchItem, BatchReport, BatchStats};
+pub use batch::{BatchReport, BatchStats};
 pub use branch::refine as refine_branch;
 pub use branch::refine32 as refine_branch32;
 pub use cfg::Cfg;

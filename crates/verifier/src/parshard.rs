@@ -20,9 +20,12 @@
 //!
 //! ## Determinism contract
 //!
-//! Verdicts, errors, and per-pc reported joins are **bit-identical** to
-//! the sequential explorer at any job count; only visit/prune counters
-//! may differ. Three mechanisms carry the contract:
+//! While no job widens a loop head (every loop a job walks stays within
+//! [`AnalyzerOptions::unroll_k`] trips), verdicts, errors, and per-pc
+//! reported joins are **bit-identical** to the sequential explorer at
+//! any job count; only visit/prune counters may differ. Past that bound
+//! the reports may differ (see the second mechanism). Three mechanisms
+//! carry the contract:
 //!
 //! * **Structured merge.** Each job accumulates its per-pc report joins
 //!   locally, and records its spawned children in order. The
@@ -35,9 +38,13 @@
 //!   accumulator's representation), which the `parallel_explore` fuzz
 //!   lock enforces across the whole options matrix.
 //! * **Back edges never spawn.** Every lap of a cycle stays inside the
-//!   job that entered it, so job-local loop summaries widen and
-//!   stabilize exactly like the sequential head summaries, and the
-//!   spawn tree stays acyclic.
+//!   job that entered it, so the spawn tree stays acyclic. A job does
+//!   start with fresh loop-head summaries, though: one spawned inside a
+//!   loop that runs past `unroll_k` widens from its own arrival, not
+//!   from the sequential walk's summary, and its reported states can
+//!   differ (still sound: every job widens soundly). `tests/report_pins.rs`
+//!   pins one such case as it stands: `two_back_edge` at unroll 4, where
+//!   `r6` differs.
 //! * **Sequential rerun on any error.** Shared pruning can change
 //!   *which* unsafe path is discovered first across workers, so the
 //!   moment any job errors (including budget exhaustion) the parallel
@@ -132,9 +139,10 @@ struct SharedCtx<'a> {
 /// The work-stealing path-parallel strategy. Reads
 /// [`AnalyzerOptions::explore_jobs`] (0 = all available cores) and
 /// [`AnalyzerOptions::spawn_depth`]; at one job the walk degenerates to
-/// the sequential DFS order with a shared-table probe sequence, and at
-/// any job count the reported analysis is bit-identical to
-/// [`PathSensitive`] (see the module docs for the contract).
+/// the sequential DFS order with a shared-table probe sequence, and
+/// while no job widens a loop head the reported analysis is
+/// bit-identical to [`PathSensitive`] at any job count (see the module
+/// docs for the contract and where it stops).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PathParallel;
 

@@ -1,7 +1,7 @@
 //! Static-analysis passes over the [`Cfg`]: a reusable forward/backward
-//! dataflow solver plus the three passes the analyzer ships with —
-//! per-pc register/stack-slot **liveness**, **reaching definitions**,
-//! and **unreachable/dead-code** detection.
+//! dataflow solver plus the passes the analyzer ships with — per-pc
+//! register/stack-slot **liveness** and **unreachable/dead-code**
+//! detection.
 //!
 //! Only what the exploration engines read is computed per analysis: the
 //! live-in masks at checkpoints, solved by the crate-private
@@ -10,9 +10,8 @@
 //! base other than `r10`, and nothing at all for a program without
 //! checkpoints). The whole-program bundle, [`ProgramPasses::compute`]
 //! — liveness at every pc plus the unreachable pcs and dead definitions
-//! derived from it — and the reaching definitions of
-//! [`reaching_def_counts`] run on demand, for the `annotate --passes`
-//! dump and the benchmark's ledger; no session computes them.
+//! derived from it — runs on demand, for the `annotate --passes` dump
+//! and the benchmark's ledger; no session computes it.
 //!
 //! The kernel's eBPF verifier owes its single biggest pruning lever not
 //! to a smarter join but to a *static* fact: per-pc liveness marks
@@ -36,8 +35,8 @@
 //! [`Cfg`]'s own successor and CSR predecessor arrays, so the solver
 //! itself allocates only the fact vectors and one worklist word per 64 pcs.
 //! All built-in passes use bitset facts (`u16` over registers, `u64`
-//! over the 64 stack slots, `Vec<u64>` over definition sites), so one
-//! solver iteration is a handful of word operations.
+//! over the 64 stack slots), so one solver iteration is a handful of
+//! word operations.
 //!
 //! Soundness of the liveness facts is calibrated against the transfer
 //! layer's *actual* read surface, over-approximated where the static
@@ -562,129 +561,6 @@ impl CheckpointLiveness {
 }
 
 // ---------------------------------------------------------------------
-// Reaching definitions
-// ---------------------------------------------------------------------
-
-/// Forward reaching-definitions pass over register definition sites.
-/// Fact: `Vec<u64>` bitset with one bit per definition site (an
-/// instruction with a `def_reg`); a set bit means that definition may
-/// reach the point uncobbered. Diagnostic only: no engine reads it, so
-/// it runs on demand through [`reaching_def_counts`].
-///
-/// A helper call is the definition site of `r0` and additionally kills
-/// every reaching definition of the clobbered `r1`–`r5`.
-#[derive(Clone, Debug)]
-pub struct ReachingDefs {
-    /// pc of each definition site, indexed by site id.
-    site_pcs: Vec<usize>,
-    /// Definition-site id of each pc (`None` for non-defining insns).
-    site_of_pc: Vec<Option<u32>>,
-    /// Per-register kill mask over site ids.
-    kill: Vec<Vec<u64>>,
-    /// Words per fact.
-    words: usize,
-}
-
-impl ReachingDefs {
-    /// Builds the definition-site tables for one program.
-    #[must_use]
-    pub fn new(prog: &Program) -> ReachingDefs {
-        let mut site_pcs = Vec::new();
-        let mut site_of_pc = vec![None; prog.len()];
-        for (pc, insn) in prog.insns().iter().enumerate() {
-            if insn.def_reg().is_some() {
-                site_of_pc[pc] = Some(u32::try_from(site_pcs.len()).expect("program fits u32"));
-                site_pcs.push(pc);
-            }
-        }
-        let words = site_pcs.len().div_ceil(64).max(1);
-        let mut kill = vec![vec![0u64; words]; 11];
-        for (site, &pc) in site_pcs.iter().enumerate() {
-            let reg = prog.insns()[pc].def_reg().expect("site defines");
-            kill[reg.index()][site / 64] |= 1 << (site % 64);
-        }
-        ReachingDefs {
-            site_pcs,
-            site_of_pc,
-            kill,
-            words,
-        }
-    }
-
-    /// Number of definition sites in the program.
-    #[must_use]
-    pub fn sites(&self) -> usize {
-        self.site_pcs.len()
-    }
-
-    /// The pc of definition site `id`.
-    #[must_use]
-    pub fn site_pc(&self, id: usize) -> usize {
-        self.site_pcs[id]
-    }
-}
-
-impl DataflowPass for ReachingDefs {
-    type Fact = Vec<u64>;
-    const DIRECTION: Direction = Direction::Forward;
-
-    fn boundary_fact(&self) -> Vec<u64> {
-        // Entry registers (`r1`, `r2`, `r10`) are implicit, not sites.
-        vec![0; self.words]
-    }
-
-    fn empty_fact(&self) -> Vec<u64> {
-        vec![0; self.words]
-    }
-
-    fn join(&self, into: &mut Vec<u64>, from: &Vec<u64>) -> bool {
-        let mut changed = false;
-        for (a, b) in into.iter_mut().zip(from) {
-            let merged = *a | *b;
-            changed |= merged != *a;
-            *a = merged;
-        }
-        changed
-    }
-
-    fn transfer(&self, pc: usize, insn: Insn, fact: &Vec<u64>) -> Vec<u64> {
-        let Some(site) = self.site_of_pc[pc] else {
-            return fact.clone();
-        };
-        let mut f = fact.clone();
-        let kill_reg = |r: Reg, f: &mut Vec<u64>| {
-            for (w, k) in f.iter_mut().zip(&self.kill[r.index()]) {
-                *w &= !k;
-            }
-        };
-        match insn {
-            Insn::Call { .. } => {
-                for r in [Reg::R0, Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5] {
-                    kill_reg(r, &mut f);
-                }
-            }
-            _ => kill_reg(insn.def_reg().expect("site defines"), &mut f),
-        }
-        let site = site as usize;
-        f[site / 64] |= 1 << (site % 64);
-        f
-    }
-}
-
-/// How many register definitions may reach the point before each pc
-/// (zero at unreachable pcs): the [`ReachingDefs`] solution, counted.
-/// Computed on demand for the `annotate --passes` dump; the engines
-/// never need it.
-#[must_use]
-pub fn reaching_def_counts(prog: &Program, cfg: &Cfg) -> Vec<u32> {
-    solve(&ReachingDefs::new(prog), prog, cfg)
-        .before
-        .iter()
-        .map(|f| f.iter().map(|w| w.count_ones()).sum())
-        .collect()
-}
-
-// ---------------------------------------------------------------------
 // The bundled per-program pass results
 // ---------------------------------------------------------------------
 
@@ -899,24 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn reaching_defs_count_joined_paths() {
-        let prog = assemble(
-            "r0 = 1\n\
-             if r1 > 0 goto other\n\
-             r0 = 2\n\
-             other:\n\
-             exit",
-        )
-        .expect("assembles");
-        let counts = reaching_def_counts(&prog, &Cfg::build(&prog));
-        // Before exit both r0 definitions may reach (taken edge keeps
-        // pc 0, fall-through replaced it at pc 2).
-        assert_eq!(counts[3], 2);
-        assert_eq!(counts[2], 1);
-        assert_eq!(counts[0], 0, "entry has no sites");
-    }
-
-    #[test]
     fn unreachable_instructions_are_flagged_and_never_cleaned() {
         let (_, p) = passes(
             "r0 = 0\n\
@@ -1083,14 +941,5 @@ mod tests {
         )
         .expect("assembles");
         assert!(CheckpointLiveness::compute(&prog, &Cfg::build(&prog)).is_none());
-    }
-
-    #[test]
-    fn reaching_defs_site_tables_round_trip() {
-        let prog = assemble("r0 = 1\nr3 = 2\nexit").expect("assembles");
-        let rd = ReachingDefs::new(&prog);
-        assert_eq!(rd.sites(), 2);
-        assert_eq!(rd.site_pc(0), 0);
-        assert_eq!(rd.site_pc(1), 1);
     }
 }

@@ -22,8 +22,7 @@
 //! * **Fingerprints.** Every component carries a 64-bit structural
 //!   fingerprint — SplitMix64-mixed, position-salted summaries of its
 //!   values, XOR-combined so register and slot writes update it in
-//!   O(1) — plus a generation counter bumped on each copy-on-write
-//!   materialization. Equal states always have equal fingerprints
+//!   O(1). Equal states always have equal fingerprints
 //!   ([`AbsState::fingerprint`]), so an equality probe can reject in
 //!   O(1) on fingerprint mismatch before falling back to the pointwise
 //!   comparison; [`crate::VisitedTable`] indexes its pruning chains by
@@ -409,9 +408,8 @@ mod stamp {
     }
 }
 
-/// One fingerprinted, write-stamped, generation-counted array of
-/// components — the representation of both the register file and each
-/// stack chunk.
+/// One fingerprinted, write-stamped array of components — the
+/// representation of both the register file and each stack chunk.
 ///
 /// `fp` is the XOR over all positions of the position-salted value hash;
 /// the per-position hashes are cached in `hashes`, so a write re-hashes
@@ -422,13 +420,10 @@ mod stamp {
 /// copies values and stamps together. Hence **equal stamps ⟹ equal
 /// values**, at any positions of any two cells of one type, which lets
 /// the joins and inclusion tests skip a position whose stamps match
-/// before touching the values. `generation` counts the copy-on-write
-/// materializations in this component's history (pure diagnostics — it
-/// never feeds a semantic decision).
+/// before touching the values.
 #[derive(Clone, Debug)]
 struct Cells<T, const N: usize> {
     fp: u64,
-    generation: u64,
     hashes: [u64; N],
     stamps: [u64; N],
     vals: [T; N],
@@ -450,7 +445,6 @@ impl<T: Component, const N: usize> Cells<T, N> {
         }
         Cells {
             fp,
-            generation: 0,
             hashes,
             stamps: std::array::from_fn(|_| stamp::fresh()),
             vals,
@@ -519,7 +513,6 @@ pub(crate) type SparseStack = [Option<Box<[StackSlot; CHUNK_SLOTS]>>; STACK_CHUN
 #[derive(Clone, Debug)]
 struct Frame {
     fp: u64,
-    generation: u64,
     chunks: [Rc<Chunk>; STACK_CHUNKS],
 }
 
@@ -540,10 +533,9 @@ impl Frame {
         fp
     }
 
-    fn from_chunks(chunks: [Rc<Chunk>; STACK_CHUNKS], generation: u64) -> Frame {
+    fn from_chunks(chunks: [Rc<Chunk>; STACK_CHUNKS]) -> Frame {
         Frame {
             fp: Frame::compute_fp(&chunks),
-            generation,
             chunks,
         }
     }
@@ -573,26 +565,21 @@ thread_local! {
     static EMPTY_FRAME: Rc<Frame> = {
         let empty_chunk = Rc::new(Chunk::new([StackSlot::Uninit; CHUNK_SLOTS]));
         let chunks = std::array::from_fn(|_| Rc::clone(&empty_chunk));
-        Rc::new(Frame::from_chunks(chunks, 0))
+        Rc::new(Frame::from_chunks(chunks))
     };
 }
 
 /// Mutable access to a fingerprinted component (register file or stack
-/// chunk), materializing — and counting, in both `states_allocated` and
-/// the component's generation — a private copy if it is currently
-/// shared. The single copy-on-write fault path: every component
-/// materialization in this module goes through here so the accounting
-/// `fixpoint_guard` gates on cannot drift between call sites.
+/// chunk), materializing — and counting in `states_allocated` — a
+/// private copy if it is currently shared. The single copy-on-write
+/// fault path: every component materialization in this module goes
+/// through here so the accounting `fixpoint_guard` gates on cannot drift
+/// between call sites.
 fn cells_mut<T: Component, const N: usize>(rc: &mut Rc<Cells<T, N>>) -> &mut Cells<T, N> {
-    let was_shared = Rc::strong_count(rc) > 1;
-    if was_shared {
+    if Rc::strong_count(rc) > 1 {
         stats::bump_allocated(size_of::<Cells<T, N>>());
     }
-    let c = Rc::make_mut(rc);
-    if was_shared {
-        c.generation += 1;
-    }
-    c
+    Rc::make_mut(rc)
 }
 
 /// Per-component changing-join counters at one loop head, driving
@@ -739,15 +726,6 @@ impl AbsState {
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         self.regs.fp ^ self.stack.fp
-    }
-
-    /// The copy-on-write generation counters `(register file, stack
-    /// spine)`: how many materializations each component's history has
-    /// absorbed. Diagnostics for tests and tooling — the values never
-    /// feed a semantic decision.
-    #[must_use]
-    pub fn generations(&self) -> (u64, u64) {
-        (self.regs.generation, self.stack.generation)
     }
 
     /// Mutable access to the register file, materializing a private copy
@@ -1022,7 +1000,7 @@ impl AbsState {
         });
         AbsState {
             regs: Rc::new(Cells::new(regs)),
-            stack: Rc::new(Frame::from_chunks(chunks, 0)),
+            stack: Rc::new(Frame::from_chunks(chunks)),
         }
     }
 
@@ -1146,15 +1124,10 @@ fn flow_cells<T: Component, const N: usize>(
 /// is a few dozen bytes — counted in `bytes_materialized` but not as a
 /// component allocation.
 fn frame_spine_mut(rc: &mut Rc<Frame>) -> &mut Frame {
-    let was_shared = Rc::strong_count(rc) > 1;
-    if was_shared {
+    if Rc::strong_count(rc) > 1 {
         stats::bump_bytes(size_of::<Frame>());
     }
-    let f = Rc::make_mut(rc);
-    if was_shared {
-        f.generation += 1;
-    }
-    f
+    Rc::make_mut(rc)
 }
 
 /// The frame half of [`AbsState::flow_join`]: flows chunk by chunk, with
@@ -1612,15 +1585,16 @@ mod tests {
     #[test]
     fn generations_count_materializations() {
         let base = AbsState::entry();
+        stats::reset();
         let mut copy = base.clone();
-        assert_eq!(copy.generations(), base.generations());
+        assert_eq!(stats::snapshot().allocated, 0, "a clone shares");
         copy.set_reg(Reg::R3, RegValue::Scalar(Scalar::constant(1)));
-        assert_eq!(copy.generations().0, base.generations().0 + 1);
+        assert_eq!(stats::snapshot().allocated, 1);
         copy.set_stack_slot(-8, StackSlot::Misc);
-        assert_eq!(copy.generations().1, base.generations().1 + 1);
-        // Writes into an already-private component do not bump again.
+        assert_eq!(stats::snapshot().allocated, 2, "one chunk, not the frame");
+        // Writes into an already-private component do not count again.
         copy.set_reg(Reg::R4, RegValue::Scalar(Scalar::constant(2)));
-        assert_eq!(copy.generations().0, base.generations().0 + 1);
+        assert_eq!(stats::snapshot().allocated, 2);
     }
 
     #[test]

@@ -26,8 +26,7 @@ use ebpf::asm::assemble;
 use ebpf::Program;
 use verifier::failpoint::{self, FaultPlan, FaultSite};
 use verifier::{
-    batch, AnalyzerOptions, BatchItem, DegradationPolicy, Strategy, TransferMemo,
-    VerificationSession, VerifierError,
+    AnalyzerOptions, DegradationPolicy, Strategy, TransferMemo, VerificationSession, VerifierError,
 };
 
 /// A bounded loop filling a stack window — loopy enough that every
@@ -93,18 +92,13 @@ fn site_of(strategy: Strategy) -> FaultSite {
     }
 }
 
-/// Batch items for `fleet` under one strategy, failing fast so tests
-/// observe raw governance errors instead of ladder re-runs.
-fn items(progs: &[Program], strategy: Strategy, options: &AnalyzerOptions) -> Vec<BatchItem> {
-    progs
-        .iter()
-        .map(|prog| BatchItem {
-            prog: prog.clone(),
-            options: options.clone(),
-            strategy,
-            degradation: DegradationPolicy::FailFast,
-        })
-        .collect()
+/// The batch session for one strategy, failing fast so tests observe
+/// raw governance errors instead of ladder re-runs.
+fn session(strategy: Strategy, options: &AnalyzerOptions) -> VerificationSession {
+    VerificationSession::new()
+        .with_options(options.clone())
+        .with_strategy(strategy)
+        .with_degradation(DegradationPolicy::FailFast)
 }
 
 fn options_for(strategy: Strategy) -> AnalyzerOptions {
@@ -140,7 +134,7 @@ fn injected_panic_faults_exactly_one_program_per_batch() {
         let options = options_for(strategy);
         let baseline = {
             let _quiet = failpoint::install(FaultPlan::new());
-            batch::run(&items(&progs, strategy, &options), 1)
+            session(strategy, &options).run_batch(&progs, 1)
         };
         assert_eq!(baseline.stats.accepted, progs.len(), "{strategy:?}");
         let expected = annotations(&baseline.results, &progs);
@@ -149,7 +143,7 @@ fn injected_panic_faults_exactly_one_program_per_batch() {
             let plan = FaultPlan::new().panic_at(site_of(strategy), 10);
             let report = {
                 let _guard = failpoint::install(plan);
-                batch::run(&items(&progs, strategy, &options), jobs)
+                session(strategy, &options).run_batch(&progs, jobs)
             };
             let faults: Vec<usize> = report
                 .results
@@ -199,7 +193,7 @@ fn poisoned_memo_shard_is_recovered_and_does_not_spread() {
     };
     let baseline = {
         let _quiet = failpoint::install(FaultPlan::new());
-        batch::run(&items(&progs, Strategy::WideningFixpoint, &options), 2)
+        session(Strategy::WideningFixpoint, &options).run_batch(&progs, 2)
     };
     assert_eq!(baseline.stats.accepted, progs.len());
     let expected = annotations(&baseline.results, &progs);
@@ -213,7 +207,7 @@ fn poisoned_memo_shard_is_recovered_and_does_not_spread() {
             memo_cache: Some(Arc::new(TransferMemo::new())),
             ..AnalyzerOptions::default()
         };
-        batch::run(&items(&progs, Strategy::WideningFixpoint, &options), 2)
+        session(Strategy::WideningFixpoint, &options).run_batch(&progs, 2)
     };
     let faults: Vec<usize> = report
         .results
@@ -313,7 +307,7 @@ fn zero_deadline_batches_account_every_program() {
         deadline: Some(Duration::ZERO),
         ..AnalyzerOptions::default()
     };
-    let report = batch::run(&items(&progs, Strategy::WideningFixpoint, &options), 2);
+    let report = session(Strategy::WideningFixpoint, &options).run_batch(&progs, 2);
     assert_eq!(report.stats.deadline_exceeded, progs.len());
     assert_eq!(report.stats.accepted, 0);
     // The rejected runs' partial walks still land in the visit roll-up.
@@ -328,14 +322,14 @@ fn generous_deadline_changes_no_verdict() {
     for strategy in Strategy::ALL {
         let plain = {
             let opts = options_for(strategy);
-            batch::run(&items(&progs, strategy, &opts), 2)
+            session(strategy, &opts).run_batch(&progs, 2)
         };
         let governed = {
             let opts = AnalyzerOptions {
                 deadline: Some(Duration::from_millis(10_000)),
                 ..options_for(strategy)
             };
-            batch::run(&items(&progs, strategy, &opts), 2)
+            session(strategy, &opts).run_batch(&progs, 2)
         };
         assert_eq!(governed.stats.deadline_exceeded, 0, "{strategy:?}");
         assert_eq!(
@@ -358,14 +352,14 @@ fn scattered_campaign_never_escapes_containment() {
                 };
                 let baseline = {
                     let _quiet = failpoint::install(FaultPlan::new());
-                    batch::run(&items(&progs, strategy, &options), jobs)
+                    session(strategy, &options).run_batch(&progs, jobs)
                 };
                 let expected = annotations(&baseline.results, &progs);
 
                 let plan = FaultPlan::scattered(seed, 3, 40);
                 let report = {
                     let _guard = failpoint::install(plan);
-                    batch::run(&items(&progs, strategy, &options), jobs)
+                    session(strategy, &options).run_batch(&progs, jobs)
                 };
                 // The batch always completes with a verdict per program;
                 // any slot either matches the fault-free run exactly or

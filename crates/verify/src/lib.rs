@@ -5,8 +5,7 @@
 //! in first-order logic and discharging it to Z3. No SMT solver is
 //! available in this environment, so this crate checks the **same logical
 //! formula by exhaustive enumeration** — exact and complete at a given
-//! bitwidth, which is precisely what bounded verification provides
-//! (see `DESIGN.md`, substitution 1).
+//! bitwidth, which is precisely what bounded verification provides.
 //!
 //! Every checker is **generic over the abstract domain**: the
 //! quantification space comes from
@@ -45,7 +44,6 @@ pub mod algebra;
 pub mod campaign;
 pub mod ops;
 pub mod optimality;
-pub mod parallel;
 pub mod precision;
 pub mod soundness;
 pub mod spotcheck;

@@ -4,7 +4,7 @@
 use domain::AbstractDomain;
 
 use crate::ops::Op2;
-use crate::parallel::{default_threads, par_chunks};
+use domain::parallel::{default_threads, par_chunks};
 
 /// An input pair where the operator is strictly less precise than the
 /// best transformer.

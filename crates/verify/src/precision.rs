@@ -6,7 +6,7 @@ use domain::AbstractDomain;
 use tnum::Tnum;
 
 use crate::ops::Op2;
-use crate::parallel::{default_threads, par_chunks};
+use domain::parallel::{default_threads, par_chunks};
 
 /// Table-I-style comparison of two operators at one width.
 ///

@@ -5,7 +5,7 @@
 use domain::AbstractDomain;
 
 use crate::ops::Op2;
-use crate::parallel::{default_threads, par_chunks};
+use domain::parallel::{default_threads, par_chunks};
 
 /// A concrete counterexample to soundness.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -1,7 +1,7 @@
 //! Bounded verification in miniature (experiments E1/E2): exhaustively
 //! prove every operator sound at width 4 and classify which operators are
 //! optimal — the same checks the paper ran through Z3, here by
-//! enumeration (see DESIGN.md, substitution 1).
+//! exhaustive enumeration, exact and complete at each bounded width.
 //!
 //! Run with: `cargo run --release --example prove_soundness`
 
