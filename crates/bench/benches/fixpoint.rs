@@ -16,14 +16,10 @@
 //! vs. shared clones vs. short-circuited joins under the copy-on-write
 //! state layer, plus the pruning-table ledger (states pruned / subset
 //! checks / fingerprint rejects / evictions) and the
-//! `bytes_materialized` working-set proxy of the chunked stack frames —
-//! which is the regression surface `fixpoint_guard` checks in CI
-//! (including the deep-unroll `subset_checks` gate).
+//! `bytes_materialized` working-set proxy of the chunked stack frames.
+//! The deterministic ones are pinned exactly in `tests/guard_pins.rs`.
 //!
 //! Run with: `cargo bench -p bench --bench fixpoint`
-//!
-//! Set `BENCH_JSON=path.json` to also write the machine-readable
-//! baseline (`BENCH_PR13.json` in the repo root is the committed one).
 
 use bench::fixpoint_suite;
 use bench::harness::Group;
@@ -79,21 +75,10 @@ fn main() {
 
     // The parallel-exploration family: branchy-tree and deep-unroll
     // workloads under the parshard strategy at each job count. Wall
-    // clock and counters are scheduling-dependent, so they live in
-    // their own baseline section (par_-prefixed keys).
+    // clock and counters are scheduling-dependent, so they get their
+    // own table.
     let parshard = fixpoint_suite::parshard_rows();
 
-    if let Ok(path) = std::env::var("BENCH_JSON") {
-        let doc = fixpoint_suite::to_json(
-            "fixpoint_sweep",
-            group.rows(),
-            &stats,
-            &throughput,
-            &parshard,
-        );
-        std::fs::write(&path, doc).expect("write bench baseline");
-        eprintln!("wrote baseline to {path}");
-    }
     group.finish();
 
     println!("\n## parallel path exploration (parshard)\n");

@@ -49,7 +49,7 @@ use std::io::Read;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use bench::cli::Args;
+use bench::cli::{Args, Flag};
 use ebpf::asm::assemble;
 use ebpf::Program;
 use verifier::{
@@ -57,29 +57,29 @@ use verifier::{
     VerificationSession,
 };
 
-/// Every flag `annotate` accepts; any other exits 2.
-const FLAGS: &[&str] = &[
-    "list-helpers",
-    "passes",
-    "dir",
-    "file",
-    "jobs",
-    "strategy",
-    "ctx-size",
-    "strict-alignment",
-    "no-refine",
-    "reject-loops",
-    "widen-delay",
-    "no-thresholds",
-    "budget",
-    "unroll-k",
-    "visited-cap",
-    "memo",
-    "no-liveness",
-    "explore-jobs",
-    "spawn-depth",
-    "deadline-ms",
-    "fail-fast",
+/// Every flag `annotate` accepts; any other, or a misused one, exits 2.
+const FLAGS: &[Flag] = &[
+    Flag::Switch("list-helpers"),
+    Flag::Switch("passes"),
+    Flag::Value("dir"),
+    Flag::Value("file"),
+    Flag::Int("jobs"),
+    Flag::Value("strategy"),
+    Flag::Int("ctx-size"),
+    Flag::Switch("strict-alignment"),
+    Flag::Switch("no-refine"),
+    Flag::Switch("reject-loops"),
+    Flag::Int("widen-delay"),
+    Flag::Switch("no-thresholds"),
+    Flag::Int("budget"),
+    Flag::Int("unroll-k"),
+    Flag::Int("visited-cap"),
+    Flag::Switch("memo"),
+    Flag::Switch("no-liveness"),
+    Flag::Int("explore-jobs"),
+    Flag::Int("spawn-depth"),
+    Flag::Int("deadline-ms"),
+    Flag::Switch("fail-fast"),
 ];
 
 fn main() -> ExitCode {

@@ -13,7 +13,7 @@
 //! cargo run -p bench --release --bin fig4_precision_cdf [--width 8]
 //! ```
 
-use bench::cli::Args;
+use bench::cli::{Args, Flag};
 use bench::table::render;
 use tnum::Tnum;
 use tnum_verify::ops::{Op2, OpCatalog};
@@ -48,7 +48,7 @@ fn run(name: &str, a: Op2<Tnum>, b: Op2<Tnum>, width: u32) -> Vec<Vec<String>> {
 }
 
 fn main() {
-    let args = Args::parse(&["width"]);
+    let args = Args::parse(&[Flag::Int("width")]);
     let width = args.get_u64("width", 8) as u32;
     assert!((2..=10).contains(&width), "--width must be in 2..=10");
 

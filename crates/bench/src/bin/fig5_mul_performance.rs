@@ -19,7 +19,7 @@
 //! `--naive` additionally measures the unoptimized trit-at-a-time
 //! `bitwise_mul` (the ~4921-cycle version of §IV-B) — experiment E7.
 
-use bench::cli::Args;
+use bench::cli::{Args, Flag};
 use bench::cycles::min_cycles;
 use bench::table::render;
 use bitwise_domain::{bitwise_mul, bitwise_mul_naive};
@@ -41,7 +41,12 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 fn main() {
-    let args = Args::parse(&["pairs", "trials", "seed", "naive"]);
+    let args = Args::parse(&[
+        Flag::Int("pairs"),
+        Flag::Int("trials"),
+        Flag::Int("seed"),
+        Flag::Switch("naive"),
+    ]);
     let pairs = args.get_u64("pairs", 200_000);
     let trials = args.get_u64("trials", 10) as u32;
     let seed = args.get_u64("seed", 1);

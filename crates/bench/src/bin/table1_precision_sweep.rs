@@ -19,14 +19,20 @@
 //! finishes in minutes on a small machine — pass `--full` for the exact
 //! counts.
 
-use bench::cli::Args;
+use bench::cli::{Args, Flag};
 use bench::table::{pct, render};
 use tnum::Tnum;
 use tnum_verify::ops::OpCatalog;
 use tnum_verify::{compare_precision_sampled, compare_precision_unordered, PrecisionReport};
 
 fn main() {
-    let args = Args::parse(&["min", "max", "top", "samples", "full"]);
+    let args = Args::parse(&[
+        Flag::Int("min"),
+        Flag::Int("max"),
+        Flag::Int("top"),
+        Flag::Int("samples"),
+        Flag::Switch("full"),
+    ]);
     let min = args.get_u64("min", 5) as u32;
     let max = args.get_u64("max", 8) as u32;
     let top = args.get_u64("top", 10) as u32;

@@ -17,7 +17,7 @@
 //!     [--bounds-width 6] # campaign width for the bounds domain
 //! ```
 
-use bench::cli::Args;
+use bench::cli::{Args, Flag};
 use bench::table::render;
 use bitwise_domain::KnownBits;
 use domain::{ArithDomain, BitwiseDomain};
@@ -59,12 +59,12 @@ fn campaign_rows(report: &CampaignReport) -> Vec<Vec<String>> {
 
 fn main() {
     let args = Args::parse(&[
-        "width",
-        "spot",
-        "optimality",
-        "domains",
-        "bounds-width",
-        "algebra",
+        Flag::Int("width"),
+        Flag::Int("spot"),
+        Flag::Switch("optimality"),
+        Flag::Switch("domains"),
+        Flag::Int("bounds-width"),
+        Flag::Switch("algebra"),
     ]);
     let width = args.get_u64("width", 6) as u32;
     let spot_pairs = args.get_u64("spot", 20_000);

@@ -1,6 +1,25 @@
 //! A tiny `--flag value` parser for the experiment binaries (keeps the
 //! workspace dependency-free beyond the approved list).
 
+/// One flag a binary accepts, by the way it is used on the command line.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flag {
+    /// A bare `--name` with no value.
+    Switch(&'static str),
+    /// `--name value`, any string.
+    Value(&'static str),
+    /// `--name N`, a non-negative integer.
+    Int(&'static str),
+}
+
+impl Flag {
+    fn name(self) -> &'static str {
+        match self {
+            Flag::Switch(name) | Flag::Value(name) | Flag::Int(name) => name,
+        }
+    }
+}
+
 /// Parsed command-line flags, in command-line order: `--name value`
 /// pairs and bare `--switch`es (no value).
 #[derive(Clone, Debug, Default)]
@@ -9,66 +28,76 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses the process arguments (skipping the binary name), accepting
-    /// only the flag names in `known`. Any other flag prints the accepted
-    /// ones and exits with status 2, so a misspelled flag cannot silently
-    /// change a run.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage hint when a non-flag token is encountered.
+    /// Parses the process arguments (skipping the binary name) against
+    /// the binary's declared `flags`. Any usage error — an undeclared
+    /// flag, a positional token, a value flag without its value, a
+    /// non-integer for an integer flag — is printed, naming the flag or
+    /// token, and exits with status 2, so a mistyped command line cannot
+    /// silently change a run.
     #[must_use]
-    pub fn parse(known: &[&str]) -> Args {
-        let args = Args::from_iter(std::env::args().skip(1));
-        if let Some(name) = args.unknown(known) {
-            eprintln!("unknown flag --{name}; accepted: --{}", known.join(", --"));
+    pub fn parse(flags: &[Flag]) -> Args {
+        Args::from_iter(std::env::args().skip(1), flags).unwrap_or_else(|e| {
+            eprintln!("{e}");
             std::process::exit(2);
-        }
-        args
+        })
     }
 
-    /// Parses from an explicit token list (testable entry point).
+    /// Parses an explicit token list against the declared `flags` (the
+    /// testable entry point of [`Args::parse`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when a token does not start with `--`.
-    #[must_use]
-    pub fn from_iter<I: IntoIterator<Item = String>>(tokens: I) -> Args {
+    /// A usage message naming the first offending flag or token.
+    pub fn from_iter<I: IntoIterator<Item = String>>(
+        tokens: I,
+        flags: &[Flag],
+    ) -> Result<Args, String> {
         let mut args = Args::default();
         let mut iter = tokens.into_iter().peekable();
         while let Some(tok) = iter.next() {
-            let name = tok
-                .strip_prefix("--")
-                .unwrap_or_else(|| panic!("unexpected argument {tok:?}; flags are --name [value]"))
-                .to_string();
-            let value = iter.next_if(|next| !next.starts_with("--"));
-            args.flags.push((name, value));
+            let Some(name) = tok.strip_prefix("--") else {
+                return Err(format!(
+                    "unexpected argument {tok:?}; flags are --name [value]"
+                ));
+            };
+            let Some(&flag) = flags.iter().find(|f| f.name() == name) else {
+                let accepted: Vec<String> =
+                    flags.iter().map(|f| format!("--{}", f.name())).collect();
+                return Err(if accepted.is_empty() {
+                    format!("unknown flag --{name}; this binary takes no flags")
+                } else {
+                    format!("unknown flag --{name}; accepted: {}", accepted.join(", "))
+                });
+            };
+            let value = match flag {
+                Flag::Switch(_) => None,
+                Flag::Value(_) | Flag::Int(_) => {
+                    let Some(value) = iter.next_if(|next| !next.starts_with("--")) else {
+                        return Err(format!("--{name} expects a value"));
+                    };
+                    if matches!(flag, Flag::Int(_)) && value.parse::<u64>().is_err() {
+                        return Err(format!("--{name} expects an integer, got {value:?}"));
+                    }
+                    Some(value)
+                }
+            };
+            args.flags.push((name.to_string(), value));
         }
-        args
-    }
-
-    /// The first flag, in command-line order, whose name `known` lacks.
-    #[must_use]
-    pub fn unknown(&self, known: &[&str]) -> Option<&str> {
-        self.flags
-            .iter()
-            .map(|(name, _)| name.as_str())
-            .find(|name| !known.contains(name))
+        Ok(args)
     }
 
     /// Integer flag with default.
     ///
     /// # Panics
     ///
-    /// Panics when the value does not parse as the requested type.
+    /// Panics when `name` was not declared as a [`Flag::Int`] (its value
+    /// is checked at parse time).
     #[must_use]
     pub fn get_u64(&self, name: &str, default: u64) -> u64 {
-        self.get_str(name)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{name} expects an integer, got {v:?}"))
-            })
-            .unwrap_or(default)
+        self.get_str(name).map_or(default, |v| {
+            v.parse()
+                .unwrap_or_else(|_| panic!("--{name} is not declared as an integer flag"))
+        })
     }
 
     /// String flag, if present (the last one when repeated).
@@ -92,13 +121,23 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn args(tokens: &[&str]) -> Args {
-        Args::from_iter(tokens.iter().map(|s| (*s).to_string()))
+    const FLAGS: &[Flag] = &[
+        Flag::Int("pairs"),
+        Flag::Int("width"),
+        Flag::Int("widen-delay"),
+        Flag::Value("strategy"),
+        Flag::Switch("full"),
+        Flag::Switch("naive"),
+        Flag::Switch("no-thresholds"),
+    ];
+
+    fn args(tokens: &[&str]) -> Result<Args, String> {
+        Args::from_iter(tokens.iter().map(|s| (*s).to_string()), FLAGS)
     }
 
     #[test]
     fn parses_values_and_switches() {
-        let a = args(&["--pairs", "1000", "--full", "--width", "8"]);
+        let a = args(&["--pairs", "1000", "--full", "--width", "8"]).unwrap();
         assert_eq!(a.get_u64("pairs", 5), 1000);
         assert_eq!(a.get_u64("width", 6), 8);
         assert_eq!(a.get_u64("missing", 7), 7);
@@ -108,24 +147,38 @@ mod tests {
 
     #[test]
     fn reports_the_first_undeclared_flag() {
-        let a = args(&["--widen-delay", "0", "--no-threshold", "--stratgy", "path"]);
-        assert_eq!(
-            a.unknown(&["widen-delay", "no-thresholds", "strategy"]),
-            Some("no-threshold")
+        let e = args(&["--widen-delay", "0", "--no-threshold", "--stratgy", "path"]).unwrap_err();
+        assert!(e.starts_with("unknown flag --no-threshold;"), "{e}");
+        assert!(
+            e.contains("--no-thresholds"),
+            "lists the accepted flags: {e}"
         );
-        assert_eq!(a.unknown(&["widen-delay", "no-threshold", "stratgy"]), None);
     }
 
     #[test]
-    #[should_panic(expected = "expects an integer")]
     fn rejects_bad_integers() {
-        let a = args(&["--pairs", "many"]);
-        let _ = a.get_u64("pairs", 0);
+        let e = args(&["--pairs", "many"]).unwrap_err();
+        assert_eq!(e, "--pairs expects an integer, got \"many\"");
     }
 
     #[test]
-    #[should_panic(expected = "unexpected argument")]
     fn rejects_positional() {
-        let _ = args(&["positional"]);
+        let e = args(&["fixtures/memset_loop.ebpf"]).unwrap_err();
+        assert!(e.contains("\"fixtures/memset_loop.ebpf\""), "{e}");
+        // A switch takes no value, so a token after one is positional.
+        let e = args(&["--full", "yes"]).unwrap_err();
+        assert!(e.contains("\"yes\""), "{e}");
+    }
+
+    #[test]
+    fn rejects_a_value_flag_without_its_value() {
+        assert_eq!(
+            args(&["--widen-delay"]).unwrap_err(),
+            "--widen-delay expects a value"
+        );
+        assert_eq!(
+            args(&["--strategy", "--no-thresholds"]).unwrap_err(),
+            "--strategy expects a value"
+        );
     }
 }

@@ -6,6 +6,11 @@
 //! reports mean ns/iter over the best half of the batches (discarding
 //! scheduler noise, in the spirit of the paper's min-of-trials cycle
 //! methodology, §IV-B).
+//!
+//! [`paired`] is the other method: a reference and a subject timed
+//! alternately in one process, judged by the [`median`] of their
+//! per-pair ratios — the same-run comparison the wall-clock gates of
+//! `fixpoint_guard` use.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -69,38 +74,6 @@ impl Group {
         self.rows.push((label.to_string(), mean_ns));
     }
 
-    /// The measured `(label, ns_per_iter)` rows so far, in bench order —
-    /// for benches that assemble their own JSON document (e.g. the
-    /// fixpoint sweep, which interleaves timing rows with analyzer
-    /// statistics).
-    #[must_use]
-    pub fn rows(&self) -> &[(String, f64)] {
-        &self.rows
-    }
-
-    /// Serializes the group as a small JSON document —
-    /// `{"group": name, "results": [{"label": …, "ns_per_iter": …}]}` —
-    /// for machine-readable baselines (`BENCH_PR*.json`). Hand-rolled:
-    /// the workspace is dependency-free.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|(label, ns)| {
-                format!(
-                    "    {{\"label\": \"{}\", \"ns_per_iter\": {ns:.1}}}",
-                    escape_json(label)
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"group\": \"{}\",\n  \"results\": [\n{}\n  ]\n}}\n",
-            escape_json(&self.name),
-            rows.join(",\n")
-        )
-    }
-
     /// Renders the group as a table, with throughput ratios against the
     /// fastest row.
     pub fn finish(self) {
@@ -128,21 +101,47 @@ impl Group {
     }
 }
 
-/// Minimal RFC 8259 string escaping: quotes, backslashes, and control
-/// characters.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+/// Runs `reference` and `subject` alternately for `pairs` pairs and
+/// returns the per-pair ratios `subject / reference`, in pair order.
+/// Each closure returns one measurement (a rate or a cost). The
+/// reference goes first in even pairs and second in odd ones, so a
+/// drift in machine speed (frequency scaling, a noisy neighbour, a cold
+/// cache on the first run) lands on both sides alike.
+pub fn paired(
+    pairs: usize,
+    mut reference: impl FnMut() -> f64,
+    mut subject: impl FnMut() -> f64,
+) -> Vec<f64> {
+    (0..pairs)
+        .map(|i| {
+            let (r, s) = if i % 2 == 0 {
+                let r = reference();
+                (r, subject())
+            } else {
+                let s = subject();
+                (reference(), s)
+            };
+            s / r
+        })
+        .collect()
+}
+
+/// The median of `samples`: the mean of the middle two for an even
+/// count.
+///
+/// # Panics
+///
+/// Panics on an empty slice or a NaN sample.
+#[must_use]
+pub fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in samples"));
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 0 {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
     }
-    out
 }
 
 #[cfg(test)]
@@ -150,9 +149,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_labels_are_escaped() {
-        assert_eq!(escape_json(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(escape_json("tab\there"), "tab\\u0009here");
+    fn pairs_alternate_and_report_subject_over_reference() {
+        use std::cell::RefCell;
+        let log = RefCell::new(String::new());
+        let refs = RefCell::new([10.0, 10.0, 20.0, 10.0, 5.0].into_iter());
+        let subs = RefCell::new([5.0, 20.0, 10.0, 8.0, 4.0].into_iter());
+        let ratios = paired(
+            5,
+            || {
+                log.borrow_mut().push('R');
+                refs.borrow_mut().next().unwrap()
+            },
+            || {
+                log.borrow_mut().push('S');
+                subs.borrow_mut().next().unwrap()
+            },
+        );
+        assert_eq!(log.into_inner(), "RSSRRSSRRS");
+        assert_eq!(ratios, [0.5, 2.0, 0.5, 0.8, 0.8]);
+        assert_eq!(median(&ratios), 0.8);
+        assert_eq!(ratios.iter().filter(|&&r| r < 1.0).count(), 4);
+        assert!((median(&ratios[..4]) - 0.65).abs() < 1e-12);
     }
 
     #[test]

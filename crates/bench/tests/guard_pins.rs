@@ -1,15 +1,15 @@
-//! Exact pins for the deterministic gates of `fixpoint_guard`.
+//! Exact pins for the deterministic counters of the bench sweep.
 //!
-//! The guard compares these counters against `BENCH_PR13.json` with a
-//! ±20% tolerance, next to wall-clock gates that are noisy on shared
-//! hosts. The counters themselves are deterministic, so they are pinned
-//! here exactly and run with every `cargo test`: a change that moves
-//! one of them changed what the engines do, not how fast they do it.
+//! The counters are deterministic, so they are pinned here exactly and
+//! run with every `cargo test`: a change that moves one of them changed
+//! what the engines do, not how fast they do it. (How fast is what
+//! `fixpoint_guard` judges, in same-run pairs.)
 
 use bench::fixpoint_suite;
 use verifier::AnalysisStats;
 
-/// The sweep row whose subset checks the guard's deep-unroll gate reads.
+/// The deep-unroll sweep row, where visited-chain scans used to grow
+/// quadratically before the fingerprint-indexed table.
 const DEEP_UNROLL_LABEL: &str = "path/trips=1024/unroll=64";
 
 /// Its liveness-masking ablation twin.
@@ -45,4 +45,8 @@ fn deterministic_guard_gates_are_pinned() {
         .map(|(_, s)| s.subset_checks)
         .sum();
     assert_eq!(maps, 138, "maps/ subset checks");
+
+    // The one memo-on row: on one worker its cache hits are deterministic.
+    let (_, memo) = fixpoint_suite::throughput_memo_row();
+    assert_eq!(memo.memo_hits, 13_810, "memo hits");
 }

@@ -128,9 +128,9 @@ pub enum VerifierError {
     },
     /// The exploration ran past its wall-clock deadline
     /// ([`AnalyzerOptions::deadline`](crate::AnalyzerOptions::deadline)).
-    /// Checked cooperatively at the same points as the visit budget, so
-    /// `elapsed` is at least the configured deadline but may overshoot
-    /// by one transfer's worth of work.
+    /// Checked cooperatively on the first visit and every 256th after
+    /// it, so `elapsed` is at least the configured deadline but may
+    /// overshoot by up to 255 visits' worth of work.
     DeadlineExceeded {
         /// Wall-clock time spent when the deadline check fired.
         elapsed: std::time::Duration,

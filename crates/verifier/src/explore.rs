@@ -278,8 +278,8 @@ pub(crate) struct Plan<'a> {
     /// never widen (or burn delay on) dead components. `None` with
     /// [`AnalyzerOptions::liveness_pruning`] off or without checkpoints.
     pub(crate) liveness: Option<CheckpointLiveness>,
-    /// When exploration started, for the cooperative deadline check at
-    /// every visit.
+    /// When exploration started, for the cooperative deadline check
+    /// (on the first visit and every 256th after it).
     start: Instant,
 }
 
@@ -421,7 +421,7 @@ impl<'p> Walk<'p> {
             if visits > budget {
                 return Err(VerifierError::AnalysisBudgetExhausted { pc, budget });
             }
-            crate::analyzer::check_deadline(plan.start, plan.options, pc)?;
+            crate::analyzer::check_deadline(plan.start, plan.options, visits, pc)?;
             crate::failpoint::fire(P::VISIT_SITE);
             let h = plan.head_idx[pc];
             // Checkpoints — where paths can re-converge, so where
@@ -465,7 +465,12 @@ impl<'p> Walk<'p> {
                     // stays saturated, so this path keeps flowing
                     // through the summary on every further lap. Back
                     // edges never leave a parallel job, so a job-local
-                    // summary stabilizes exactly like the sequential one.
+                    // summary still stabilizes, but it starts from the
+                    // job's own arrival rather than the sequential walk's
+                    // summary: it is sound, yet its widened states (and
+                    // the reports fed from them) can differ from the
+                    // sequential walk's (the `two_back_edge` unroll-4 pin
+                    // in `tests/report_pins.rs`).
                     match &mut self.summaries[h] {
                         slot @ None => *slot = Some(state.clone()),
                         Some(summary) => {

@@ -63,9 +63,10 @@ pub(crate) mod ledger {
 
 /// Counters describing one analysis run — the observable effect of the
 /// copy-on-write state layer and (under the path-sensitive strategy) of
-/// kernel-style visited-state pruning, emitted by the fixpoint bench
-/// (`BENCH_PR13.json`), guarded by CI against regression, and pinned
-/// per fixture for the path explorer in `tests/explorer_counters.rs`.
+/// kernel-style visited-state pruning, printed by the fixpoint bench,
+/// pinned exactly over its sweep in `crates/bench/tests/guard_pins.rs`,
+/// and pinned per fixture for the path explorer in
+/// `tests/explorer_counters.rs`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisStats {
     /// Deep copies of a register file or stack frame actually performed
@@ -97,7 +98,7 @@ pub struct AnalysisStats {
     /// Full `AbsState::is_subset_of` probes run against the
     /// visited-state table (covering probes plus dominance-eviction
     /// probes) — the cost side of the pruning ledger, and the counter
-    /// the `fixpoint_guard` deep-unroll gate regresses on.
+    /// the deep-unroll pin in `crates/bench/tests/guard_pins.rs` fixes.
     pub subset_checks: u64,
     /// Loop-head arrivals explored with full per-trip precision, within
     /// the path-sensitive strategy's
@@ -199,43 +200,6 @@ impl AnalysisStats {
     #[must_use]
     pub fn clone_everything_equivalent(&self) -> u64 {
         self.states_allocated + 2 * self.states_shared
-    }
-
-    /// Renders the counters as a JSON object fragment (hand-rolled — the
-    /// workspace is dependency-free), for bench baselines.
-    #[must_use]
-    pub fn to_json_object(&self) -> String {
-        format!(
-            "{{\"states_allocated\": {}, \"states_shared\": {}, \
-             \"joins_short_circuited\": {}, \"widenings_applied\": {}, \
-             \"visits\": {}, \"states_pruned\": {}, \"subset_checks\": {}, \
-             \"unrolled_trips\": {}, \"fingerprint_rejects\": {}, \
-             \"visited_evicted\": {}, \"bytes_materialized\": {}, \
-             \"memo_hits\": {}, \"memo_misses\": {}, \"memo_evicted\": {}, \
-             \"live_masked_prunes\": {}, \"dead_components_cleared\": {}, \
-             \"subtrees_spawned\": {}, \
-             \"steals\": {}, \"shared_prunes\": {}, \"degradations\": {}}}",
-            self.states_allocated,
-            self.states_shared,
-            self.joins_short_circuited,
-            self.widenings_applied,
-            self.visits,
-            self.states_pruned,
-            self.subset_checks,
-            self.unrolled_trips,
-            self.fingerprint_rejects,
-            self.visited_evicted,
-            self.bytes_materialized,
-            self.memo_hits,
-            self.memo_misses,
-            self.memo_evicted,
-            self.live_masked_prunes,
-            self.dead_components_cleared,
-            self.subtrees_spawned,
-            self.steals,
-            self.shared_prunes,
-            self.degradations
-        )
     }
 }
 
@@ -344,7 +308,7 @@ pub fn run(
                 budget: options.analysis_budget,
             });
         }
-        crate::analyzer::check_deadline(start, options, pc)?;
+        crate::analyzer::check_deadline(start, options, visits, pc)?;
         crate::failpoint::fire(crate::failpoint::FaultSite::FixpointVisit);
         let state = states[pc]
             .clone()

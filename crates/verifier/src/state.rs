@@ -101,7 +101,8 @@ pub(crate) mod stats {
         /// Widening operator applications to individual components.
         pub(crate) widenings: u64,
         /// Bytes copied by all materializations, including the chunk
-        /// spine — the working-set proxy `BENCH_PR13.json` tracks.
+        /// spine — the working-set proxy reported as
+        /// `AnalysisStats::bytes_materialized`.
         pub(crate) bytes: u64,
     }
 
@@ -573,8 +574,8 @@ thread_local! {
 /// chunk), materializing — and counting in `states_allocated` — a
 /// private copy if it is currently shared. The single copy-on-write
 /// fault path: every component materialization in this module goes
-/// through here so the accounting `fixpoint_guard` gates on cannot drift
-/// between call sites.
+/// through here so the `states_allocated` accounting the counter pins
+/// check cannot drift between call sites.
 fn cells_mut<T: Component, const N: usize>(rc: &mut Rc<Cells<T, N>>) -> &mut Cells<T, N> {
     if Rc::strong_count(rc) > 1 {
         stats::bump_allocated(size_of::<Cells<T, N>>());

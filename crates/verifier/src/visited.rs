@@ -45,8 +45,8 @@
 //! (`fingerprint_rejects`), how many entries were evicted
 //! (`visited_evicted`), and how many branch states were pruned
 //! (`states_pruned`) — pinned per fixture in `tests/explorer_counters.rs`
-//! and benchmarked in `BENCH_PR13.json`, whose deep-unroll `subset_checks`
-//! `fixpoint_guard` gates.
+//! and over the bench sweep in `crates/bench/tests/guard_pins.rs`, which
+//! fixes the deep-unroll `subset_checks` exactly.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};

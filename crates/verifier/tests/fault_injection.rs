@@ -11,8 +11,8 @@
 //! * the degradation ladder turns a governance fault under the
 //!   parallel strategy into the sequential strategy's verdict,
 //!   reproduced exactly;
-//! * deadlines are cooperative, deterministic at zero, and inert when
-//!   generous.
+//! * deadlines are cooperative, deterministic at zero, caught when they
+//!   pass mid-run, and inert when generous.
 //!
 //! Every test holds the [`failpoint::install`] guard for **all** of
 //! its analysis runs — including the fault-free baselines, which run
@@ -313,6 +313,34 @@ fn zero_deadline_batches_account_every_program() {
     // The rejected runs' partial walks still land in the visit roll-up.
     let burned: u64 = report.stats.per_worker_visits.iter().sum();
     assert!(burned > 0, "partial work of rejected runs is accounted");
+}
+
+#[test]
+fn deadline_expiring_mid_run_is_caught_on_a_later_visit() {
+    // 1024 straight-line visits under every strategy: the clock is read
+    // on visit 1 and then every 256th, so the expiry must be caught on
+    // a later read, not on the first.
+    let src = "r0 = 0\n".to_string() + &"r0 += 1\n".repeat(1023) + "exit\n";
+    let prog = assemble(&src).expect("assembles");
+    for strategy in Strategy::ALL {
+        // The second visit sleeps past the deadline.
+        let _guard = failpoint::install(FaultPlan::new().delay_at(
+            site_of(strategy),
+            2,
+            Duration::from_millis(60),
+        ));
+        let options = AnalyzerOptions {
+            deadline: Some(Duration::from_millis(20)),
+            ..options_for(strategy)
+        };
+        let err = session(strategy, &options)
+            .run(&prog)
+            .expect_err("the deadline passes mid-run");
+        assert!(
+            matches!(err, VerifierError::DeadlineExceeded { pc, .. } if pc > 1 && pc < 1024),
+            "{strategy:?}: {err}"
+        );
+    }
 }
 
 #[test]
