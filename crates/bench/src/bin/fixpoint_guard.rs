@@ -55,9 +55,9 @@ const PAIRS: usize = 10;
 const MIN_WINS: usize = 9;
 
 /// Worker count of the throughput gate's subject.
-const THROUGHPUT_JOBS: usize = 4;
+const THROUGHPUT_GATE_JOBS: usize = 4;
 
-/// Minimum median speedup of the batch at [`THROUGHPUT_JOBS`] workers
+/// Minimum median speedup of the batch at [`THROUGHPUT_GATE_JOBS`] workers
 /// over one worker.
 const THROUGHPUT_SPEEDUP: f64 = 1.25;
 
@@ -74,11 +74,11 @@ const GOVERNANCE_FLOOR: f64 = 0.95;
 const MAPS_CEILING: f64 = 2.5;
 
 /// Minimum wall-clock saving of parallel path exploration at
-/// [`PARSHARD_JOBS`] jobs over one, in percent.
+/// [`PARSHARD_GATE_JOBS`] jobs over one, in percent.
 const PARSHARD_SAVING_PERCENT: u32 = 25;
 
 /// Job count of the parallel-exploration gate's subject.
-const PARSHARD_JOBS: u32 = 4;
+const PARSHARD_GATE_JOBS: u32 = 4;
 
 /// Prints a gate's verdict line and its per-pair ratios; returns `pass`.
 fn report(gate: &str, pass: bool, summary: &str, ratios: &[f64]) -> bool {
@@ -144,11 +144,11 @@ fn main() -> ExitCode {
         let ratios = paired(
             PAIRS,
             || batch_rate(&ungoverned, &batch, 1),
-            || batch_rate(&ungoverned, &batch, THROUGHPUT_JOBS),
+            || batch_rate(&ungoverned, &batch, THROUGHPUT_GATE_JOBS),
         );
         faster(
             "throughput",
-            &format!("jobs={THROUGHPUT_JOBS}/jobs=1 speedup"),
+            &format!("jobs={THROUGHPUT_GATE_JOBS}/jobs=1 speedup"),
             &ratios,
             THROUGHPUT_SPEEDUP,
         )
@@ -204,11 +204,11 @@ fn main() -> ExitCode {
             session.run(&prog).expect("branchy tree stays safe");
             1.0 / start.elapsed().as_secs_f64()
         };
-        let (seq, par) = (session_at(1), session_at(PARSHARD_JOBS));
+        let (seq, par) = (session_at(1), session_at(PARSHARD_GATE_JOBS));
         let ratios = paired(PAIRS, || rate(&seq), || rate(&par));
         faster(
             "parallel",
-            &format!("branchy-tree jobs={PARSHARD_JOBS}/jobs=1 speedup"),
+            &format!("branchy-tree jobs={PARSHARD_GATE_JOBS}/jobs=1 speedup"),
             &ratios,
             100.0 / f64::from(100 - PARSHARD_SAVING_PERCENT),
         )
