@@ -49,8 +49,7 @@ fn run(name: &str, a: Op2<Tnum>, b: Op2<Tnum>, width: u32) -> Vec<Vec<String>> {
 
 fn main() {
     let args = Args::parse(&[Flag::Int("width")]);
-    let width = args.get_u64("width", 8) as u32;
-    assert!((2..=10).contains(&width), "--width must be in 2..=10");
+    let width = args.get_u32_in("width", 8, 2..=10);
 
     println!("Figure 4: CDF of log2 set-size ratio vs our_mul at width {width}\n");
     let mut rows = run(

@@ -48,7 +48,7 @@ fn main() {
         Flag::Switch("naive"),
     ]);
     let pairs = args.get_u64("pairs", 200_000);
-    let trials = args.get_u64("trials", 10) as u32;
+    let trials = args.get_u32_in("trials", 10, 1..=u32::MAX);
     let seed = args.get_u64("seed", 1);
 
     let mut algos: Vec<Algo> = vec![

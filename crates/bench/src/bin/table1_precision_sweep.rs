@@ -33,9 +33,9 @@ fn main() {
         Flag::Int("samples"),
         Flag::Switch("full"),
     ]);
-    let min = args.get_u64("min", 5) as u32;
-    let max = args.get_u64("max", 8) as u32;
-    let top = args.get_u64("top", 10) as u32;
+    let min = args.get_u32_in("min", 5, 1..=10);
+    let max = args.get_u32_in("max", 8, 0..=10);
+    let top = args.get_u32_in("top", 10, 1..=10);
     let samples = args.get_u64("samples", 2_000_000);
     let full = args.has("full");
 

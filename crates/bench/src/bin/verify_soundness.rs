@@ -14,7 +14,7 @@
 //!     [--algebra]     # also print the §III-A algebraic witnesses (E3)
 //!     [--spot 20000]  # random 64-bit pairs for the width-64 spot check
 //!     [--domains]     # run the generic campaign for all three domains
-//!     [--bounds-width 6] # campaign width for the bounds domain
+//!     [--bounds-width 6] # campaign width for the bounds domain (<= 6)
 //! ```
 
 use bench::cli::{Args, Flag};
@@ -66,9 +66,9 @@ fn main() {
         Flag::Int("bounds-width"),
         Flag::Switch("algebra"),
     ]);
-    let width = args.get_u64("width", 6) as u32;
+    let width = args.get_u32_in("width", 6, 3..=8);
+    let bw = args.get_u32_in("bounds-width", 6, 1..=6);
     let spot_pairs = args.get_u64("spot", 20_000);
-    assert!((3..=8).contains(&width), "--width must be in 3..=8");
 
     println!("E1: exhaustive soundness at width {width} (the SMT substitute; see README)\n");
     let mut rows = Vec::new();
@@ -152,7 +152,6 @@ fn main() {
 
     if args.has("domains") {
         let tw = width.min(6);
-        let bw = (args.get_u64("bounds-width", 6) as u32).min(6);
         println!("\nE12: the domain-generic campaign — same catalog, same code path,");
         println!("three domains (tnum and knownbits at width {tw}, bounds at width {bw})\n");
         fn run<D: ArithDomain + BitwiseDomain>(width: u32, spot: u64) -> CampaignReport {

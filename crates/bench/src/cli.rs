@@ -1,6 +1,8 @@
 //! A tiny `--flag value` parser for the experiment binaries (keeps the
 //! workspace dependency-free beyond the approved list).
 
+use std::ops::RangeInclusive;
+
 /// One flag a binary accepts, by the way it is used on the command line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Flag {
@@ -36,10 +38,7 @@ impl Args {
     /// silently change a run.
     #[must_use]
     pub fn parse(flags: &[Flag]) -> Args {
-        Args::from_iter(std::env::args().skip(1), flags).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        Args::from_iter(std::env::args().skip(1), flags).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// Parses an explicit token list against the declared `flags` (the
@@ -100,6 +99,47 @@ impl Args {
         })
     }
 
+    /// Integer flag with default, as a `u32` that must lie in `range`.
+    /// A value outside it — including one too large for `u32` — is a
+    /// usage error: printed, naming the flag, with exit status 2.
+    ///
+    /// # Panics
+    ///
+    /// As [`Args::get_u64`].
+    #[must_use]
+    pub fn get_u32_in(&self, name: &str, default: u32, range: RangeInclusive<u32>) -> u32 {
+        self.try_u32_in(name, default, range)
+            .unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// The testable core of [`Args::get_u32_in`].
+    ///
+    /// # Errors
+    ///
+    /// A usage message naming the flag, its range and the value given.
+    ///
+    /// # Panics
+    ///
+    /// As [`Args::get_u64`].
+    pub fn try_u32_in(
+        &self,
+        name: &str,
+        default: u32,
+        range: RangeInclusive<u32>,
+    ) -> Result<u32, String> {
+        let value = self.get_u64(name, u64::from(default));
+        u32::try_from(value)
+            .ok()
+            .filter(|v| range.contains(v))
+            .ok_or_else(|| {
+                format!(
+                    "--{name} must be in {}..={}, got {value}",
+                    range.start(),
+                    range.end()
+                )
+            })
+    }
+
     /// String flag, if present (the last one when repeated).
     #[must_use]
     pub fn get_str(&self, name: &str) -> Option<&str> {
@@ -115,6 +155,12 @@ impl Args {
     pub fn has(&self, name: &str) -> bool {
         self.flags.iter().any(|(n, v)| n == name && v.is_none())
     }
+}
+
+/// Prints a usage error and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
 #[cfg(test)]
@@ -159,6 +205,19 @@ mod tests {
     fn rejects_bad_integers() {
         let e = args(&["--pairs", "many"]).unwrap_err();
         assert_eq!(e, "--pairs expects an integer, got \"many\"");
+    }
+
+    #[test]
+    fn ranged_integers_reject_values_outside_the_range_or_u32() {
+        let a = args(&["--width", "8"]).unwrap();
+        assert_eq!(a.try_u32_in("width", 6, 2..=10), Ok(8));
+        assert_eq!(a.try_u32_in("pairs", 6, 2..=10), Ok(6), "the default");
+        let e = a.try_u32_in("width", 6, 2..=7).unwrap_err();
+        assert_eq!(e, "--width must be in 2..=7, got 8");
+        // 2^32 + 8 must not wrap to 8.
+        let a = args(&["--width", "4294967304"]).unwrap();
+        let e = a.try_u32_in("width", 6, 2..=10).unwrap_err();
+        assert_eq!(e, "--width must be in 2..=10, got 4294967304");
     }
 
     #[test]

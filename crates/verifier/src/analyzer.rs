@@ -60,8 +60,8 @@ pub struct AnalyzerOptions {
     /// delay alone buys.
     pub harvest_thresholds: bool,
     /// Upper bound on total instruction visits during the exploration
-    /// (worklist pops for the fixpoint, DFS arrivals for the
-    /// path-sensitive explorer); exceeding it aborts with
+    /// (every instruction of a fixpoint segment walk, DFS arrivals for
+    /// the path-sensitive explorer); exceeding it aborts with
     /// [`VerifierError::AnalysisBudgetExhausted`].
     pub analysis_budget: u64,
     /// How many trips of each loop the **path-sensitive** strategy
@@ -137,8 +137,8 @@ pub struct AnalyzerOptions {
     /// [`crate::parshard`]).
     pub spawn_depth: u32,
     /// Wall-clock budget for one exploration, checked cooperatively at
-    /// the same points as [`AnalyzerOptions::analysis_budget`] (worklist
-    /// pops, DFS arrivals, parallel job visits); exceeding it aborts
+    /// the same points as [`AnalyzerOptions::analysis_budget`] (fixpoint
+    /// segment steps, DFS arrivals, parallel job visits); exceeding it aborts
     /// with [`VerifierError::DeadlineExceeded`]. Unlike the visit
     /// budget, this bounds *time*, so a program whose individual
     /// transfers are slow (huge join chains, memo-hostile workloads)

@@ -10,7 +10,8 @@
 //! * [`WideningFixpoint`] — the reverse-postorder priority worklist of
 //!   [`crate::fixpoint`]: joins every path at merge points, widens at
 //!   loop heads (per-register delay + harvested thresholds), narrows
-//!   once. One state cell per instruction; cost is near-linear in the
+//!   once. States live only at loop heads and merge points, the code
+//!   between them is stepped in place; cost is near-linear in the
 //!   program, precision pays the join/widening toll.
 //! * [`PathSensitive`] — a kernel-style depth-first branch walker: each
 //!   conditional forks an O(1) copy-on-write state, a per-pc

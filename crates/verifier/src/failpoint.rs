@@ -45,8 +45,8 @@ use domain::rng::SplitMix64;
 /// plan can fire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultSite {
-    /// The widening fixpoint's per-visit budget check
-    /// (`fixpoint::run`'s worklist loop).
+    /// The widening fixpoint's per-visit budget check (every
+    /// instruction of `fixpoint::run`'s segment walks).
     FixpointVisit,
     /// The sequential path explorer's per-visit budget check (the
     /// shared path walk under `PathSensitive`).
@@ -270,6 +270,9 @@ static PLAN: Mutex<Option<PlanState>> = Mutex::new(None);
 /// Serializes concurrent [`install`]s (the plan is process-global and
 /// `cargo test` is multi-threaded).
 static INSTALL_LOCK: Mutex<()> = Mutex::new(());
+/// Set when a guard dropped during a panic had to leave its quiet hook
+/// in place: the next [`install`] removes it first.
+static STALE_HOOK: AtomicBool = AtomicBool::new(false);
 
 fn recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // A test that fails an assertion while holding the install lock
@@ -293,6 +296,9 @@ pub struct FaultGuard {
 /// reach the previous hook.
 pub fn install(plan: FaultPlan) -> FaultGuard {
     let lock = recover(&INSTALL_LOCK);
+    if STALE_HOOK.swap(false, Ordering::SeqCst) {
+        drop(std::panic::take_hook());
+    }
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         let payload = info.payload();
@@ -316,8 +322,15 @@ impl Drop for FaultGuard {
         ARMED.store(false, Ordering::SeqCst);
         *recover(&PLAN) = None;
         // take_hook also reinstates the std default hook, dropping the
-        // quiet wrapper installed by `install`.
-        drop(std::panic::take_hook());
+        // quiet wrapper installed by `install`. A panicking thread may
+        // not touch the hook (std panics again, aborting the process),
+        // so a guard dropped while unwinding leaves the wrapper for the
+        // next `install` to remove; it only silences injected panics.
+        if std::thread::panicking() {
+            STALE_HOOK.store(true, Ordering::SeqCst);
+        } else {
+            drop(std::panic::take_hook());
+        }
     }
 }
 

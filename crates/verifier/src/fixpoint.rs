@@ -1,16 +1,19 @@
-//! The fixpoint layer: the reverse-postorder priority worklist, the
-//! per-register delayed-widening/narrowing schedule, the visit budget,
-//! and the [`AnalysisStats`] accounting of copy-on-write state traffic.
+//! The fixpoint layer: the reverse-postorder priority worklist over
+//! loop heads and merge points, the per-register delayed-widening/
+//! narrowing schedule, the visit budget, and the [`AnalysisStats`]
+//! accounting of copy-on-write state traffic.
 //!
 //! The engine knows nothing about instruction semantics — it asks
 //! [`crate::transfer::Transfer`] for successor contributions and owns
-//! only *how* states flow: joins at merge points
-//! ([`crate::AbsState::flow_join`]), per-component widening at loop heads
-//! (each register and stack slot burns its own
-//! [`crate::AnalyzerOptions::widen_delay`], see
-//! [`crate::state::JoinCounters`]), widening thresholds harvested from
-//! the program's comparison immediates, and one narrowing pass after
-//! stabilization.
+//! only *how* states flow. States are kept only where paths meet (the
+//! entry and every [`Cfg::is_checkpoint`] pc); the code between two such
+//! heads is stepped in place on one state, like the path walk does.
+//! Arrivals join at merge points ([`crate::AbsState::flow_join`]) and
+//! widen per component at loop heads (each register and stack slot
+//! burns its own [`crate::AnalyzerOptions::widen_delay`], see
+//! [`crate::state::JoinCounters`]), with widening thresholds harvested
+//! from the program's comparison immediates, and one narrowing pass
+//! after stabilization records the per-pc report (see [`run`]).
 
 use ebpf::{Insn, Program, Src};
 use interval_domain::WidenThresholds;
@@ -247,9 +250,38 @@ pub(crate) fn thresholds_for(
     }
 }
 
-/// Runs the worklist to a (widened) post-fixpoint and applies one
-/// narrowing pass, returning per-instruction states and the run's
-/// sharing statistics.
+/// Runs the head worklist to a (widened) post-fixpoint and, for a
+/// cyclic program, one narrowing pass, returning per-instruction states
+/// and the run's sharing statistics.
+///
+/// States are kept only at **heads**: the entry plus every
+/// [`Cfg::is_checkpoint`] pc (loop heads and merge points). Every other
+/// reachable pc has exactly one reachable predecessor edge, so it
+/// belongs to exactly one head's **segment** — the straight-line code
+/// and branch arms that follow the head up to the next head or `exit`.
+/// Popping a head (earliest in reverse postorder first) walks its
+/// segment on one in-place state, forking only at branch arms, and
+/// flows each arrival at a head into that head's state: a subset test,
+/// else a join (per-component delayed widening at loop heads) that
+/// re-queues the head when it grew. Every instruction of a walk is one
+/// visit against the budget, the deadline and the `fixpoint-visit`
+/// fail-point.
+///
+/// The report: an acyclic program pops every head once, so its walks
+/// record each pc's state directly. A cyclic program is reported by the
+/// narrowing pass: each segment is walked once more from its widened
+/// head state, every non-head pc records the state it is reached with
+/// (reduced: widened values are carried unreduced), and the arrivals
+/// at each head are joined (without widening) into that head's report
+/// — the entry's starts from the entry state. The widened head states
+/// are a post-fixpoint, so every recorded state is sound, and one step
+/// from them undoes over-extrapolated widening jumps: a loop head
+/// re-tightens to `entry ⊔ refined back-edge`. A loop body is thus
+/// reported as walked from the final head state alone, not as the join
+/// of every round's walk. The transfers are not monotone — a
+/// variable-offset stack store marks every slot its offset range
+/// touches `Misc`, below the `Uninit` top, so a wider range leaves
+/// tighter slots — and this can be tighter.
 ///
 /// # Errors
 ///
@@ -264,105 +296,206 @@ pub fn run(
 ) -> Result<(Vec<Option<AbsState>>, AnalysisStats), VerifierError> {
     stats::reset();
     crate::memo::counters::reset();
-    let thresholds = thresholds_for(prog, cfg, options);
+    let acyclic = cfg.back_edges().is_empty();
+    let mut fixpoint = Fixpoint {
+        transfer,
+        prog,
+        cfg,
+        options,
+        thresholds: thresholds_for(prog, cfg, options),
+        // Liveness feeds checkpoint cleaning: states flowing into a loop
+        // head or merge point drop their dead components first, so
+        // contributions differing only in dead registers/slots
+        // subset-skip instead of re-joining, and dead components never
+        // burn widening delay. Cleaning to `Uninit` (the join/order top)
+        // is monotone, so the fixpoint stays a sound over-approximation
+        // on live components. Only the checkpoints' live-in masks are
+        // solved (none at all for a program without checkpoints).
+        liveness: options
+            .liveness_pruning
+            .then(|| CheckpointLiveness::compute(prog, cfg))
+            .flatten(),
+        counters: vec![None; prog.len()],
+        queue: RpoWorklist::new(cfg.rpo().len()),
+        arms: Vec::new(),
+        visits: 0,
+        start: std::time::Instant::now(),
+        totals: WalkTotals::default(),
+    };
 
-    // Liveness feeds checkpoint cleaning: states flowing into a loop
-    // head or merge point drop their dead components first, so
-    // contributions differing only in dead registers/slots subset-skip
-    // instead of re-joining, and dead components never burn widening
-    // delay. Cleaning to `Uninit` (the join/order top) is monotone, so
-    // the fixpoint stays a sound over-approximation on live components.
-    // Only the checkpoints' live-in masks are solved (none at all for a
-    // program without checkpoints).
-    let liveness = options
-        .liveness_pruning
-        .then(|| CheckpointLiveness::compute(prog, cfg))
-        .flatten();
-    // The fixpoint joins instead of pruning and never unrolls: of the
-    // walk totals it only counts cleaned components.
-    let mut totals = WalkTotals::default();
-
-    let mut entry = AbsState::entry();
-    totals.dead_components_cleared += clear_dead_at(cfg, liveness.as_ref(), 0, &mut entry);
-    let mut states: Vec<Option<AbsState>> = vec![None; prog.len()];
-    states[0] = Some(entry);
-    // Per-loop-head, per-component changing-join counters driving the
-    // per-register delayed widening (allocated lazily: only heads join).
-    let mut counters: Vec<Option<Box<JoinCounters>>> = vec![None; prog.len()];
-
-    // Priority worklist: always pop the pending instruction earliest
-    // in reverse postorder, so inner regions settle before outer ones
-    // re-fire (the classic weak-topological iteration strategy).
-    let mut queue = RpoWorklist::new(cfg.rpo().len());
-    queue.push(cfg.rpo_pos(0));
-
-    let start = std::time::Instant::now();
-    let mut visits: u64 = 0;
-    while let Some(pos) = queue.pop() {
-        let pc = cfg.rpo()[pos];
-        visits += 1;
-        ledger::bump();
-        if visits > options.analysis_budget {
-            return Err(VerifierError::AnalysisBudgetExhausted {
-                pc,
-                budget: options.analysis_budget,
-            });
-        }
-        crate::analyzer::check_deadline(start, options, visits, pc)?;
-        crate::failpoint::fire(crate::failpoint::FaultSite::FixpointVisit);
-        let state = states[pc]
-            .clone()
-            .expect("queued instructions have a state");
-        for (succ, mut out) in transfer.step(prog, state, pc)? {
-            totals.dead_components_cleared += clear_dead_at(cfg, liveness.as_ref(), succ, &mut out);
-            let changed = match &mut states[succ] {
-                slot @ None => {
-                    *slot = Some(out);
-                    true
-                }
-                Some(existing) => {
-                    if out.is_subset_of(existing) {
-                        false
-                    } else {
-                        let widen = cfg.is_loop_head(succ).then(|| WidenCtx {
-                            counters: counters[succ].get_or_insert_with(Default::default),
-                            delay: options.widen_delay,
-                            thresholds: &thresholds,
-                        });
-                        existing.flow_join(&out, widen)
-                    }
-                }
-            };
-            if changed {
-                queue.push(cfg.rpo_pos(succ));
-            }
-        }
+    let mut heads: Vec<Option<AbsState>> = vec![None; prog.len()];
+    heads[0] = Some(fixpoint.entry());
+    fixpoint.queue.push(cfg.rpo_pos(0));
+    while let Some(pos) = fixpoint.queue.pop() {
+        let head = cfg.rpo()[pos];
+        let state = heads[head].clone().expect("queued heads have a state");
+        fixpoint.walk(Pass::Widen { record: acyclic }, head, state, &mut heads)?;
     }
 
-    // Acyclic programs never widen: the single worklist pass already
-    // computed the exact join states, and narrowing would reproduce
-    // them verbatim at the cost of re-running every transfer.
-    let states = if cfg.back_edges().is_empty() {
-        states
+    // Acyclic programs never widen: the single pass already recorded
+    // the exact states, and narrowing would reproduce them verbatim at
+    // the cost of re-running every transfer.
+    let states = if acyclic {
+        heads
     } else {
-        narrow(
-            transfer,
-            prog,
-            cfg,
-            &states,
-            liveness.as_ref(),
-            &mut totals.dead_components_cleared,
-        )?
+        let mut report: Vec<Option<AbsState>> = vec![None; prog.len()];
+        report[0] = Some(fixpoint.entry());
+        for &pc in cfg.rpo() {
+            if let Some(state) = heads[pc].take() {
+                fixpoint.walk(Pass::Narrow, pc, state, &mut report)?;
+            }
+        }
+        report
     };
 
     let stats = AnalysisStats::of_run(
         stats::snapshot(),
         crate::memo::counters::snapshot(),
-        visits,
+        fixpoint.visits,
         Ledger::default(),
-        totals,
+        fixpoint.totals,
     );
     Ok((states, stats))
+}
+
+/// Which pass a segment walk serves.
+#[derive(Clone, Copy)]
+enum Pass {
+    /// The widening iteration: every instruction is a charged visit,
+    /// and head arrivals join (widening at loop heads) into the head
+    /// states, re-queueing the heads that grew. With `record`, each
+    /// non-head pc's state is stored as reached (acyclic programs,
+    /// whose one pass is their report).
+    Widen { record: bool },
+    /// The narrowing pass: each non-head pc's state is recorded and head
+    /// arrivals are joined plainly into the report.
+    Narrow,
+}
+
+/// One fixpoint run's engine state, shared by both passes.
+struct Fixpoint<'a> {
+    transfer: &'a Transfer,
+    prog: &'a Program,
+    cfg: &'a Cfg,
+    options: &'a AnalyzerOptions,
+    thresholds: WidenThresholds,
+    liveness: Option<CheckpointLiveness>,
+    /// Per-loop-head, per-component changing-join counters driving the
+    /// per-register delayed widening (allocated lazily: only heads
+    /// join).
+    counters: Vec<Option<Box<JoinCounters>>>,
+    /// Pending heads by RPO position: always popping the earliest, so
+    /// inner regions settle before outer ones re-fire (the classic
+    /// weak-topological iteration strategy).
+    queue: RpoWorklist,
+    /// The current segment walk's pending instructions, reused across
+    /// walks.
+    arms: Vec<(usize, AbsState)>,
+    visits: u64,
+    start: std::time::Instant,
+    /// The fixpoint joins instead of pruning and never unrolls: of the
+    /// walk totals it only counts cleaned components.
+    totals: WalkTotals,
+}
+
+impl Fixpoint<'_> {
+    /// The entry state, cleaned when the entry is a checkpoint.
+    fn entry(&mut self) -> AbsState {
+        let mut entry = AbsState::entry();
+        self.totals.dead_components_cleared +=
+            clear_dead_at(self.cfg, self.liveness.as_ref(), 0, &mut entry);
+        entry
+    }
+
+    /// Walks the segment of `head` from `state`, writing what `pass`
+    /// records and joins into `out`. The state is stepped in place; a
+    /// branch whose two arms stay in the segment pushes both, the taken
+    /// arm on top, so the walk follows reverse postorder.
+    fn walk(
+        &mut self,
+        pass: Pass,
+        head: usize,
+        state: AbsState,
+        out: &mut [Option<AbsState>],
+    ) -> Result<(), VerifierError> {
+        self.arms.push((head, state));
+        while let Some((pc, state)) = self.arms.pop() {
+            match pass {
+                Pass::Widen { record } => {
+                    self.charge(pc)?;
+                    if record && pc != head {
+                        out[pc] = Some(state.clone());
+                    }
+                }
+                Pass::Narrow if pc != head => {
+                    // The walk steps on from widened (unreduced) values;
+                    // the report holds their reduction.
+                    let mut record = state.clone();
+                    record.reduce();
+                    out[pc] = Some(record);
+                }
+                Pass::Narrow => {}
+            }
+            for (succ, mut next) in self.transfer.step(self.prog, state, pc)? {
+                // The entry is re-entered only through a back edge,
+                // which makes it a checkpoint too.
+                if !self.cfg.is_checkpoint(succ) {
+                    self.arms.push((succ, next));
+                    continue;
+                }
+                self.totals.dead_components_cleared +=
+                    clear_dead_at(self.cfg, self.liveness.as_ref(), succ, &mut next);
+                match pass {
+                    Pass::Widen { .. } => self.absorb(succ, next, out),
+                    Pass::Narrow => match &mut out[succ] {
+                        slot @ None => *slot = Some(next),
+                        Some(existing) => {
+                            existing.flow_join(&next, None);
+                        }
+                    },
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Counts one visit at `pc` against the budget, the deadline and the
+    /// `fixpoint-visit` fail-point.
+    fn charge(&mut self, pc: usize) -> Result<(), VerifierError> {
+        self.visits += 1;
+        ledger::bump();
+        let budget = self.options.analysis_budget;
+        if self.visits > budget {
+            return Err(VerifierError::AnalysisBudgetExhausted { pc, budget });
+        }
+        crate::analyzer::check_deadline(self.start, self.options, self.visits, pc)?;
+        crate::failpoint::fire(crate::failpoint::FaultSite::FixpointVisit);
+        Ok(())
+    }
+
+    /// Flows the widening pass's arrival `next` into head `succ`'s
+    /// state, re-queueing the head if it grew.
+    fn absorb(&mut self, succ: usize, next: AbsState, heads: &mut [Option<AbsState>]) {
+        let grew = match &mut heads[succ] {
+            slot @ None => {
+                *slot = Some(next);
+                true
+            }
+            Some(existing) => {
+                !next.is_subset_of(existing) && {
+                    let widen = self.cfg.is_loop_head(succ).then(|| WidenCtx {
+                        counters: self.counters[succ].get_or_insert_with(Default::default),
+                        delay: self.options.widen_delay,
+                        thresholds: &self.thresholds,
+                    });
+                    existing.flow_join(&next, widen)
+                }
+            }
+        };
+        if grew {
+            self.queue.push(self.cfg.rpo_pos(succ));
+        }
+    }
 }
 
 /// Checkpoint cleaning: when liveness was solved and `pc` is a
@@ -383,41 +516,58 @@ pub(crate) fn clear_dead_at(
     }
 }
 
-/// The narrowing pass: one plain-join recomputation of every reachable
-/// state from the stabilized `states`. From a post-fixpoint, one
-/// application of the (monotone) transfer functions stays a
-/// post-fixpoint while undoing over-extrapolated widening jumps — e.g. a
-/// loop head re-tightens to `entry ⊔ refined back-edge`.
-fn narrow(
-    transfer: &Transfer,
-    prog: &Program,
-    cfg: &Cfg,
-    states: &[Option<AbsState>],
-    liveness: Option<&CheckpointLiveness>,
-    dead_components_cleared: &mut u64,
-) -> Result<Vec<Option<AbsState>>, VerifierError> {
-    let mut narrowed: Vec<Option<AbsState>> = vec![None; prog.len()];
-    let mut entry = AbsState::entry();
-    *dead_components_cleared += clear_dead_at(cfg, liveness, 0, &mut entry);
-    narrowed[0] = Some(entry);
-    for &pc in cfg.rpo() {
-        let Some(state) = states[pc].clone() else {
-            continue;
-        };
-        for (succ, mut out) in transfer.step(prog, state, pc)? {
-            // The same checkpoint cleaning the widened pass applied:
-            // narrowing must not resurrect dead components the
-            // fixpoint already dropped.
-            *dead_components_cleared += clear_dead_at(cfg, liveness, succ, &mut out);
-            match &mut narrowed[succ] {
-                slot @ None => *slot = Some(out),
-                // In-place join: the cell materializes once and then
-                // absorbs later edges without fresh allocations.
-                Some(existing) => {
-                    existing.flow_join(&out, None);
-                }
-            }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::state::StackSlot;
+    use ebpf::asm::assemble;
+
+    fn analyze(src: &str) -> (Vec<Option<AbsState>>, AnalysisStats) {
+        let prog = assemble(src).expect("assembles");
+        let options = AnalyzerOptions::default();
+        let transfer = Transfer::new(options.clone());
+        run(&transfer, &prog, &Cfg::build(&prog), &options).expect("accepted")
+    }
+
+    /// A counted loop whose body is `body` ALU instructions.
+    fn counted_loop(body: usize) -> String {
+        format!(
+            "r1 = 0\nr2 = 0\nloop:\n{}r1 += 1\nif r1 < 64 goto loop\nr0 = r1\nexit\n",
+            "r2 += r1\n".repeat(body)
+        )
+    }
+
+    #[test]
+    fn loop_body_length_costs_one_report_record_per_instruction() {
+        let (_, short) = analyze(&counted_loop(4));
+        let (_, long) = analyze(&counted_loop(32));
+        let extra: u64 = 32 - 4;
+        // The longer body is walked once per round...
+        let rounds = (long.visits - short.visits) / extra;
+        assert!(rounds >= 10, "{rounds} rounds: too few to tell");
+        // ...but allocates only where the narrowing pass records each of
+        // its pcs: the in-place walk materializes the register file once
+        // per segment walk, not once per instruction.
+        assert!(
+            long.states_allocated <= short.states_allocated + extra,
+            "allocations grew {} -> {} over {rounds} rounds",
+            short.states_allocated,
+            long.states_allocated
+        );
+    }
+
+    #[test]
+    fn memset_loop_exit_keeps_the_smeared_slot() {
+        // Once widened, the loop's variable-offset store smears all of
+        // `[-16, -1]`; the first round's stored only at -16. The exit
+        // segment is stepped from the widened head state alone, so slot
+        // -8 reads `Misc`. Joining every round's state per pc (as a
+        // per-instruction worklist does) keeps the first round's
+        // `Uninit` there, the top.
+        let (states, _) = analyze(include_str!("../../../fixtures/memset_loop.ebpf"));
+        for pc in [9, 10] {
+            let state = states[pc].as_ref().expect("reachable");
+            assert_eq!(state.stack_slot(-8), Some(StackSlot::Misc), "pc {pc}");
         }
     }
-    Ok(narrowed)
 }

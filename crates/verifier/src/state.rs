@@ -741,6 +741,25 @@ impl AbsState {
         frame_spine_mut(&mut self.stack)
     }
 
+    /// Reduces every unreduced value in place — values of widened
+    /// loop-head states are left unreduced on purpose — materializing
+    /// only the register file and the stack chunks that hold one. The
+    /// concretization is unchanged.
+    pub(crate) fn reduce(&mut self) {
+        for i in 0..REGS {
+            if !self.regs.is_reduced_at(i) {
+                let v = self.regs.vals[i].reduced();
+                self.regs_mut().set(i, v);
+            }
+        }
+        for i in 0..SLOTS {
+            if !self.stack.chunks[i / CHUNK_SLOTS].is_reduced_at(i % CHUNK_SLOTS) {
+                let v = Component::reduced(self.stack.slot(i));
+                self.frame_mut().set_slot(i, v);
+            }
+        }
+    }
+
     /// The abstract value of a register.
     #[must_use]
     pub fn reg(&self, reg: Reg) -> RegValue {

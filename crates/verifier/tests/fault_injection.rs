@@ -344,6 +344,26 @@ fn deadline_expiring_mid_run_is_caught_on_a_later_visit() {
 }
 
 #[test]
+fn guard_dropped_while_unwinding_does_not_abort() {
+    // A panic with the guard held (an injected one here, a failing
+    // assertion in a broken test) drops the guard while unwinding: that
+    // must surface as this closure's `Err`, not abort the test binary.
+    let caught = std::panic::catch_unwind(|| {
+        let _guard = failpoint::install(FaultPlan::new().panic_at(FaultSite::FixpointVisit, 1));
+        failpoint::fire(FaultSite::FixpointVisit);
+    });
+    assert!(caught.is_err(), "the injected panic propagates");
+    // A later install arms afresh: its hit counter starts at zero.
+    let _guard = failpoint::install(FaultPlan::new().panic_at(FaultSite::FixpointVisit, 2));
+    failpoint::fire(FaultSite::FixpointVisit);
+    let again = std::panic::catch_unwind(|| failpoint::fire(FaultSite::FixpointVisit));
+    assert!(
+        again.is_err(),
+        "the re-armed plan fires on its own hit count"
+    );
+}
+
+#[test]
 fn generous_deadline_changes_no_verdict() {
     let _quiet = failpoint::install(FaultPlan::new());
     let progs = fleet();

@@ -118,9 +118,9 @@ fn every_fixture_report_is_pinned_under_every_strategy() {
             0xf520_ab88_02e5_3f70,
             0x7016_be8c_93a3_4585,
             0x4b9d_d02d_7b0d_aba0,
-            0x34e7_2973_fc79_c326,
+            0x4885_586c_8415_fa8b,
             0x4320_a459_d68d_4f57,
-            0x30e4_add3_7a09_78c5,
+            0x7e2d_ceac_49be_8500,
         ],
         [
             0x660d_da57_cb57_7584,
