@@ -125,25 +125,17 @@ fn main() -> ExitCode {
         strict_alignment: args.has("strict-alignment"),
         refine_branches: !args.has("no-refine"),
         reject_loops: args.has("reject-loops"),
-        widen_delay: args
-            .get_u64("widen-delay", u64::from(defaults.widen_delay))
-            .min(u64::from(u32::MAX)) as u32,
+        widen_delay: args.get_u32_in("widen-delay", defaults.widen_delay, 0..=u32::MAX),
         harvest_thresholds: !args.has("no-thresholds"),
         analysis_budget: args.get_u64("budget", defaults.analysis_budget),
-        unroll_k: args
-            .get_u64("unroll-k", u64::from(defaults.unroll_k))
-            .min(u64::from(u32::MAX)) as u32,
-        visited_cap: args
-            .get_u64("visited-cap", u64::from(defaults.visited_cap))
-            .min(u64::from(u32::MAX)) as u32,
+        unroll_k: args.get_u32_in("unroll-k", defaults.unroll_k, 0..=u32::MAX),
+        visited_cap: args.get_u32_in("visited-cap", defaults.visited_cap, 0..=u32::MAX),
         memo_cache: args.has("memo").then(|| Arc::new(TransferMemo::new())),
         liveness_pruning: !args.has("no-liveness"),
         explore_jobs: args
             .get_u64("explore-jobs", u64::from(defaults.explore_jobs))
             .min(u64::from(u16::MAX)) as u32,
-        spawn_depth: args
-            .get_u64("spawn-depth", u64::from(defaults.spawn_depth))
-            .min(u64::from(u32::MAX)) as u32,
+        spawn_depth: args.get_u32_in("spawn-depth", defaults.spawn_depth, 0..=u32::MAX),
         deadline: match args.get_u64("deadline-ms", 0) {
             0 => None,
             ms => Some(std::time::Duration::from_millis(ms)),

@@ -78,9 +78,12 @@ impl AbstractDomain for KnownBits {
 }
 
 impl WidenDomain for KnownBits {
-    /// Widening is the join, exactly as for the isomorphic tnum encoding:
-    /// each strictly growing step forgets at least one known bit, so the
-    /// lattice has finite height and ascending chains stabilize.
+    /// Widening is the join: each strictly growing step forgets at least
+    /// one known bit, so the lattice has finite height and ascending
+    /// chains stabilize. This is where the encoding parts from the
+    /// isomorphic tnum, whose ∇ jumps (`Tnum::widen` turns every bit from
+    /// the lowest newly unknown one upward unknown); no analysis here
+    /// iterates known bits to a fixpoint, so the join suffices.
     fn widen(self, newer: KnownBits) -> KnownBits {
         self.intersect_with(newer)
     }

@@ -5,7 +5,9 @@
 //! Every trait method delegates to the kernel-faithful inherent operator
 //! it names; the mapping is one-to-one (`le` ↔ `tnum_in`, `join` ↔
 //! `tnum_union`, `meet` ↔ `tnum_intersect`, …), so the generic campaign
-//! verifies exactly the operators the paper verifies.
+//! verifies exactly the operators the paper verifies. The one operator
+//! the kernel has no counterpart for is the loop-head widening, which
+//! delegates to the jump [`Tnum::widen`].
 
 use domain::rng::SplitMix64;
 use domain::{AbstractDomain, ArithDomain, BitwiseDomain, WidenDomain};
@@ -76,12 +78,12 @@ impl AbstractDomain for Tnum {
 }
 
 impl WidenDomain for Tnum {
-    /// Widening is the join: the tnum lattice has finite height (every
-    /// strictly growing step turns at least one known trit unknown and
-    /// there are only 64 trits), so `tnum_union` already guarantees
-    /// termination of ascending chains at loop heads.
+    /// The jump [`Tnum::widen`]: the join, then every trit from the lowest
+    /// newly unknown one upward unknown. (The join alone would terminate
+    /// too — each strict step loses a trit — but a counter walks that
+    /// chain one trit per round.)
     fn widen(self, newer: Tnum) -> Tnum {
-        self.union(newer)
+        Tnum::widen(self, newer)
     }
 }
 
@@ -146,6 +148,37 @@ mod tests {
         domain::laws::assert_widening_laws::<Tnum>(3, 200, 200, 0xC61);
     }
 
+    /// `x ∇ (x ⊔ step(x, c))` for every width-6 tnum `x` and constant `c`.
+    fn one_step_widenings(
+        step: fn(Tnum, Tnum) -> Tnum,
+    ) -> impl Iterator<Item = (Tnum, Tnum, Tnum)> {
+        enumerate::tnums(6).flat_map(move |x| {
+            (0..64).map(move |c| {
+                let c = Tnum::constant(c);
+                (x, c, x.widen(x.union(step(x, c))))
+            })
+        })
+    }
+
+    #[test]
+    fn one_widening_step_reaches_a_post_fixpoint_of_add_and_sub() {
+        // A counter or accumulator `x ± c` at a loop head: one ∇ lands on
+        // a state the next round's arrival is included in.
+        for step in [Tnum::add, Tnum::sub] {
+            for (x, c, w) in one_step_widenings(step) {
+                assert!(
+                    step(w, c).is_subset_of(w),
+                    "{x:?} ∇ (x ⊔ step(x, {c:?})) = {w:?} is not closed under the step"
+                );
+            }
+        }
+        // The plain join is not: 0 ⊔ (0 + 1) = x, and x + 1 = xx ⋢ x.
+        let (x, c) = (Tnum::constant(0), Tnum::constant(1));
+        let joined = x.union(x.add(c));
+        assert!(!joined.add(c).is_subset_of(joined));
+        assert_eq!(x.widen(x.add(c)), Tnum::UNKNOWN);
+    }
+
     #[test]
     fn trait_surface_matches_inherent_operators() {
         let a: Tnum = "1x0".parse().unwrap();
@@ -154,6 +187,7 @@ mod tests {
         assert_eq!(a.abs_mul(b), a.mul(b));
         assert_eq!(AbstractDomain::join(a, b), a.union(b));
         assert_eq!(AbstractDomain::meet(a, b), a.intersect(b));
+        assert_eq!(WidenDomain::widen(a, b), a.widen(b));
         assert_eq!(<Tnum as AbstractDomain>::top(), Tnum::UNKNOWN);
         assert_eq!(<Tnum as AbstractDomain>::bottom(), None);
         assert_eq!(<Tnum as AbstractDomain>::constant(9), Tnum::constant(9));

@@ -63,6 +63,42 @@ impl Tnum {
         Tnum::masked(v, mu)
     }
 
+    /// Widening `self ∇ newer`: the join, except that once it grows, every
+    /// trit from the lowest newly unknown one upward turns unknown.
+    ///
+    /// The paper's add, sub and mul carry uncertainty only upward (an
+    /// unknown bit at position *j* can change only bits ≥ *j*), so the
+    /// bits a growing loop-head value loses are its low newly unknown bit
+    /// and everything above it. Jumping there at once lets one widening
+    /// step reach a post-fixpoint of a counter or accumulator
+    /// (`x ∇ (x ⊔ (x + c))` is closed under `+ c`), where the plain join
+    /// gives up about one trit per round. The result contains the join,
+    /// and each later strict step must lose a trit below the previous
+    /// jump's, so a chain of strict steps has at most 65 elements.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tnum::Tnum;
+    /// let old: Tnum = "1010".parse()?;
+    /// let grown = old.union("1110".parse()?); // bit 2 newly unknown
+    /// assert_eq!(old.widen(grown), Tnum::masked(0b10, !0b11));
+    /// assert_eq!(old.widen(old), old);
+    /// # Ok::<(), tnum::ParseTnumError>(())
+    /// ```
+    #[must_use]
+    pub const fn widen(self, newer: Tnum) -> Tnum {
+        let joined = self.union(newer);
+        let lost = joined.mask() & !self.mask();
+        if lost == 0 {
+            return joined;
+        }
+        Tnum::masked(
+            joined.value(),
+            joined.mask() | (!0 << lost.trailing_zeros()),
+        )
+    }
+
     /// The meet (greatest lower bound) of two tnums: the tnum abstracting
     /// `γ(self) ∩ γ(other)` exactly, or `None` when the intersection is
     /// empty (⊥).

@@ -481,6 +481,7 @@ impl<'p> Walk<'p> {
                                     counters: &mut self.counters[h],
                                     delay: 0,
                                     thresholds: &plan.thresholds,
+                                    tnum_jump: false,
                                 }),
                             );
                             // The widened re-entry state is recorded at

@@ -47,18 +47,32 @@ impl Scalar {
     }
 
     /// Widening `self ∇ newer` with the interval half extended by
-    /// harvested thresholds ([`Bounds::widen_with`]); the tnum half has
-    /// finite height and keeps its join-wise ∇. Like the generic
-    /// [`Product::widen`], the result is deliberately not re-normalized.
+    /// harvested thresholds ([`Bounds::widen_with`]) and the tnum half
+    /// jumping ([`Tnum::widen`]: every trit from the lowest newly unknown
+    /// one upward turns unknown). Like the generic [`Product::widen`], the
+    /// result is deliberately not re-normalized.
     #[must_use]
     pub fn widen_with(
         self,
         newer: Scalar,
         thresholds: &interval_domain::WidenThresholds,
     ) -> Scalar {
-        use domain::WidenDomain as _;
         Scalar::raw(
             self.a.widen(newer.a),
+            self.b.widen_with(newer.b, thresholds),
+        )
+    }
+
+    /// [`Scalar::widen_with`] with the tnum half joined instead of
+    /// widened: the path walk's loop-head summaries, which are its report
+    /// and which no later pass re-derives, extrapolate only their bounds.
+    pub(crate) fn widen_bounds_with(
+        self,
+        newer: Scalar,
+        thresholds: &interval_domain::WidenThresholds,
+    ) -> Scalar {
+        Scalar::raw(
+            self.a.union(newer.a),
             self.b.widen_with(newer.b, thresholds),
         )
     }

@@ -210,13 +210,7 @@ impl StackSlot {
     /// values; disagreement invalidates the slot exactly as in the join.
     #[must_use]
     pub fn widen(self, newer: StackSlot) -> StackSlot {
-        self.widen_with(newer, &WidenThresholds::EMPTY)
-    }
-
-    /// [`StackSlot::widen`] with harvested interval thresholds.
-    #[must_use]
-    pub fn widen_with(self, newer: StackSlot, thresholds: &WidenThresholds) -> StackSlot {
-        self.merge(newer, |a, b| a.widen_with(b, thresholds))
+        self.merge(newer, RegValue::widen)
     }
 
     /// Whether reading this slot is allowed.
@@ -295,7 +289,8 @@ trait Component: Copy + PartialEq {
     /// The value with every carried scalar reduced.
     fn reduced(self) -> Self;
     fn is_subset_of(self, other: Self) -> bool;
-    fn widen_with(self, newer: Self, thresholds: &WidenThresholds) -> Self;
+    /// `union`'s kind rules, with the carried scalars merged by `f`.
+    fn merge_scalars(self, other: Self, f: impl Fn(Scalar, Scalar) -> Scalar) -> Self;
     /// Equality-respecting content hash: `a == b ⟹ hash(a) == hash(b)`.
     fn content_hash(self) -> u64;
 }
@@ -318,8 +313,8 @@ impl Component for RegValue {
     fn is_subset_of(self, other: Self) -> bool {
         RegValue::is_subset_of(self, other)
     }
-    fn widen_with(self, newer: Self, thresholds: &WidenThresholds) -> Self {
-        RegValue::widen_with(self, newer, thresholds)
+    fn merge_scalars(self, other: Self, f: impl Fn(Scalar, Scalar) -> Scalar) -> Self {
+        RegValue::merge(self, other, f)
     }
     fn content_hash(self) -> u64 {
         match self {
@@ -361,8 +356,8 @@ impl Component for StackSlot {
     fn is_subset_of(self, other: Self) -> bool {
         StackSlot::is_subset_of(self, other)
     }
-    fn widen_with(self, newer: Self, thresholds: &WidenThresholds) -> Self {
-        StackSlot::widen_with(self, newer, thresholds)
+    fn merge_scalars(self, other: Self, f: impl Fn(Scalar, Scalar) -> Scalar) -> Self {
+        self.merge(other, |a, b| a.merge(b, &f))
     }
     fn content_hash(self) -> u64 {
         match self {
@@ -633,6 +628,32 @@ pub struct WidenCtx<'a> {
     pub delay: u32,
     /// Program-derived extra thresholds for the interval ladders.
     pub thresholds: &'a WidenThresholds,
+    /// Whether a widened scalar's tnum half jumps ([`Scalar::widen_with`])
+    /// or joins ([`Scalar::widen_bounds_with`]). The fixpoint jumps: its
+    /// narrowing pass re-derives the report from the widened heads. The
+    /// path walk's summaries are its report, so they join.
+    pub(crate) tnum_jump: bool,
+}
+
+/// A [`WidenCtx`] without its counters: what one loop-head merge widens
+/// each component that exhausted its delay with.
+#[derive(Clone, Copy)]
+struct Widening<'a> {
+    delay: u32,
+    thresholds: &'a WidenThresholds,
+    tnum_jump: bool,
+}
+
+impl Widening<'_> {
+    /// `cur ∇ grown` for one register or stack slot.
+    fn widen<T: Component>(self, cur: T, grown: T) -> T {
+        let thresholds = self.thresholds;
+        if self.tnum_jump {
+            cur.merge_scalars(grown, |a, b| a.widen_with(b, thresholds))
+        } else {
+            cur.merge_scalars(grown, |a, b| a.widen_bounds_with(b, thresholds))
+        }
+    }
 }
 
 /// Abstract machine state at one program point: the eleven registers plus
@@ -891,11 +912,17 @@ impl AbsState {
                 counters,
                 delay,
                 thresholds,
+                tnum_jump,
             }) => {
+                let widening = Widening {
+                    delay,
+                    thresholds,
+                    tnum_jump,
+                };
                 let JoinCounters { regs, slots } = counters;
                 (
-                    Some((&mut regs[..], delay, thresholds)),
-                    Some((&mut slots[..], delay, thresholds)),
+                    Some((&mut regs[..], widening)),
+                    Some((&mut slots[..], widening)),
                 )
             }
             None => (None, None),
@@ -933,6 +960,7 @@ impl AbsState {
                 counters: &mut counters,
                 delay: 0,
                 thresholds: &WidenThresholds::EMPTY,
+                tnum_jump: true,
             }),
         );
         out
@@ -1096,7 +1124,7 @@ pub fn value_fingerprint(v: RegValue) -> u64 {
 fn flow_cells<T: Component, const N: usize>(
     dst: &mut Rc<Cells<T, N>>,
     inc: &Rc<Cells<T, N>>,
-    mut widen: Option<(&mut [u32], u32, &WidenThresholds)>,
+    mut widen: Option<(&mut [u32], Widening<'_>)>,
 ) -> bool {
     if Rc::ptr_eq(dst, inc) {
         stats::bump_short_circuited();
@@ -1115,11 +1143,11 @@ fn flow_cells<T: Component, const N: usize>(
         }
         let grown = cur.union(incoming);
         let next = match &mut widen {
-            Some((counters, delay, thresholds)) => {
+            Some((counters, widening)) => {
                 let joins = &mut counters[i];
-                let next = if *joins >= *delay {
+                let next = if *joins >= widening.delay {
                     stats::bump_widenings();
-                    cur.widen_with(grown, thresholds)
+                    widening.widen(cur, grown)
                 } else {
                     grown
                 };
@@ -1159,7 +1187,7 @@ fn frame_spine_mut(rc: &mut Rc<Frame>) -> &mut Frame {
 fn flow_frame(
     dst: &mut Rc<Frame>,
     inc: &Rc<Frame>,
-    widen: Option<(&mut [u32], u32, &WidenThresholds)>,
+    mut widen: Option<(&mut [u32], Widening<'_>)>,
 ) -> bool {
     if Rc::ptr_eq(dst, inc) {
         stats::bump_short_circuited();
@@ -1176,24 +1204,18 @@ fn flow_frame(
         return false;
     }
     let frame = frame_spine_mut(dst);
-    let (mut counters, widen_rest) = match widen {
-        Some((slots, delay, thresholds)) => (Some(slots), Some((delay, thresholds))),
-        None => (None, None),
-    };
     let mut changed = false;
     for c in 0..STACK_CHUNKS {
         if Rc::ptr_eq(&frame.chunks[c], &inc.chunks[c]) {
             stats::bump_short_circuited();
             continue;
         }
-        let chunk_widen = match (&mut counters, widen_rest) {
-            (Some(slots), Some((delay, thresholds))) => Some((
+        let chunk_widen = widen.as_mut().map(|(slots, widening)| {
+            (
                 &mut slots[c * CHUNK_SLOTS..(c + 1) * CHUNK_SLOTS],
-                delay,
-                thresholds,
-            )),
-            _ => None,
-        };
+                *widening,
+            )
+        });
         let old = chunk_contrib(c, frame.chunks[c].fp);
         if flow_cells(&mut frame.chunks[c], &inc.chunks[c], chunk_widen) {
             frame.fp ^= old ^ chunk_contrib(c, frame.chunks[c].fp);
@@ -1635,6 +1657,7 @@ mod tests {
                     counters: &mut counters,
                     delay: 2,
                     thresholds: &th,
+                    tnum_jump: true,
                 }),
             );
         }
@@ -1652,6 +1675,7 @@ mod tests {
                 counters: &mut counters,
                 delay: 2,
                 thresholds: &th,
+                tnum_jump: true,
             }),
         );
         let r3 = head.reg(Reg::R3).as_scalar().unwrap();
@@ -1705,7 +1729,7 @@ mod tests {
             let next = match &mut widen {
                 Some((counters, delay)) => {
                     let next = if counters[i] >= *delay {
-                        cur[i].widen_with(grown, &WidenThresholds::EMPTY)
+                        cur[i].merge_scalars(grown, |a, b| a.widen_with(b, &WidenThresholds::EMPTY))
                     } else {
                         grown
                     };
@@ -1748,6 +1772,7 @@ mod tests {
                         counters: &mut got,
                         delay,
                         thresholds: &WidenThresholds::EMPTY,
+                        tnum_jump: true,
                     }),
                 );
                 let mut want = counters.clone();
@@ -1875,6 +1900,7 @@ mod tests {
                     counters: &mut counters,
                     delay: 2,
                     thresholds: &th,
+                    tnum_jump: true,
                 }),
             );
         }
@@ -1916,9 +1942,16 @@ mod tests {
                 offset: small(rng),
             },
             6 | 7 => {
-                // Widening leaves its output unreduced on purpose.
+                // Widening leaves its output unreduced on purpose, with
+                // the tnum half jumped (the fixpoint's heads) or joined
+                // (the path walk's summaries).
                 let (a, b) = (small(rng), small(rng));
-                RegValue::Scalar(a.widen_with(a.union(b), &WidenThresholds::EMPTY))
+                let th = &WidenThresholds::EMPTY;
+                RegValue::Scalar(if rng.coin() {
+                    a.widen_with(a.union(b), th)
+                } else {
+                    a.widen_bounds_with(a.union(b), th)
+                })
             }
             8 => RegValue::Scalar(Scalar::raw(
                 Scalar::constant(rng.below(4)).tnum(),

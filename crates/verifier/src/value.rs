@@ -89,7 +89,7 @@ impl RegValue {
     /// reading such a register is rejected, which is sound). Map value
     /// pointers of the same map join offsets and *or* their `or_null`
     /// flags (may-be-NULL is the weaker fact).
-    fn merge(self, other: RegValue, f: impl Fn(Scalar, Scalar) -> Scalar) -> RegValue {
+    pub(crate) fn merge(self, other: RegValue, f: impl Fn(Scalar, Scalar) -> Scalar) -> RegValue {
         match (self, other) {
             (RegValue::Scalar(a), RegValue::Scalar(b)) => RegValue::Scalar(f(a, b)),
             (RegValue::StackPtr { offset: a }, RegValue::StackPtr { offset: b }) => {
@@ -181,19 +181,6 @@ impl RegValue {
     #[must_use]
     pub fn widen(self, newer: RegValue) -> RegValue {
         self.merge(newer, Scalar::widen)
-    }
-
-    /// [`RegValue::widen`] with harvested interval thresholds
-    /// ([`Scalar::widen_with`]), so a growing counter or pointer offset
-    /// can land on a comparison constant of the program instead of a
-    /// register-width extreme.
-    #[must_use]
-    pub fn widen_with(
-        self,
-        newer: RegValue,
-        thresholds: &interval_domain::WidenThresholds,
-    ) -> RegValue {
-        self.merge(newer, |a, b| a.widen_with(b, thresholds))
     }
 
     /// Abstract-order test used for state-inclusion checks.
