@@ -42,6 +42,8 @@
 //! ([`verifier::failpoint`]) for resilience drills, e.g.
 //! `TNUM_FAILPOINTS=parshard-job:panic@3`.
 //!
+//! `--jobs` and `--explore-jobs` take 0 (all cores) to 256.
+//!
 //! Exit status: 0 when every program is accepted, 1 when any is
 //! rejected, 2 on assembly or usage errors.
 
@@ -56,6 +58,10 @@ use verifier::{
     AnalyzerOptions, Cfg, DegradationPolicy, ProgramPasses, Strategy, TransferMemo,
     VerificationSession,
 };
+
+/// The largest `--jobs` or `--explore-jobs` count: a thread count past
+/// it is a usage error, not a request to spawn that many threads.
+const MAX_JOBS: u32 = 256;
 
 /// Every flag `annotate` accepts; any other, or a misused one, exits 2.
 const FLAGS: &[Flag] = &[
@@ -132,9 +138,7 @@ fn main() -> ExitCode {
         visited_cap: args.get_u32_in("visited-cap", defaults.visited_cap, 0..=u32::MAX),
         memo_cache: args.has("memo").then(|| Arc::new(TransferMemo::new())),
         liveness_pruning: !args.has("no-liveness"),
-        explore_jobs: args
-            .get_u64("explore-jobs", u64::from(defaults.explore_jobs))
-            .min(u64::from(u16::MAX)) as u32,
+        explore_jobs: args.get_u32_in("explore-jobs", defaults.explore_jobs, 0..=MAX_JOBS),
         spawn_depth: args.get_u32_in("spawn-depth", defaults.spawn_depth, 0..=u32::MAX),
         deadline: match args.get_u64("deadline-ms", 0) {
             0 => None,
@@ -151,7 +155,7 @@ fn main() -> ExitCode {
         });
 
     if let Some(dir) = args.get_str("dir") {
-        let jobs = args.get_u64("jobs", 0).min(u64::from(u16::MAX)) as usize;
+        let jobs = args.get_u32_in("jobs", 0, 0..=MAX_JOBS) as usize;
         return run_dir(&session, dir, jobs);
     }
     run_single(&args, &session)

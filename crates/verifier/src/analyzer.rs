@@ -203,36 +203,6 @@ pub enum DegradationPolicy {
     FailFast,
 }
 
-/// Visits between two clock reads of an armed deadline: reading
-/// `Instant::elapsed` on every visit cost about 10% of batch throughput
-/// (EXPERIMENTS E29), one read per 256 visits costs nothing measurable.
-pub(crate) const DEADLINE_STRIDE: u64 = 256;
-
-/// The cooperative deadline check every strategy runs at the same
-/// points as its visit-budget check, given the 1-based `visits` count:
-/// on visit 1 and then every [`DEADLINE_STRIDE`]th visit it errors with
-/// [`VerifierError::DeadlineExceeded`] once `start` is at least
-/// [`AnalyzerOptions::deadline`] old. One `Option` test when no
-/// deadline is configured.
-#[inline]
-pub(crate) fn check_deadline(
-    start: std::time::Instant,
-    options: &AnalyzerOptions,
-    visits: u64,
-    pc: usize,
-) -> Result<(), VerifierError> {
-    if let Some(deadline) = options.deadline {
-        if visits % DEADLINE_STRIDE != 1 {
-            return Ok(());
-        }
-        let elapsed = start.elapsed();
-        if elapsed >= deadline {
-            return Err(VerifierError::DeadlineExceeded { elapsed, pc });
-        }
-    }
-    Ok(())
-}
-
 /// The result of a successful analysis: the abstract state *before* every
 /// reachable instruction plus the run's statistics, tagged with the
 /// [`Strategy`] that produced it, for inspection by tests, examples,

@@ -22,6 +22,10 @@
 //!   reuse. Off by default: see [`AnalyzerOptions::memo_cache`] for when
 //!   it pays.
 //!
+//! Each worker's visit and memo roll-up is what its thread's counter
+//! block gained while it ran: the block is never reset, so the partial
+//! walks of rejected, panicked and ladder re-run explorations count too.
+//!
 //! Results come back **in submission order** as real
 //! [`Analysis`] values: each worker flattens its per-instruction states
 //! into dense `Copy` snapshots (which *are* `Send`), and the submitting
@@ -35,9 +39,9 @@ use ebpf::Program;
 use crate::analyzer::{Analysis, AnalyzerOptions, VerificationSession};
 use crate::error::VerifierError;
 use crate::explore::Strategy;
-use crate::fixpoint::{self, AnalysisStats};
-use crate::memo;
+use crate::fixpoint::AnalysisStats;
 use crate::state::{AbsState, SparseStack, REGS};
+use crate::tally::{self, Tally};
 use crate::value::RegValue;
 
 /// The roll-up of one batch run: throughput, verdict counts, how the
@@ -65,12 +69,13 @@ pub struct BatchStats {
     /// Programs each worker claimed — the work-stealing distribution.
     pub per_worker_programs: Vec<usize>,
     /// Instruction visits each worker's analyses consumed — including
-    /// the partial walks of *rejected* runs (which abort at the first
-    /// error and report no `AnalysisStats` of their own): the work a
-    /// rejection burned is real batch load and is not dropped from the
-    /// roll-up.
+    /// the partial walks of *rejected* and *panicked* runs (which report
+    /// no `AnalysisStats` of their own) and of explorations the
+    /// degradation ladder re-ran: the work they burned is real batch
+    /// load and is not dropped from the roll-up.
     pub per_worker_visits: Vec<u64>,
-    /// Memo-cache hits across all workers (accepted and rejected runs).
+    /// Memo-cache hits across all workers (accepted, rejected and re-run
+    /// explorations alike).
     pub memo_hits: u64,
     /// Memo-cache misses across all workers.
     pub memo_misses: u64,
@@ -168,11 +173,11 @@ impl SendAnalysis {
     }
 }
 
-/// What one worker brings back across the scope join.
+/// What one worker brings back across the scope join: its results and
+/// what its thread's counter block gained while it ran them.
 struct WorkerOutput {
     results: Vec<(usize, Result<SendAnalysis, VerifierError>)>,
-    visits: u64,
-    memo: (u64, u64, u64),
+    spent: Tally,
 }
 
 /// Verifies every program under `session` concurrently on `jobs`
@@ -202,12 +207,9 @@ pub(crate) fn run(session: &VerificationSession, progs: &[Program], jobs: usize)
     let queue = WorkQueue::new(progs.len());
     let start = Instant::now();
     let per_worker = par_workers(workers, |_worker| {
+        let before = tally::read();
         let mut results = Vec::new();
-        let mut visits: u64 = 0;
-        let mut memo = (0u64, 0u64, 0u64);
         while let Some(i) = queue.claim() {
-            memo::counters::reset();
-            fixpoint::ledger::reset();
             // Belt over the session's own containment: a panic anywhere
             // in this program's run (including the dense-state capture
             // below) costs only this slot, never the batch.
@@ -215,19 +217,11 @@ pub(crate) fn run(session: &VerificationSession, progs: &[Program], jobs: usize)
                 session.run(&progs[i]).map(|a| SendAnalysis::capture(&a))
             }))
             .unwrap_or_else(|payload| Err(VerifierError::from_panic(payload.as_ref())));
-            // The thread-local memo counters and visit ledger now hold
-            // exactly this program's traffic — harvested here so
-            // rejected runs (which produce no `AnalysisStats`) still
-            // contribute the partial work they burned.
-            visits += fixpoint::ledger::snapshot();
-            let (h, m, e) = memo::counters::snapshot();
-            memo = (memo.0 + h, memo.1 + m, memo.2 + e);
             results.push((i, res));
         }
         WorkerOutput {
             results,
-            visits,
-            memo,
+            spent: tally::read() - before,
         }
     });
     let elapsed = start.elapsed();
@@ -236,13 +230,11 @@ pub(crate) fn run(session: &VerificationSession, progs: &[Program], jobs: usize)
         std::iter::repeat_with(|| None).take(progs.len()).collect();
     let mut per_worker_programs = Vec::with_capacity(workers);
     let mut per_worker_visits = Vec::with_capacity(workers);
-    let (mut memo_hits, mut memo_misses, mut memo_evicted) = (0, 0, 0);
+    let mut spent = Tally::default();
     for w in per_worker {
         per_worker_programs.push(w.results.len());
-        per_worker_visits.push(w.visits);
-        memo_hits += w.memo.0;
-        memo_misses += w.memo.1;
-        memo_evicted += w.memo.2;
+        per_worker_visits.push(w.spent.visits);
+        spent = spent + w.spent;
         for (i, res) in w.results {
             slots[i] = Some(res.map(SendAnalysis::rebuild));
         }
@@ -271,9 +263,9 @@ pub(crate) fn run(session: &VerificationSession, progs: &[Program], jobs: usize)
             elapsed,
             per_worker_programs,
             per_worker_visits,
-            memo_hits,
-            memo_misses,
-            memo_evicted,
+            memo_hits: spent.memo_hits,
+            memo_misses: spent.memo_misses,
+            memo_evicted: spent.memo_evicted,
             deadline_exceeded,
             internal_faults,
             degradations,

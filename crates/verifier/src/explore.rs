@@ -28,15 +28,20 @@
 //!   bit-identical to the sequential walk while no job widens a loop
 //!   head — see [`crate::parshard`] for the contract and its limit.
 //!
+//! Every strategy first builds one crate-private `Plan` per
+//! exploration: the CFG, the [`Transfer`] layer, the widening
+//! thresholds, the loop-head index, checkpoint liveness, the deadline's
+//! start and the counter reading the run's [`AnalysisStats`] start
+//! from. The plan also charges every visit against the budget, the
+//! deadline and the strategy's fail-point site (`Plan::charge`).
+//!
 //! Both path explorers run **one walk**: the crate-private `Walk` owns
 //! the per-walk accumulators (reported joins, loop-head summaries and
 //! their widening counters, trip and cleaning totals) and runs the
 //! arrival protocol documented on [`PathSensitive`]. What differs between
-//! the two — how a visit is charged against the budget, which fail-point
-//! site fires, which visited table prunes, and what happens to a fork's
-//! fall-through arm — is a `WalkPolicy` resolved at compile time. Both
-//! build the same per-program `Plan` (CFG, thresholds, loop-head index,
-//! checkpoint liveness) first.
+//! the two — where a visit is counted, which fail-point site fires,
+//! which visited table prunes, and what happens to a fork's
+//! fall-through arm — is a `WalkPolicy` resolved at compile time.
 //!
 //! All return an [`Exploration`] — per-instruction states plus
 //! [`AnalysisStats`] — which the session tags with its [`Strategy`] into
@@ -56,7 +61,8 @@ use crate::error::VerifierError;
 use crate::failpoint::FaultSite;
 use crate::fixpoint::{self, AnalysisStats};
 use crate::passes::CheckpointLiveness;
-use crate::state::{stats, AbsState, JoinCounters, ReportAcc, WidenCtx};
+use crate::state::{AbsState, JoinCounters, ReportAcc, WidenCtx};
+use crate::tally::{self, Tally};
 use crate::transfer::Transfer;
 use crate::visited::VisitedTable;
 
@@ -166,10 +172,7 @@ impl ExplorationStrategy for WideningFixpoint {
         prog: &Program,
         options: &AnalyzerOptions,
     ) -> Result<Exploration, VerifierError> {
-        let cfg = Cfg::build(prog);
-        let transfer = Transfer::new(options.clone());
-        let (states, stats) = fixpoint::run(&transfer, prog, &cfg, options)?;
-        Ok(Exploration { states, stats })
+        fixpoint::run(&Plan::new(prog, options))
     }
 }
 
@@ -231,11 +234,8 @@ impl ExplorationStrategy for PathSensitive {
         options: &AnalyzerOptions,
     ) -> Result<Exploration, VerifierError> {
         let plan = Plan::new(prog, options);
-        stats::reset();
-        crate::memo::counters::reset();
         let mut policy = Sequential {
             visited: VisitedTable::with_cap(prog.len(), options.visited_cap as usize),
-            visits: 0,
         };
         let mut walk = Walk::new(&plan);
         walk.run(
@@ -246,48 +246,54 @@ impl ExplorationStrategy for PathSensitive {
             (),
         )?;
         let states = walk.finish_report();
-        let stats = AnalysisStats::of_run(
-            stats::snapshot(),
-            crate::memo::counters::snapshot(),
-            policy.visits,
-            policy.visited.ledger(),
-            walk.totals,
-        );
+        let stats = AnalysisStats::of_run(plan.spent(), policy.visited.ledger(), walk.totals);
         Ok(Exploration { states, stats })
     }
 }
 
-/// What both path explorers build once per program before walking it.
+/// Visits between two clock reads of an armed deadline: reading
+/// `Instant::elapsed` on every visit cost about 10% of batch throughput
+/// (EXPERIMENTS E29), one read per 256 visits costs nothing measurable.
+const DEADLINE_STRIDE: u64 = 256;
+
+/// What every strategy builds once per exploration before walking it.
 pub(crate) struct Plan<'a> {
     pub(crate) prog: &'a Program,
     pub(crate) options: &'a AnalyzerOptions,
     pub(crate) cfg: Cfg,
-    thresholds: WidenThresholds,
+    pub(crate) transfer: Transfer,
+    pub(crate) thresholds: WidenThresholds,
     /// Dense loop-head index per pc (`usize::MAX` = not a head), for the
-    /// per-path trip counters and the per-head widening summaries.
+    /// per-head widening counters, the path walk's per-path trip
+    /// counters and its per-head summaries.
     head_idx: Vec<usize>,
     /// RPO position per head: heads *later* in RPO are (for reducible
     /// CFGs) nested inside or sequenced after earlier ones, and get
     /// their unroll budget reset when an earlier head takes a trip — an
     /// inner loop is unrolled per *entry*, not once per program.
     head_rpo: Vec<usize>,
-    /// Checkpoint liveness feeds checkpoint cleaning: every arrival at
-    /// a checkpoint drops its dead components (kernel
-    /// `clean_verifier_state`) *before* the summary join and the visited
-    /// probe, so paths differing only in dead registers or slots
-    /// fingerprint equally and prune each other, and loop-head summaries
-    /// never widen (or burn delay on) dead components. `None` with
-    /// [`AnalyzerOptions::liveness_pruning`] off or without checkpoints.
-    pub(crate) liveness: Option<CheckpointLiveness>,
+    /// Checkpoint liveness feeds checkpoint cleaning ([`Plan::clear_dead`]).
+    /// `None` with [`AnalyzerOptions::liveness_pruning`] off or without
+    /// checkpoints (only the checkpoints' live-in masks are solved).
+    liveness: Option<CheckpointLiveness>,
     /// When exploration started, for the cooperative deadline check
-    /// (on the first visit and every 256th after it).
+    /// (on the first visit and every [`DEADLINE_STRIDE`]th after it).
     start: Instant,
+    /// This thread's counter block when the plan was built: the run's
+    /// counters are what the block gained since ([`Plan::spent`]).
+    before: Tally,
 }
 
 impl<'a> Plan<'a> {
     pub(crate) fn new(prog: &'a Program, options: &'a AnalyzerOptions) -> Plan<'a> {
         let cfg = Cfg::build(prog);
-        let thresholds = fixpoint::thresholds_for(prog, &cfg, options);
+        // Thresholds only matter where widening can fire: acyclic
+        // programs (the bulk of real workloads) skip the harvest scan.
+        let thresholds = if options.harvest_thresholds && !cfg.back_edges().is_empty() {
+            fixpoint::harvest_thresholds(prog)
+        } else {
+            WidenThresholds::EMPTY
+        };
         let mut head_idx = vec![usize::MAX; prog.len()];
         let mut head_rpo = Vec::new();
         for pc in (0..prog.len()).filter(|&pc| cfg.is_loop_head(pc)) {
@@ -302,17 +308,84 @@ impl<'a> Plan<'a> {
             prog,
             options,
             cfg,
+            transfer: Transfer::new(options.clone()),
             thresholds,
             head_idx,
             head_rpo,
             liveness,
             start: Instant::now(),
+            before: tally::read(),
         }
+    }
+
+    /// The number of loop heads.
+    pub(crate) fn heads(&self) -> usize {
+        self.head_rpo.len()
+    }
+
+    /// The dense loop-head index of `pc`, `None` if it is no loop head.
+    pub(crate) fn head(&self, pc: usize) -> Option<usize> {
+        Some(self.head_idx[pc]).filter(|&h| h != usize::MAX)
     }
 
     /// The entry path's trip counts: zero at every loop head.
     pub(crate) fn entry_trips(&self) -> Vec<u32> {
-        vec![0; self.head_rpo.len()]
+        vec![0; self.heads()]
+    }
+
+    /// Counts one visit in this thread's counter block, returning the
+    /// exploration's 1-based visit count.
+    #[inline]
+    pub(crate) fn count_visit(&self) -> u64 {
+        tally::bump_visit() - self.before.visits
+    }
+
+    /// Charges visit number `visits` (1-based, this exploration's) at
+    /// `pc`: the visit budget, then the deadline (read on visit 1 and
+    /// every [`DEADLINE_STRIDE`]th after it), then `site`'s fail-point.
+    #[inline]
+    pub(crate) fn charge(
+        &self,
+        visits: u64,
+        pc: usize,
+        site: FaultSite,
+    ) -> Result<(), VerifierError> {
+        let budget = self.options.analysis_budget;
+        if visits > budget {
+            return Err(VerifierError::AnalysisBudgetExhausted { pc, budget });
+        }
+        if let Some(deadline) = self.options.deadline {
+            if visits % DEADLINE_STRIDE == 1 {
+                let elapsed = self.start.elapsed();
+                if elapsed >= deadline {
+                    return Err(VerifierError::DeadlineExceeded { elapsed, pc });
+                }
+            }
+        }
+        crate::failpoint::fire(site);
+        Ok(())
+    }
+
+    /// Checkpoint cleaning: every arrival at a checkpoint drops its dead
+    /// components (kernel `clean_verifier_state`) before it joins, widens
+    /// or probes the visited table, so states differing only in dead
+    /// registers or slots join, subset-skip and prune alike, and dead
+    /// components never burn widening delay. Cleaning to `Uninit` (the
+    /// join/order top) is monotone, so every engine stays sound on the
+    /// live components. Returns how many components it reset.
+    pub(crate) fn clear_dead(&self, pc: usize, state: &mut AbsState) -> u64 {
+        match &self.liveness {
+            Some(live) if self.cfg.is_checkpoint(pc) => {
+                let mask = live.live_in(pc);
+                u64::from(state.clear_dead(mask.regs, mask.slots))
+            }
+            _ => 0,
+        }
+    }
+
+    /// The counters this thread's block gained since the plan was built.
+    pub(crate) fn spent(&self) -> Tally {
+        tally::read() - self.before
     }
 }
 
@@ -333,10 +406,12 @@ pub(crate) trait WalkPolicy {
     /// The fail-point site every visit fires.
     const VISIT_SITE: FaultSite;
 
-    /// Counts one visit, returning the total visits charged against the
-    /// budget so far, or `None` to abandon the walk without an error of
-    /// its own.
-    fn charge(&mut self) -> Option<u64>;
+    /// Counts one visit, returning the exploration's 1-based visit
+    /// count, or `None` to abandon the walk without an error of its own.
+    /// By default the visit is counted in this thread's counter block.
+    fn count_visit(&mut self, plan: &Plan<'_>) -> Option<u64> {
+        Some(plan.count_visit())
+    }
 
     /// Probes the visited table at checkpoint `pc`: `true` prunes the
     /// arrival, `false` records it.
@@ -368,7 +443,6 @@ type Arrival<D> = (usize, AbsState, Rc<Vec<u32>>, D);
 /// One depth-first walk over a [`Plan`] and the accumulators it fills.
 pub(crate) struct Walk<'p> {
     plan: &'p Plan<'p>,
-    transfer: Transfer,
     /// The per-pc join over every arrival this walk explored, reduced
     /// once by [`Walk::finish_report`].
     report: Vec<Option<ReportAcc>>,
@@ -379,13 +453,11 @@ pub(crate) struct Walk<'p> {
 
 impl<'p> Walk<'p> {
     pub(crate) fn new(plan: &'p Plan<'p>) -> Walk<'p> {
-        let heads = plan.head_rpo.len();
         Walk {
             plan,
-            transfer: Transfer::new(plan.options.clone()),
             report: (0..plan.prog.len()).map(|_| None).collect(),
-            summaries: vec![None; heads],
-            counters: (0..heads).map(|_| JoinCounters::new()).collect(),
+            summaries: vec![None; plan.heads()],
+            counters: vec![JoinCounters::new(); plan.heads()],
             totals: WalkTotals::default(),
         }
     }
@@ -415,22 +487,15 @@ impl<'p> Walk<'p> {
         let mut stack: Vec<Arrival<P::Depth>> = Vec::new();
         let mut next = Some((pc, state, trips, depth));
         while let Some((pc, mut state, mut trips, depth)) = next.take().or_else(|| stack.pop()) {
-            let Some(visits) = policy.charge() else {
+            let Some(visits) = policy.count_visit(plan) else {
                 break;
             };
-            let budget = plan.options.analysis_budget;
-            if visits > budget {
-                return Err(VerifierError::AnalysisBudgetExhausted { pc, budget });
-            }
-            crate::analyzer::check_deadline(plan.start, plan.options, visits, pc)?;
-            crate::failpoint::fire(P::VISIT_SITE);
-            let h = plan.head_idx[pc];
+            plan.charge(visits, pc, P::VISIT_SITE)?;
             // Checkpoints — where paths can re-converge, so where
             // pruning can fire: loop heads plus merge points.
             let checkpoint = plan.cfg.is_checkpoint(pc);
-            self.totals.dead_components_cleared +=
-                fixpoint::clear_dead_at(&plan.cfg, plan.liveness.as_ref(), pc, &mut state);
-            if h != usize::MAX {
+            self.totals.dead_components_cleared += plan.clear_dead(pc, &mut state);
+            if let Some(h) = plan.head(pc) {
                 // A new trip of this loop restarts the unroll budget of
                 // every head nested inside it (later in RPO), so an
                 // 8×8 nested loop unrolls 8 fresh inner trips per outer
@@ -510,7 +575,7 @@ impl<'p> Walk<'p> {
                 slot @ None => *slot = Some(ReportAcc::new(state.clone())),
                 Some(report) => report.absorb(&state),
             }
-            let mut succs = self.transfer.step(plan.prog, state, pc)?.into_iter();
+            let mut succs = plan.transfer.step(plan.prog, state, pc)?.into_iter();
             match (succs.next(), succs.next()) {
                 (Some((succ, out)), None) => next = Some((succ, out, trips, depth)),
                 (Some((fall, fall_out)), Some((taken, taken_out))) => {
@@ -536,23 +601,16 @@ impl<'p> Walk<'p> {
     }
 }
 
-/// [`PathSensitive`]'s policy: a local visit counter, the `path-visit`
-/// fail-point, a private [`VisitedTable`], and every fork arm on the
-/// stack (the default `fork`).
+/// [`PathSensitive`]'s policy: visits counted in the thread's counter
+/// block and every fork arm on the stack (the defaults), the
+/// `path-visit` fail-point and a private [`VisitedTable`].
 struct Sequential {
     visited: VisitedTable,
-    visits: u64,
 }
 
 impl WalkPolicy for Sequential {
     type Depth = ();
     const VISIT_SITE: FaultSite = FaultSite::PathVisit;
-
-    fn charge(&mut self) -> Option<u64> {
-        self.visits += 1;
-        fixpoint::ledger::bump();
-        Some(self.visits)
-    }
 
     fn prune_or_record(&mut self, pc: usize, state: &AbsState, masked: bool) -> bool {
         let covered = if masked {

@@ -1,19 +1,21 @@
 //! The fixpoint layer: the reverse-postorder priority worklist over
 //! loop heads and merge points, the per-register delayed-widening/
-//! narrowing schedule, the visit budget, and the [`AnalysisStats`]
-//! accounting of copy-on-write state traffic.
+//! narrowing schedule, and [`AnalysisStats`], the counters every
+//! exploration reports.
 //!
-//! The engine knows nothing about instruction semantics — it asks
-//! [`crate::transfer::Transfer`] for successor contributions and owns
-//! only *how* states flow. States are kept only where paths meet (the
-//! entry and every [`Cfg::is_checkpoint`] pc); the code between two such
-//! heads is stepped in place on one state, like the path walk does.
+//! The engine knows nothing about instruction semantics — it asks the
+//! per-exploration plan's [`crate::transfer::Transfer`] for successor
+//! contributions, and the plan charges each visit — and owns only *how*
+//! states flow. States are kept only where paths meet (the entry and
+//! every [`Cfg::is_checkpoint`](crate::Cfg::is_checkpoint) pc); the
+//! code between two such heads is stepped in place on one state, like
+//! the path walk does.
 //! Arrivals join at merge points ([`crate::AbsState::flow_join`]) and
 //! widen per component at loop heads (each register and stack slot
 //! burns its own [`crate::AnalyzerOptions::widen_delay`], see
 //! [`crate::state::JoinCounters`]), with widening thresholds harvested
 //! from the program's comparison immediates, and one narrowing pass
-//! after stabilization records the per-pc report (see [`run`]).
+//! after stabilization records the per-pc report (see `run`).
 //!
 //! A widened scalar's tnum half jumps ([`tnum::Tnum::widen`]): every
 //! trit from the lowest newly unknown one upward turns unknown, since
@@ -27,51 +29,13 @@
 use ebpf::{Insn, Program, Src};
 use interval_domain::WidenThresholds;
 
-use crate::analyzer::AnalyzerOptions;
-use crate::cfg::{Cfg, RpoWorklist};
+use crate::cfg::RpoWorklist;
 use crate::error::VerifierError;
-use crate::explore::WalkTotals;
-use crate::passes::CheckpointLiveness;
-use crate::state::{stats, AbsState, JoinCounters, WidenCtx};
-use crate::transfer::Transfer;
+use crate::explore::{Exploration, Plan, WalkTotals};
+use crate::failpoint::FaultSite;
+use crate::state::{AbsState, JoinCounters, WidenCtx};
+use crate::tally::Tally;
 use crate::visited::Ledger;
-
-/// Thread-local visit ledger: every strategy bumps it once per
-/// instruction visit (the parallel explorer credits its shared atomic
-/// back on the coordinator thread), and [`crate::batch::run`] resets
-/// and harvests it around each program so a *rejected* run's partial
-/// walk still lands in `BatchStats::per_worker_visits` — an
-/// error return discards the strategy's local counters, and before
-/// this ledger existed that burned work silently vanished from the
-/// batch roll-up.
-pub(crate) mod ledger {
-    use std::cell::Cell;
-
-    thread_local! {
-        static VISITS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// Counts one instruction visit on this thread.
-    pub(crate) fn bump() {
-        VISITS.with(|v| v.set(v.get() + 1));
-    }
-
-    /// Credits `n` visits performed elsewhere (parallel explorer jobs)
-    /// to this thread's ledger.
-    pub(crate) fn credit(n: u64) {
-        VISITS.with(|v| v.set(v.get() + n));
-    }
-
-    /// Zeroes the ledger (start of one batch item).
-    pub(crate) fn reset() {
-        VISITS.with(|v| v.set(0));
-    }
-
-    /// Reads the ledger (end of one batch item, `Ok` or `Err`).
-    pub(crate) fn snapshot() -> u64 {
-        VISITS.with(Cell::get)
-    }
-}
 
 /// Counters describing one analysis run — the observable effect of the
 /// copy-on-write state layer and (under the path-sensitive strategy) of
@@ -79,6 +43,13 @@ pub(crate) mod ledger {
 /// pinned exactly over its sweep in `crates/bench/tests/guard_pins.rs`,
 /// and pinned per fixture for the path explorer in
 /// `tests/explorer_counters.rs`.
+///
+/// The state traffic, memo traffic and visits are counted in a
+/// thread-local block that nothing resets; a run's fields are what the
+/// block gained between the run's start and end, so they do not depend
+/// on earlier work on the same thread. A result the degradation ladder
+/// produced counts only the exploration that produced it (the batch
+/// roll-up, [`crate::BatchStats`], counts every attempt).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisStats {
     /// Deep copies of a register file or stack frame actually performed
@@ -132,7 +103,7 @@ pub struct AnalysisStats {
     pub bytes_materialized: u64,
     /// Transfer memo cache lookups served from a verified entry
     /// (operand equality confirmed — see [`crate::memo::TransferMemo`]).
-    /// Zero when [`AnalyzerOptions::memo_cache`] is `None`.
+    /// Zero when [`crate::AnalyzerOptions::memo_cache`] is `None`.
     pub memo_hits: u64,
     /// Transfer memo cache lookups that found no entry (or only a
     /// colliding one with different operands) and computed afresh.
@@ -143,7 +114,7 @@ pub struct AnalysisStats {
     /// Arrivals pruned through the liveness-masked visited probe
     /// ([`crate::VisitedTable::is_covered_masked`]) — the pruning wins
     /// attributable to checkpoint cleaning under
-    /// [`AnalyzerOptions::liveness_pruning`]. A subset of
+    /// [`crate::AnalyzerOptions::liveness_pruning`]. A subset of
     /// `states_pruned`; always zero under the widening fixpoint and
     /// with masking off.
     pub live_masked_prunes: u64,
@@ -175,31 +146,26 @@ pub struct AnalysisStats {
 }
 
 impl AnalysisStats {
-    /// One run's counters: its state-layer `traffic`, `memo` `(hits,
-    /// misses, evicted)`, visits, visited-table ledger (`chains`) and
-    /// walk totals. The parallel explorer's own counters start at zero.
-    pub(crate) fn of_run(
-        traffic: stats::Traffic,
-        memo: (u64, u64, u64),
-        visits: u64,
-        chains: Ledger,
-        totals: WalkTotals,
-    ) -> AnalysisStats {
+    /// One run's counters: what its thread's counter block gained
+    /// (`spent`: state traffic, memo traffic, visits), its visited-table
+    /// ledger (`chains`) and its walk totals. The parallel explorer's
+    /// own counters start at zero.
+    pub(crate) fn of_run(spent: Tally, chains: Ledger, totals: WalkTotals) -> AnalysisStats {
         AnalysisStats {
-            states_allocated: traffic.allocated,
-            states_shared: traffic.shared,
-            joins_short_circuited: traffic.short_circuited,
-            widenings_applied: traffic.widenings,
-            visits,
+            states_allocated: spent.allocated,
+            states_shared: spent.shared,
+            joins_short_circuited: spent.short_circuited,
+            widenings_applied: spent.widenings,
+            visits: spent.visits,
             states_pruned: chains.states_pruned,
             subset_checks: chains.subset_checks,
             unrolled_trips: totals.unrolled_trips,
             fingerprint_rejects: chains.fingerprint_rejects,
             visited_evicted: chains.visited_evicted,
-            bytes_materialized: traffic.bytes,
-            memo_hits: memo.0,
-            memo_misses: memo.1,
-            memo_evicted: memo.2,
+            bytes_materialized: spent.bytes,
+            memo_hits: spent.memo_hits,
+            memo_misses: spent.memo_misses,
+            memo_evicted: spent.memo_evicted,
             live_masked_prunes: chains.masked_prunes,
             dead_components_cleared: totals.dead_components_cleared,
             ..AnalysisStats::default()
@@ -226,9 +192,11 @@ impl AnalysisStats {
 /// sub-register, so that is the useful rung, not the sign-extended
 /// 64-bit pattern).
 ///
-/// Shared with the path explorers' widening fallback (see
-/// [`thresholds_for`]), so every strategy extrapolates through the same
-/// program-derived ladder.
+/// Harvested once per exploration by the `Plan` every strategy builds
+/// (only with [`crate::AnalyzerOptions::harvest_thresholds`] on and a
+/// back edge in the CFG), so the fixpoint and the path explorers'
+/// widening fallback extrapolate through the same program-derived
+/// ladder.
 pub(crate) fn harvest_thresholds(prog: &Program) -> WidenThresholds {
     WidenThresholds::harvest(prog.insns().iter().filter_map(|insn| match insn {
         Insn::Jmp {
@@ -243,38 +211,23 @@ pub(crate) fn harvest_thresholds(prog: &Program) -> WidenThresholds {
     }))
 }
 
-/// The widening thresholds a strategy runs `prog` with: harvested when
-/// [`AnalyzerOptions::harvest_thresholds`] is on and the CFG has a back
-/// edge. Thresholds only matter where widening can fire; acyclic
-/// programs (the bulk of real workloads) skip the harvest scan entirely.
-pub(crate) fn thresholds_for(
-    prog: &Program,
-    cfg: &Cfg,
-    options: &AnalyzerOptions,
-) -> WidenThresholds {
-    if options.harvest_thresholds && !cfg.back_edges().is_empty() {
-        harvest_thresholds(prog)
-    } else {
-        WidenThresholds::EMPTY
-    }
-}
-
-/// Runs the head worklist to a (widened) post-fixpoint and, for a
-/// cyclic program, one narrowing pass, returning per-instruction states
-/// and the run's sharing statistics.
+/// Runs the head worklist over `plan`'s program to a (widened)
+/// post-fixpoint and, for a cyclic program, one narrowing pass,
+/// returning per-instruction states and the run's counters.
 ///
 /// States are kept only at **heads**: the entry plus every
-/// [`Cfg::is_checkpoint`] pc (loop heads and merge points). Every other
-/// reachable pc has exactly one reachable predecessor edge, so it
-/// belongs to exactly one head's **segment** — the straight-line code
-/// and branch arms that follow the head up to the next head or `exit`.
+/// [`Cfg::is_checkpoint`](crate::Cfg::is_checkpoint) pc (loop heads and
+/// merge points). Every other reachable pc has exactly one reachable
+/// predecessor edge, so it belongs to exactly one head's **segment** —
+/// the straight-line code and branch arms that follow the head up to
+/// the next head or `exit`.
 /// Popping a head (earliest in reverse postorder first) walks its
 /// segment on one in-place state, forking only at branch arms, and
 /// flows each arrival at a head into that head's state: a subset test,
 /// else a join (per-component delayed widening at loop heads) that
-/// re-queues the head when it grew. Every instruction of a walk is one
-/// visit against the budget, the deadline and the `fixpoint-visit`
-/// fail-point.
+/// re-queues the head when it grew. Every instruction of a widening
+/// walk is one visit the plan charges against the budget, the deadline
+/// and the `fixpoint-visit` fail-point.
 ///
 /// The report: an acyclic program pops every head once, so its walks
 /// record each pc's state directly. A cyclic program is reported by the
@@ -297,42 +250,18 @@ pub(crate) fn thresholds_for(
 /// A [`VerifierError`] from the transfer layer (the program is unsafe)
 /// or [`VerifierError::AnalysisBudgetExhausted`] when the iteration
 /// exceeds its visit budget.
-pub fn run(
-    transfer: &Transfer,
-    prog: &Program,
-    cfg: &Cfg,
-    options: &AnalyzerOptions,
-) -> Result<(Vec<Option<AbsState>>, AnalysisStats), VerifierError> {
-    stats::reset();
-    crate::memo::counters::reset();
+pub(crate) fn run(plan: &Plan<'_>) -> Result<Exploration, VerifierError> {
+    let cfg = &plan.cfg;
     let acyclic = cfg.back_edges().is_empty();
     let mut fixpoint = Fixpoint {
-        transfer,
-        prog,
-        cfg,
-        options,
-        thresholds: thresholds_for(prog, cfg, options),
-        // Liveness feeds checkpoint cleaning: states flowing into a loop
-        // head or merge point drop their dead components first, so
-        // contributions differing only in dead registers/slots
-        // subset-skip instead of re-joining, and dead components never
-        // burn widening delay. Cleaning to `Uninit` (the join/order top)
-        // is monotone, so the fixpoint stays a sound over-approximation
-        // on live components. Only the checkpoints' live-in masks are
-        // solved (none at all for a program without checkpoints).
-        liveness: options
-            .liveness_pruning
-            .then(|| CheckpointLiveness::compute(prog, cfg))
-            .flatten(),
-        counters: vec![None; prog.len()],
+        plan,
+        counters: vec![JoinCounters::new(); plan.heads()],
         queue: RpoWorklist::new(cfg.rpo().len()),
         arms: Vec::new(),
-        visits: 0,
-        start: std::time::Instant::now(),
         totals: WalkTotals::default(),
     };
 
-    let mut heads: Vec<Option<AbsState>> = vec![None; prog.len()];
+    let mut heads: Vec<Option<AbsState>> = vec![None; plan.prog.len()];
     heads[0] = Some(fixpoint.entry());
     fixpoint.queue.push(cfg.rpo_pos(0));
     while let Some(pos) = fixpoint.queue.pop() {
@@ -347,7 +276,7 @@ pub fn run(
     let states = if acyclic {
         heads
     } else {
-        let mut report: Vec<Option<AbsState>> = vec![None; prog.len()];
+        let mut report: Vec<Option<AbsState>> = vec![None; plan.prog.len()];
         report[0] = Some(fixpoint.entry());
         for &pc in cfg.rpo() {
             if let Some(state) = heads[pc].take() {
@@ -357,14 +286,8 @@ pub fn run(
         report
     };
 
-    let stats = AnalysisStats::of_run(
-        stats::snapshot(),
-        crate::memo::counters::snapshot(),
-        fixpoint.visits,
-        Ledger::default(),
-        fixpoint.totals,
-    );
-    Ok((states, stats))
+    let stats = AnalysisStats::of_run(plan.spent(), Ledger::default(), fixpoint.totals);
+    Ok(Exploration { states, stats })
 }
 
 /// Which pass a segment walk serves.
@@ -382,17 +305,11 @@ enum Pass {
 }
 
 /// One fixpoint run's engine state, shared by both passes.
-struct Fixpoint<'a> {
-    transfer: &'a Transfer,
-    prog: &'a Program,
-    cfg: &'a Cfg,
-    options: &'a AnalyzerOptions,
-    thresholds: WidenThresholds,
-    liveness: Option<CheckpointLiveness>,
-    /// Per-loop-head, per-component changing-join counters driving the
-    /// per-register delayed widening (allocated lazily: only heads
-    /// join).
-    counters: Vec<Option<Box<JoinCounters>>>,
+struct Fixpoint<'p> {
+    plan: &'p Plan<'p>,
+    /// Per-loop-head (by the plan's dense head index), per-component
+    /// changing-join counters driving the per-register delayed widening.
+    counters: Vec<JoinCounters>,
     /// Pending heads by RPO position: always popping the earliest, so
     /// inner regions settle before outer ones re-fire (the classic
     /// weak-topological iteration strategy).
@@ -400,8 +317,6 @@ struct Fixpoint<'a> {
     /// The current segment walk's pending instructions, reused across
     /// walks.
     arms: Vec<(usize, AbsState)>,
-    visits: u64,
-    start: std::time::Instant,
     /// The fixpoint joins instead of pruning and never unrolls: of the
     /// walk totals it only counts cleaned components.
     totals: WalkTotals,
@@ -411,8 +326,7 @@ impl Fixpoint<'_> {
     /// The entry state, cleaned when the entry is a checkpoint.
     fn entry(&mut self) -> AbsState {
         let mut entry = AbsState::entry();
-        self.totals.dead_components_cleared +=
-            clear_dead_at(self.cfg, self.liveness.as_ref(), 0, &mut entry);
+        self.totals.dead_components_cleared += self.plan.clear_dead(0, &mut entry);
         entry
     }
 
@@ -427,11 +341,12 @@ impl Fixpoint<'_> {
         state: AbsState,
         out: &mut [Option<AbsState>],
     ) -> Result<(), VerifierError> {
+        let plan = self.plan;
         self.arms.push((head, state));
         while let Some((pc, state)) = self.arms.pop() {
             match pass {
                 Pass::Widen { record } => {
-                    self.charge(pc)?;
+                    plan.charge(plan.count_visit(), pc, FaultSite::FixpointVisit)?;
                     if record && pc != head {
                         out[pc] = Some(state.clone());
                     }
@@ -445,15 +360,14 @@ impl Fixpoint<'_> {
                 }
                 Pass::Narrow => {}
             }
-            for (succ, mut next) in self.transfer.step(self.prog, state, pc)? {
+            for (succ, mut next) in plan.transfer.step(plan.prog, state, pc)? {
                 // The entry is re-entered only through a back edge,
                 // which makes it a checkpoint too.
-                if !self.cfg.is_checkpoint(succ) {
+                if !plan.cfg.is_checkpoint(succ) {
                     self.arms.push((succ, next));
                     continue;
                 }
-                self.totals.dead_components_cleared +=
-                    clear_dead_at(self.cfg, self.liveness.as_ref(), succ, &mut next);
+                self.totals.dead_components_cleared += plan.clear_dead(succ, &mut next);
                 match pass {
                     Pass::Widen { .. } => self.absorb(succ, next, out),
                     Pass::Narrow => match &mut out[succ] {
@@ -468,20 +382,6 @@ impl Fixpoint<'_> {
         Ok(())
     }
 
-    /// Counts one visit at `pc` against the budget, the deadline and the
-    /// `fixpoint-visit` fail-point.
-    fn charge(&mut self, pc: usize) -> Result<(), VerifierError> {
-        self.visits += 1;
-        ledger::bump();
-        let budget = self.options.analysis_budget;
-        if self.visits > budget {
-            return Err(VerifierError::AnalysisBudgetExhausted { pc, budget });
-        }
-        crate::analyzer::check_deadline(self.start, self.options, self.visits, pc)?;
-        crate::failpoint::fire(crate::failpoint::FaultSite::FixpointVisit);
-        Ok(())
-    }
-
     /// Flows the widening pass's arrival `next` into head `succ`'s
     /// state, re-queueing the head if it grew.
     fn absorb(&mut self, succ: usize, next: AbsState, heads: &mut [Option<AbsState>]) {
@@ -492,10 +392,11 @@ impl Fixpoint<'_> {
             }
             Some(existing) => {
                 !next.is_subset_of(existing) && {
-                    let widen = self.cfg.is_loop_head(succ).then(|| WidenCtx {
-                        counters: self.counters[succ].get_or_insert_with(Default::default),
-                        delay: self.options.widen_delay,
-                        thresholds: &self.thresholds,
+                    let plan = self.plan;
+                    let widen = plan.head(succ).map(|h| WidenCtx {
+                        counters: &mut self.counters[h],
+                        delay: plan.options.widen_delay,
+                        thresholds: &plan.thresholds,
                         tnum_jump: true,
                     });
                     existing.flow_join(&next, widen)
@@ -503,26 +404,8 @@ impl Fixpoint<'_> {
             }
         };
         if grew {
-            self.queue.push(self.cfg.rpo_pos(succ));
+            self.queue.push(self.plan.cfg.rpo_pos(succ));
         }
-    }
-}
-
-/// Checkpoint cleaning: when liveness was solved and `pc` is a
-/// checkpoint, resets `state`'s components dead at `pc` to their
-/// uninitialized top, returning how many it reset.
-pub(crate) fn clear_dead_at(
-    cfg: &Cfg,
-    liveness: Option<&CheckpointLiveness>,
-    pc: usize,
-    state: &mut AbsState,
-) -> u64 {
-    match liveness {
-        Some(live) if cfg.is_checkpoint(pc) => {
-            let mask = live.live_in(pc);
-            u64::from(state.clear_dead(mask.regs, mask.slots))
-        }
-        _ => 0,
     }
 }
 
@@ -534,9 +417,9 @@ mod tests {
 
     fn analyze(src: &str) -> (Vec<Option<AbsState>>, AnalysisStats) {
         let prog = assemble(src).expect("assembles");
-        let options = AnalyzerOptions::default();
-        let transfer = Transfer::new(options.clone());
-        run(&transfer, &prog, &Cfg::build(&prog), &options).expect("accepted")
+        let options = crate::AnalyzerOptions::default();
+        let Exploration { states, stats } = run(&Plan::new(&prog, &options)).expect("accepted");
+        (states, stats)
     }
 
     /// A counted loop whose body is `body` ALU instructions.

@@ -142,6 +142,7 @@ pub mod passes;
 mod product;
 mod scalar;
 pub mod state;
+mod tally;
 pub mod transfer;
 mod value;
 pub mod visited;

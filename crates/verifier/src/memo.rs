@@ -37,9 +37,9 @@
 //! and each shard evicts oldest-first past its cap — the same bounded
 //! "LRU-ish" hygiene as the visited table's chain cap.
 //!
-//! Per-run traffic is counted in thread-local `counters` the
-//! exploration engines snapshot into
-//! [`AnalysisStats`](crate::AnalysisStats)
+//! Traffic is counted in the crate's thread-local counter block
+//! (`crate::tally`), from which each exploration's
+//! [`AnalysisStats`](crate::AnalysisStats) take what it gained
 //! (`memo_hits` / `memo_misses` / `memo_evicted`).
 //!
 //! **The memo is opt-in.** [`AnalyzerOptions::memo_cache`] is `None` by
@@ -66,6 +66,7 @@ use ebpf::{AluOp, JmpOp, Width};
 
 use crate::scalar::Scalar;
 use crate::state::mix;
+use crate::tally;
 
 /// Number of independently-locked shards. A power of two so shard
 /// selection is a mask; 16 keeps contention negligible at the jobs
@@ -74,56 +75,6 @@ pub const SHARDS: usize = 16;
 
 /// Default per-shard entry cap (≈ 16 K entries across the cache).
 const DEFAULT_SHARD_CAP: usize = 1024;
-
-/// Thread-local memo traffic counters, reset per analysis run and
-/// snapshotted into `AnalysisStats` — same pattern as
-/// [`crate::state::stats`].
-pub(crate) mod counters {
-    use std::cell::Cell;
-
-    thread_local! {
-        static HITS: Cell<u64> = const { Cell::new(0) };
-        static MISSES: Cell<u64> = const { Cell::new(0) };
-        static EVICTED: Cell<u64> = const { Cell::new(0) };
-    }
-
-    pub(crate) fn bump_hit() {
-        HITS.with(|v| v.set(v.get() + 1));
-    }
-
-    pub(crate) fn bump_miss() {
-        MISSES.with(|v| v.set(v.get() + 1));
-    }
-
-    pub(crate) fn bump_evicted() {
-        EVICTED.with(|v| v.set(v.get() + 1));
-    }
-
-    /// Adds externally-accumulated traffic to this thread's counters —
-    /// how the parallel explorer folds its worker threads' totals back
-    /// onto the coordinator before outer aggregators snapshot it.
-    pub(crate) fn credit(hits: u64, misses: u64, evicted: u64) {
-        HITS.with(|v| v.set(v.get() + hits));
-        MISSES.with(|v| v.set(v.get() + misses));
-        EVICTED.with(|v| v.set(v.get() + evicted));
-    }
-
-    /// Zeroes the counters (start of an analysis run).
-    pub(crate) fn reset() {
-        for c in [&HITS, &MISSES, &EVICTED] {
-            c.with(|v| v.set(0));
-        }
-    }
-
-    /// `(hits, misses, evicted)` accumulated since the last [`reset`].
-    pub(crate) fn snapshot() -> (u64, u64, u64) {
-        (
-            HITS.with(Cell::get),
-            MISSES.with(Cell::get),
-            EVICTED.with(Cell::get),
-        )
-    }
-}
 
 /// A memo cache key: the packed instruction word plus the mixed operand
 /// fingerprints.
@@ -267,7 +218,7 @@ impl TransferMemo {
     /// Looks up `key`, returning the cached effect only when the stored
     /// operands are *exactly equal* to `(lhs, rhs)` — a fingerprint
     /// collision therefore reads as a miss, never as a wrong result.
-    /// Counts a hit or miss in the calling thread's `counters`.
+    /// Counts a hit or miss in the calling thread's counter block.
     #[must_use]
     pub fn lookup(&self, key: MemoKey, lhs: Scalar, rhs: Scalar) -> Option<MemoEffect> {
         // Poison recovery, not unwrap: a worker that panicked (and was
@@ -277,11 +228,11 @@ impl TransferMemo {
         let shard = lock_recover(&self.shards[key.shard()]);
         match shard.map.get(&key) {
             Some(entry) if entry.lhs == lhs && entry.rhs == rhs => {
-                counters::bump_hit();
+                tally::bump_memo_hit();
                 Some(entry.effect)
             }
             _ => {
-                counters::bump_miss();
+                tally::bump_memo_miss();
                 None
             }
         }
@@ -310,7 +261,7 @@ impl TransferMemo {
                 break;
             };
             if shard.map.remove(&oldest).is_some() {
-                counters::bump_evicted();
+                tally::bump_memo_evicted();
             }
         }
     }
@@ -338,14 +289,14 @@ mod tests {
 
     #[test]
     fn round_trips_an_alu_entry() {
-        counters::reset();
+        let before = tally::read();
         let memo = TransferMemo::new();
         let key = MemoKey::alu(Width::W64, AluOp::Add, 11, 22);
         assert_eq!(memo.lookup(key, s(1), s(2)), None);
         memo.insert(key, s(1), s(2), MemoEffect::Alu(s(3)));
         assert_eq!(memo.lookup(key, s(1), s(2)), Some(MemoEffect::Alu(s(3))));
-        let (hits, misses, _) = counters::snapshot();
-        assert_eq!((hits, misses), (1, 1));
+        let spent = tally::read() - before;
+        assert_eq!((spent.memo_hits, spent.memo_misses), (1, 1));
     }
 
     #[test]
@@ -416,7 +367,7 @@ mod tests {
 
     #[test]
     fn shard_cap_evicts_oldest_first() {
-        counters::reset();
+        let before = tally::read();
         let memo = TransferMemo::with_shard_capacity(2);
         // Generate enough distinct keys that some shard overflows.
         for i in 0..(SHARDS as u64 * 8) {
@@ -424,7 +375,7 @@ mod tests {
             memo.insert(key, s(i), s(i), MemoEffect::Alu(s(i)));
         }
         assert!(memo.len() <= SHARDS * 2, "caps hold: {}", memo.len());
-        let (_, _, evicted) = counters::snapshot();
+        let evicted = (tally::read() - before).memo_evicted;
         assert!(evicted > 0, "overflow evicted oldest entries");
     }
 

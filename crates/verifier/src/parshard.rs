@@ -18,6 +18,13 @@
 //! explored on one worker prunes re-convergent arrivals on every other
 //! (`AnalysisStats::shared_prunes`).
 //!
+//! Each worker's state and memo traffic lands in its own thread's
+//! counter block, and its visits in one shared atomic (the global
+//! budget). The coordinator folds both into its own block with one
+//! credit, so, as under every strategy, the run's
+//! [`AnalysisStats`] are what the coordinator's block gained during the
+//! run.
+//!
 //! ## Determinism contract
 //!
 //! While no job widens a loop head (every loop a job walks stays within
@@ -80,7 +87,8 @@ use crate::explore::{
 };
 use crate::failpoint::FaultSite;
 use crate::fixpoint::AnalysisStats;
-use crate::state::{stats, AbsState, SparseStack, REGS};
+use crate::state::{AbsState, SparseStack, REGS};
+use crate::tally::{self, Tally};
 use crate::value::RegValue;
 use crate::visited::ConcurrentVisitedTable;
 
@@ -160,11 +168,14 @@ impl ExplorationStrategy for PathParallel {
             0 => default_threads(),
             n => n as usize,
         };
+        // The root's snapshot is taken before the plan reads the counter
+        // block: worker 0 counts the state it rebuilds from it.
+        let state = AbsState::entry().to_parts();
         let plan = Plan::new(prog, options);
         let root = Job {
             id: 0,
             pc: 0,
-            state: AbsState::entry().to_parts(),
+            state,
             trips: plan.entry_trips(),
             depth: 0,
         };
@@ -183,13 +194,8 @@ impl ExplorationStrategy for PathParallel {
         // Claimed, it stays outstanding until worker 0 completes it.
         let root = Mutex::new(ctx.pool.pop(0));
 
-        // The coordinator thread's own state traffic (the merge below)
-        // must be counted too: reset here, snapshot after merging.
-        stats::reset();
-        crate::memo::counters::reset();
-        let worker_stats = par_workers(jobs, |worker| {
-            stats::reset();
-            crate::memo::counters::reset();
+        let worker_spent = par_workers(jobs, |worker| {
+            let before = tally::read();
             let mut claimed = if worker == 0 {
                 lock_recover(&root).take()
             } else {
@@ -226,15 +232,18 @@ impl ExplorationStrategy for PathParallel {
                 lock_recover(&ctx.results).push(result);
                 ctx.pool.complete();
             }
-            (stats::snapshot(), crate::memo::counters::snapshot())
+            tally::read() - before
         });
 
-        // Credit the workers' visits to the coordinator's thread-local
-        // ledger whether the run succeeds, degrades, or reruns
-        // sequentially — the batch engine harvests the ledger around
-        // each item so even a doomed parallel attempt's burned work
-        // shows up in the roll-up.
-        crate::fixpoint::ledger::credit(ctx.visits.load(Ordering::Relaxed));
+        // One credit folds the workers' counters and the shared visit
+        // total into this thread's block, whether the run succeeds,
+        // degrades or reruns sequentially: the run's own stats (below)
+        // and the batch engine read them from there.
+        let visits = Tally {
+            visits: ctx.visits.load(Ordering::Relaxed),
+            ..Tally::default()
+        };
+        tally::credit(worker_spent.into_iter().fold(visits, |sum, w| sum + w));
 
         let results = ctx
             .results
@@ -299,36 +308,7 @@ impl ExplorationStrategy for PathParallel {
             walk.extend(job.children.iter().copied());
         }
 
-        let coordinator_memo = crate::memo::counters::snapshot();
-        let mut traffic = stats::snapshot();
-        let mut memo = coordinator_memo;
-        for (t, (h, m, e)) in worker_stats {
-            traffic.allocated += t.allocated;
-            traffic.shared += t.shared;
-            traffic.short_circuited += t.short_circuited;
-            traffic.widenings += t.widenings;
-            traffic.bytes += t.bytes;
-            memo.0 += h;
-            memo.1 += m;
-            memo.2 += e;
-        }
-        // The worker threads' thread-local memo counters die with the
-        // threads: credit their traffic back onto this (coordinator)
-        // thread so outer aggregators — the batch engine snapshots the
-        // calling thread around each item — still see it.
-        crate::memo::counters::credit(
-            memo.0 - coordinator_memo.0,
-            memo.1 - coordinator_memo.1,
-            memo.2 - coordinator_memo.2,
-        );
-
-        let stats = AnalysisStats::of_run(
-            traffic,
-            memo,
-            ctx.visits.load(Ordering::Relaxed),
-            ctx.visited.ledger(),
-            totals,
-        );
+        let stats = AnalysisStats::of_run(ctx.plan.spent(), ctx.visited.ledger(), totals);
         Ok(Exploration {
             states: report,
             stats: AnalysisStats {
@@ -383,7 +363,7 @@ impl WalkPolicy for Shard<'_, '_> {
     type Depth = u32;
     const VISIT_SITE: FaultSite = FaultSite::ParshardJob;
 
-    fn charge(&mut self) -> Option<u64> {
+    fn count_visit(&mut self, _plan: &Plan<'_>) -> Option<u64> {
         // Once another worker doomed the run, stop walking: the
         // sequential rerun will produce the canonical result.
         let doomed = self.ctx.errored.load(Ordering::Relaxed);

@@ -55,8 +55,9 @@
 //! slot burns its *own* widening delay, so an accumulator that keeps
 //! changing no longer spends the precise joins a bounded counter needed.
 //!
-//! Sharing traffic is counted in thread-local `stats` counters that the
-//! exploration engines snapshot into `AnalysisStats`.
+//! Sharing traffic is counted in the crate's thread-local counter block
+//! (`crate::tally`); an exploration's `AnalysisStats` take what it
+//! gained during the run.
 
 use core::fmt;
 use std::cell::Cell;
@@ -66,6 +67,7 @@ use ebpf::{Reg, STACK_SIZE};
 use interval_domain::WidenThresholds;
 
 use crate::scalar::Scalar;
+use crate::tally;
 use crate::value::RegValue;
 
 /// Number of 8-byte stack slots tracked (512 / 8 = 64).
@@ -81,90 +83,6 @@ pub const CHUNK_SLOTS: usize = 8;
 
 /// Number of independently-`Rc`'d chunks the stack frame is split into.
 pub const STACK_CHUNKS: usize = SLOTS / CHUNK_SLOTS;
-
-/// Thread-local sharing counters behind `AnalysisStats`. Thread-local
-/// (not per-call plumbing) so the state layer's internals stay free of
-/// `&mut stats` threading; the exploration engines reset them at the
-/// start of an analysis and snapshot them at the end.
-pub(crate) mod stats {
-    use std::cell::Cell;
-
-    /// Snapshot of the state layer's sharing counters.
-    #[derive(Clone, Copy, Debug, Default)]
-    pub(crate) struct Traffic {
-        /// Deep copies of a component (register file or stack chunk).
-        pub(crate) allocated: u64,
-        /// O(1) `AbsState` clones (refcount bumps only).
-        pub(crate) shared: u64,
-        /// Whole components (or chunks) resolved by pointer identity.
-        pub(crate) short_circuited: u64,
-        /// Widening operator applications to individual components.
-        pub(crate) widenings: u64,
-        /// Bytes copied by all materializations, including the chunk
-        /// spine — the working-set proxy reported as
-        /// `AnalysisStats::bytes_materialized`.
-        pub(crate) bytes: u64,
-    }
-
-    thread_local! {
-        static ALLOCATED: Cell<u64> = const { Cell::new(0) };
-        static SHARED: Cell<u64> = const { Cell::new(0) };
-        static SHORT_CIRCUITED: Cell<u64> = const { Cell::new(0) };
-        static WIDENINGS: Cell<u64> = const { Cell::new(0) };
-        static BYTES: Cell<u64> = const { Cell::new(0) };
-    }
-
-    fn bump(c: &'static std::thread::LocalKey<Cell<u64>>) {
-        c.with(|v| v.set(v.get() + 1));
-    }
-
-    /// A deep copy of `bytes` bytes (register file or stack chunk) was
-    /// performed.
-    pub(crate) fn bump_allocated(bytes: usize) {
-        bump(&ALLOCATED);
-        BYTES.with(|v| v.set(v.get() + bytes as u64));
-    }
-
-    /// Bytes copied without a full component materialization (the chunk
-    /// spine of the stack frame).
-    pub(crate) fn bump_bytes(bytes: usize) {
-        BYTES.with(|v| v.set(v.get() + bytes as u64));
-    }
-
-    /// An `AbsState` clone shared both components (refcount bumps only).
-    pub(crate) fn bump_shared() {
-        bump(&SHARED);
-    }
-
-    /// A join/inclusion resolved a whole component or chunk by pointer
-    /// identity.
-    pub(crate) fn bump_short_circuited() {
-        bump(&SHORT_CIRCUITED);
-    }
-
-    /// A widening operator was applied to one register or stack slot.
-    pub(crate) fn bump_widenings() {
-        bump(&WIDENINGS);
-    }
-
-    /// Zeroes all counters (start of an analysis).
-    pub(crate) fn reset() {
-        for c in [&ALLOCATED, &SHARED, &SHORT_CIRCUITED, &WIDENINGS, &BYTES] {
-            c.with(|v| v.set(0));
-        }
-    }
-
-    /// The counters accumulated since the last [`reset`].
-    pub(crate) fn snapshot() -> Traffic {
-        Traffic {
-            allocated: ALLOCATED.with(Cell::get),
-            shared: SHARED.with(Cell::get),
-            short_circuited: SHORT_CIRCUITED.with(Cell::get),
-            widenings: WIDENINGS.with(Cell::get),
-            bytes: BYTES.with(Cell::get),
-        }
-    }
-}
 
 /// The abstract contents of one 8-byte stack slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -573,7 +491,7 @@ thread_local! {
 /// check cannot drift between call sites.
 fn cells_mut<T: Component, const N: usize>(rc: &mut Rc<Cells<T, N>>) -> &mut Cells<T, N> {
     if Rc::strong_count(rc) > 1 {
-        stats::bump_allocated(size_of::<Cells<T, N>>());
+        tally::bump_allocated(size_of::<Cells<T, N>>());
     }
     Rc::make_mut(rc)
 }
@@ -689,7 +607,7 @@ impl Clone for AbsState {
     /// lazily, only for the component (or stack chunk) a later write
     /// actually touches.
     fn clone(&self) -> AbsState {
-        stats::bump_shared();
+        tally::bump_shared();
         AbsState {
             regs: Rc::clone(&self.regs),
             stack: Rc::clone(&self.stack),
@@ -732,7 +650,7 @@ impl AbsState {
         regs[Reg::R10.index()] = RegValue::StackPtr {
             offset: Scalar::constant(0),
         };
-        stats::bump_allocated(size_of::<RegFile>());
+        tally::bump_allocated(size_of::<RegFile>());
         AbsState {
             regs: Rc::new(Cells::new(regs)),
             stack: EMPTY_FRAME.with(Rc::clone),
@@ -1127,7 +1045,7 @@ fn flow_cells<T: Component, const N: usize>(
     mut widen: Option<(&mut [u32], Widening<'_>)>,
 ) -> bool {
     if Rc::ptr_eq(dst, inc) {
-        stats::bump_short_circuited();
+        tally::bump_short_circuited();
         return false;
     }
     let mut changed = false;
@@ -1146,7 +1064,7 @@ fn flow_cells<T: Component, const N: usize>(
             Some((counters, widening)) => {
                 let joins = &mut counters[i];
                 let next = if *joins >= widening.delay {
-                    stats::bump_widenings();
+                    tally::bump_widenings();
                     widening.widen(cur, grown)
                 } else {
                     grown
@@ -1173,7 +1091,7 @@ fn flow_cells<T: Component, const N: usize>(
 /// component allocation.
 fn frame_spine_mut(rc: &mut Rc<Frame>) -> &mut Frame {
     if Rc::strong_count(rc) > 1 {
-        stats::bump_bytes(size_of::<Frame>());
+        tally::bump_bytes(size_of::<Frame>());
     }
     Rc::make_mut(rc)
 }
@@ -1190,7 +1108,7 @@ fn flow_frame(
     mut widen: Option<(&mut [u32], Widening<'_>)>,
 ) -> bool {
     if Rc::ptr_eq(dst, inc) {
-        stats::bump_short_circuited();
+        tally::bump_short_circuited();
         return false;
     }
     // All chunks identical by pointer: nothing can flow.
@@ -1200,14 +1118,14 @@ fn flow_frame(
         .zip(inc.chunks.iter())
         .all(|(a, b)| Rc::ptr_eq(a, b))
     {
-        stats::bump_short_circuited();
+        tally::bump_short_circuited();
         return false;
     }
     let frame = frame_spine_mut(dst);
     let mut changed = false;
     for c in 0..STACK_CHUNKS {
         if Rc::ptr_eq(&frame.chunks[c], &inc.chunks[c]) {
-            stats::bump_short_circuited();
+            tally::bump_short_circuited();
             continue;
         }
         let chunk_widen = widen.as_mut().map(|(slots, widening)| {
@@ -1589,9 +1507,9 @@ mod tests {
         let mut entry = AbsState::entry();
         entry.set_reg(Reg::R3, RegValue::Scalar(Scalar::constant(7)));
         let mut j = entry.clone();
-        stats::reset();
+        let before = tally::read();
         assert!(!j.flow_join(&entry, None), "a state joined into itself");
-        let traffic = stats::snapshot();
+        let traffic = tally::read() - before;
         assert_eq!((traffic.bytes, traffic.allocated), (0, 0));
         // The join literally shares the operand's components.
         assert!(j.shares_regs_with(&entry) && j.shares_stack_with(&entry));
@@ -1627,16 +1545,17 @@ mod tests {
     #[test]
     fn generations_count_materializations() {
         let base = AbsState::entry();
-        stats::reset();
+        let before = tally::read();
+        let allocated = || (tally::read() - before).allocated;
         let mut copy = base.clone();
-        assert_eq!(stats::snapshot().allocated, 0, "a clone shares");
+        assert_eq!(allocated(), 0, "a clone shares");
         copy.set_reg(Reg::R3, RegValue::Scalar(Scalar::constant(1)));
-        assert_eq!(stats::snapshot().allocated, 1);
+        assert_eq!(allocated(), 1);
         copy.set_stack_slot(-8, StackSlot::Misc);
-        assert_eq!(stats::snapshot().allocated, 2, "one chunk, not the frame");
+        assert_eq!(allocated(), 2, "one chunk, not the frame");
         // Writes into an already-private component do not count again.
         copy.set_reg(Reg::R4, RegValue::Scalar(Scalar::constant(2)));
-        assert_eq!(stats::snapshot().allocated, 2);
+        assert_eq!(allocated(), 2);
     }
 
     #[test]

@@ -275,6 +275,57 @@ fn fail_fast_reports_the_raw_governance_fault() {
 }
 
 #[test]
+fn a_visit_panic_at_hit_n_leaves_exactly_n_visits_in_the_batch() {
+    // The fail-point fires after the visit is counted, so the unwound
+    // walk has charged exactly `n` visits, and the batch counts each.
+    for strategy in [Strategy::WideningFixpoint, Strategy::PathSensitive] {
+        for n in [1u64, 10, 37] {
+            let report = {
+                let _guard = failpoint::install(FaultPlan::new().panic_at(site_of(strategy), n));
+                session(strategy, &options_for(strategy)).run_batch(&[loopy()], 1)
+            };
+            assert!(
+                matches!(report.results[0], Err(VerifierError::InternalFault { .. })),
+                "{strategy:?} hit {n}"
+            );
+            assert_eq!(
+                report.stats.per_worker_visits.iter().sum::<u64>(),
+                n,
+                "{strategy:?} hit {n}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_ladder_rerun_counts_both_walks_in_the_batch_but_not_in_its_analysis() {
+    let fixpoint = {
+        let _quiet = failpoint::install(FaultPlan::new());
+        VerificationSession::new()
+            .run(&loopy())
+            .expect("accepted")
+            .stats()
+    };
+    for n in [1u64, 10, 37] {
+        let _guard = failpoint::install(FaultPlan::new().panic_at(FaultSite::PathVisit, n));
+        let report = VerificationSession::new()
+            .with_strategy(Strategy::PathSensitive)
+            .run_batch(&[loopy()], 1);
+        let analysis = report.results[0]
+            .as_ref()
+            .expect("the ladder rescues the run");
+        assert_eq!(analysis.strategy(), Strategy::WideningFixpoint);
+        assert_eq!(analysis.stats().degradations, 1);
+        assert_eq!(analysis.stats().visits, fixpoint.visits, "hit {n}");
+        assert_eq!(
+            report.stats.per_worker_visits.iter().sum::<u64>(),
+            n + fixpoint.visits,
+            "hit {n}"
+        );
+    }
+}
+
+#[test]
 fn zero_deadline_deterministically_rejects_every_loopy_fixture() {
     let _quiet = failpoint::install(FaultPlan::new());
     let progs = [loopy(), branchy()];
