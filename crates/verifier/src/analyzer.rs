@@ -1004,6 +1004,22 @@ mod tests {
     }
 
     #[test]
+    fn a_ctx_size_past_i64_max_bounds_nothing_further() {
+        // The region's end saturates at i64::MAX instead of wrapping
+        // negative, which rejected every ctx access.
+        let prog = assemble("r2 = *(u8 *)(r1 + 0)\nr0 = r2\nexit").unwrap();
+        for ctx_size in [i64::MAX as u64, 1 << 63, u64::MAX] {
+            VerificationSession::new()
+                .with_options(AnalyzerOptions {
+                    ctx_size,
+                    ..AnalyzerOptions::default()
+                })
+                .run(&prog)
+                .unwrap_or_else(|e| panic!("ctx_size {ctx_size}: {e}"));
+        }
+    }
+
+    #[test]
     fn rejects_scalar_dereference() {
         assert!(matches!(
             reject("r2 = 100\nr0 = *(u8 *)(r2 + 0)\nexit"),

@@ -26,7 +26,8 @@
 //!   subtrees become stealable jobs, pruning runs against one shared
 //!   striped table, and verdicts/errors/reported joins stay
 //!   bit-identical to the sequential walk while no job widens a loop
-//!   head — see [`crate::parshard`] for the contract and its limit.
+//!   head; past that, reports can vary from run to run — see
+//!   [`crate::parshard`] for the contract and its limit.
 //!
 //! Every strategy first builds one crate-private `Plan` per
 //! exploration: the CFG, the [`Transfer`] layer, the widening
@@ -38,7 +39,11 @@
 //! Both path explorers run **one walk**: the crate-private `Walk` owns
 //! the per-walk accumulators (reported joins, loop-head summaries and
 //! their widening counters, trip and cleaning totals) and runs the
-//! arrival protocol documented on [`PathSensitive`]. What differs between
+//! arrival protocol documented on [`PathSensitive`]. Each path
+//! exploration also builds one crate-private `Chains` map, outside the
+//! plan because the fixpoint never folds a report: per pc, the one
+//! predecessor every arrival there is a step of, whose report the pc's
+//! own report finishes from. What differs between
 //! the two — where a visit is counted, which fail-point site fires,
 //! which visited table prunes, and what happens to a fork's
 //! fall-through arm — is a `WalkPolicy` resolved at compile time.
@@ -61,9 +66,9 @@ use crate::error::VerifierError;
 use crate::failpoint::FaultSite;
 use crate::fixpoint::{self, AnalysisStats};
 use crate::passes::CheckpointLiveness;
-use crate::state::{AbsState, JoinCounters, ReportAcc, WidenCtx};
+use crate::state::{AbsState, JoinCounters, ReportAcc, WidenCtx, WriteSet};
 use crate::tally::{self, Tally};
-use crate::transfer::Transfer;
+use crate::transfer::{self, Transfer};
 use crate::visited::VisitedTable;
 
 /// The raw result of one exploration run: the abstract state *before*
@@ -74,9 +79,9 @@ use crate::visited::VisitedTable;
 #[derive(Clone, Debug)]
 pub struct Exploration {
     /// Per-instruction abstract states; under [`PathSensitive`] each is
-    /// the *join over the explored path states* reaching that pc, equal
-    /// to folding them with [`AbsState::flow_join`] (the walk folds raw
-    /// joins and reduces once per pc when it ends).
+    /// the *join over the explored path states* reaching that pc, as
+    /// [`AbsState::join_all`] folds them (raw joins, reduced once per pc
+    /// when the walk ends).
     pub states: Vec<Option<AbsState>>,
     /// The run's sharing, widening, and pruning counters.
     pub stats: AnalysisStats,
@@ -125,7 +130,10 @@ pub enum Strategy {
     /// path-sensitive walk sharded over
     /// [`AnalyzerOptions::explore_jobs`] workers, with verdicts, errors,
     /// and reported joins bit-identical to [`Strategy::PathSensitive`]
-    /// while no job widens a loop head (see [`crate::parshard`]).
+    /// while no job widens a loop head. Past
+    /// [`AnalyzerOptions::unroll_k`] the reports can differ from the
+    /// sequential walk's, and from one run to the next, since which job
+    /// widens which loop depends on scheduling (see [`crate::parshard`]).
     PathParallel,
 }
 
@@ -206,11 +214,20 @@ impl ExplorationStrategy for WideningFixpoint {
 ///    carrying the path's `Rc`'d trip vector. The accumulator skips, by
 ///    write stamp, every register and slot whose value it already holds,
 ///    and folds the rest with raw joins: tnum join and interval hulls,
-///    without the tnum ⇄ bounds reduction. Once the walk is over, each
-///    pc's report is reduced once, at the positions that changed, so
-///    [`Analysis::state_before`](crate::Analysis::state_before) is the
-///    same join over explored paths that a reduced join per arrival
-///    (`AbsState::flow_join`) would give.
+///    without the tnum ⇄ bounds reduction. At a *chained* pc (no
+///    checkpoint, one CFG predecessor, and that predecessor neither a
+///    conditional jump nor `exit`) every arrival is one step of an
+///    arrival at the predecessor, so the accumulator folds only the
+///    positions that step writes (`dst`; the stack for a store; r0–r5
+///    and the stack for a call; nothing for `goto`). Once the walk is
+///    over, the reports are finished in reverse postorder: each pc's is
+///    reduced once, at the positions that changed, and a chained pc
+///    takes every other position from its predecessor's finished
+///    report. So [`Analysis::state_before`](crate::Analysis::state_before)
+///    is the join over explored paths that a reduced join per arrival
+///    (`AbsState::flow_join`) gives; an arrival with an unreduced value
+///    (a widened summary) can leave it tighter than that fold (never
+///    looser in the property tests).
 ///
 /// Termination: acyclic path segments are finite, every cycle passes a
 /// loop head, and past the unroll bound the head's summary chain is a
@@ -234,10 +251,11 @@ impl ExplorationStrategy for PathSensitive {
         options: &AnalyzerOptions,
     ) -> Result<Exploration, VerifierError> {
         let plan = Plan::new(prog, options);
+        let chains = Chains::new(&plan);
         let mut policy = Sequential {
             visited: VisitedTable::with_cap(prog.len(), options.visited_cap as usize),
         };
-        let mut walk = Walk::new(&plan);
+        let mut walk = Walk::new(&plan, &chains);
         walk.run(
             &mut policy,
             0,
@@ -389,6 +407,37 @@ impl<'a> Plan<'a> {
     }
 }
 
+/// Where the path walk's report leans on a predecessor's: per pc `q`,
+/// the predecessor `p` and what its step can write ([`transfer::write_set`])
+/// when `q` is *chained*: `q` is no checkpoint, `p` is its one CFG
+/// predecessor, and `p` is an instruction with one successor whatever
+/// the state. Then every arrival at `q` is one step of an arrival at
+/// `p`, walked right after it: nothing between them cleans, prunes,
+/// summarizes or forks, and an error ends the walk (a doomed parallel
+/// job's report is discarded). So `q`'s report folds only the positions
+/// `p` writes and takes the rest from `p`'s ([`ReportAcc`]). Built once
+/// per path exploration; the parallel explorer's jobs share one.
+pub(crate) struct Chains(Vec<Option<(usize, WriteSet)>>);
+
+impl Chains {
+    pub(crate) fn new(plan: &Plan<'_>) -> Chains {
+        let (cfg, insns) = (&plan.cfg, plan.prog.insns());
+        Chains(
+            (0..insns.len())
+                .map(|q| match cfg.predecessors(q) {
+                    &[p] if !cfg.is_checkpoint(q) => transfer::write_set(insns[p]).map(|w| (p, w)),
+                    _ => None,
+                })
+                .collect(),
+        )
+    }
+
+    /// The positions the report at `pc` folds itself.
+    fn folds(&self, pc: usize) -> WriteSet {
+        self.0[pc].map_or(WriteSet::ALL, |(_, writes)| writes)
+    }
+}
+
 /// The per-walk counters that add up across the parallel explorer's
 /// jobs.
 #[derive(Clone, Copy, Debug, Default)]
@@ -441,10 +490,15 @@ pub(crate) trait WalkPolicy {
 type Arrival<D> = (usize, AbsState, Rc<Vec<u32>>, D);
 
 /// One depth-first walk over a [`Plan`] and the accumulators it fills.
+/// Its per-pc reports lean on the exploration's [`Chains`]: a chained
+/// pc's accumulator folds only what its predecessor's step writes, and
+/// [`Walk::finish_report`] fills in the rest from the predecessor's.
 pub(crate) struct Walk<'p> {
     plan: &'p Plan<'p>,
+    chains: &'p Chains,
     /// The per-pc join over every arrival this walk explored, reduced
-    /// once by [`Walk::finish_report`].
+    /// once by [`Walk::finish_report`]; a chained pc's accumulator folds
+    /// only what its predecessor's step writes.
     report: Vec<Option<ReportAcc>>,
     summaries: Vec<Option<AbsState>>,
     counters: Vec<JoinCounters>,
@@ -452,9 +506,10 @@ pub(crate) struct Walk<'p> {
 }
 
 impl<'p> Walk<'p> {
-    pub(crate) fn new(plan: &'p Plan<'p>) -> Walk<'p> {
+    pub(crate) fn new(plan: &'p Plan<'p>, chains: &'p Chains) -> Walk<'p> {
         Walk {
             plan,
+            chains,
             report: (0..plan.prog.len()).map(|_| None).collect(),
             summaries: vec![None; plan.heads()],
             counters: vec![JoinCounters::new(); plan.heads()],
@@ -572,7 +627,9 @@ impl<'p> Walk<'p> {
                 continue;
             }
             match &mut self.report[pc] {
-                slot @ None => *slot = Some(ReportAcc::new(state.clone())),
+                slot @ None => {
+                    *slot = Some(ReportAcc::new(state.clone(), self.chains.folds(pc)));
+                }
                 Some(report) => report.absorb(&state),
             }
             let mut succs = plan.transfer.step(plan.prog, state, pc)?.into_iter();
@@ -592,12 +649,22 @@ impl<'p> Walk<'p> {
     }
 
     /// The per-pc reported states: each pc's accumulator finished, `None`
-    /// where no arrival was explored.
+    /// where no arrival was explored. Reverse postorder finishes a
+    /// chained pc's predecessor before it.
     pub(crate) fn finish_report(&mut self) -> Vec<Option<AbsState>> {
-        std::mem::take(&mut self.report)
-            .into_iter()
-            .map(|report| report.map(ReportAcc::finish))
-            .collect()
+        let mut accs = std::mem::take(&mut self.report);
+        let mut report: Vec<Option<AbsState>> = vec![None; accs.len()];
+        for &pc in self.plan.cfg.rpo() {
+            let Some(acc) = accs[pc].take() else { continue };
+            let pred = self.chains.0[pc].map(|(p, _)| {
+                report[p]
+                    .as_ref()
+                    .expect("a chained pc's arrivals come from its predecessor")
+            });
+            let state = acc.finish(pred);
+            report[pc] = Some(state);
+        }
+        report
     }
 }
 

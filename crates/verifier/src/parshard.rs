@@ -31,8 +31,14 @@
 //! [`AnalyzerOptions::unroll_k`] trips), verdicts, errors, and per-pc
 //! reported joins are **bit-identical** to the sequential explorer at
 //! any job count; only visit/prune counters may differ. Past that bound
-//! the reports may differ (see the second mechanism). Three mechanisms
-//! carry the contract:
+//! the reports may differ (see the second mechanism), and they are not
+//! even repeatable: which job reaches a loop first, and so whose
+//! arrival a summary widens from, depends on the schedule. On
+//! `verifbench`'s `deep_path` corpus (seed 1, unroll 64, two jobs),
+//! seven `dead_scratch` programs reported per-pc states that changed
+//! from run to run; in five runs, anywhere from none to six of them
+//! differed from the sequential walk (EXPERIMENTS E33). Three
+//! mechanisms carry the contract:
 //!
 //! * **Structured merge.** Each job accumulates its per-pc report joins
 //!   locally, and records its spawned children in order. The
@@ -83,7 +89,7 @@ use ebpf::Program;
 use crate::analyzer::AnalyzerOptions;
 use crate::error::VerifierError;
 use crate::explore::{
-    Exploration, ExplorationStrategy, PathSensitive, Plan, Walk, WalkPolicy, WalkTotals,
+    Chains, Exploration, ExplorationStrategy, PathSensitive, Plan, Walk, WalkPolicy, WalkTotals,
 };
 use crate::failpoint::FaultSite;
 use crate::fixpoint::AnalysisStats;
@@ -131,11 +137,12 @@ impl JobResult {
     }
 }
 
-/// Everything the workers share: the plan, the steal pool, the visited
-/// table, the global visit budget, the first-error latch, and the job id
-/// counter.
+/// Everything the workers share: the plan and its report chains, the
+/// steal pool, the visited table, the global visit budget, the
+/// first-error latch, and the job id counter.
 struct SharedCtx<'a> {
     plan: Plan<'a>,
+    chains: Chains,
     pool: StealPool<Job>,
     visited: ConcurrentVisitedTable,
     visits: AtomicU64,
@@ -180,6 +187,7 @@ impl ExplorationStrategy for PathParallel {
             depth: 0,
         };
         let ctx = SharedCtx {
+            chains: Chains::new(&plan),
             plan,
             pool: StealPool::new(jobs),
             visited: ConcurrentVisitedTable::with_cap(prog.len(), options.visited_cap as usize),
@@ -324,7 +332,7 @@ impl ExplorationStrategy for PathParallel {
 /// Runs one job's walk: the shared walk with job-local summaries and
 /// report accumulators, under the [`Shard`] policy.
 fn run_job(ctx: &SharedCtx<'_>, worker: usize, job: Job) -> JobResult {
-    let mut walk = Walk::new(&ctx.plan);
+    let mut walk = Walk::new(&ctx.plan, &ctx.chains);
     let mut shard = Shard {
         ctx,
         worker,

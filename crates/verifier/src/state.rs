@@ -850,19 +850,21 @@ impl AbsState {
         regs_changed || stack_changed
     }
 
-    /// The join of `states`, or `None` for none: equal to folding them
-    /// left to right with [`AbsState::flow_join`], computed the way the
+    /// The join of `states`, or `None` for none, computed the way the
     /// path walk builds its per-pc report — raw joins per arrival and
     /// one reduction per changed position at the end (see
-    /// [`crate::explore::PathSensitive`]). Components no later state
+    /// [`crate::explore::PathSensitive`]). It equals folding them left to
+    /// right with [`AbsState::flow_join`] when every value is reduced;
+    /// with unreduced ones (widened summaries) it can come out tighter
+    /// (never looser in the property tests). Components no later state
     /// changes stay shared with the first.
     pub fn join_all<'a>(states: impl IntoIterator<Item = &'a AbsState>) -> Option<AbsState> {
         let mut states = states.into_iter();
-        let mut report = ReportAcc::new(states.next()?.clone());
+        let mut report = ReportAcc::new(states.next()?.clone(), WriteSet::ALL);
         for state in states {
             report.absorb(state);
         }
-        Some(report.finish())
+        Some(report.finish(None))
     }
 
     /// Pointwise widening `self ∇ newer` (kept for completeness and the
@@ -1143,6 +1145,23 @@ fn flow_frame(
     changed
 }
 
+/// The positions of a state that one instruction step can write: a
+/// register mask (bit `i` is `r{i}`) and whether any stack slot. The
+/// table per instruction is `transfer::write_set`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct WriteSet {
+    pub(crate) regs: u16,
+    pub(crate) stack: bool,
+}
+
+impl WriteSet {
+    /// Every register and the stack.
+    pub(crate) const ALL: WriteSet = WriteSet {
+        regs: (1 << REGS) - 1,
+        stack: true,
+    };
+}
+
 /// The per-pc report of the path walk: the join of every state that
 /// arrived at one pc, folded with raw joins and reduced once, in
 /// [`ReportAcc::finish`].
@@ -1160,7 +1179,9 @@ fn flow_frame(
 ///   only once an arrival's write stamps there differ from the first
 ///   arrival's;
 /// * per position, the stamp of an arrival known to change nothing, so a
-///   value the fold already holds is skipped in O(1).
+///   value the fold already holds is skipped in O(1). The first
+///   arrival's own stamps are always skipped, so the fold of a position
+///   never depends on whether a whole array was skipped by `Rc`.
 ///
 /// Reduced values fold by raw join: tnum join and interval hulls under
 /// the kind rules of [`RegValue::union`] and [`StackSlot::union`], and
@@ -1173,17 +1194,28 @@ fn flow_frame(
 /// `flow_join` step, whose result is reduced, and folds raw again from
 /// there. Whether a value is reduced is memoized per position in the
 /// arrival's cells, so each written value is tested once.
+///
+/// A report folds only the positions of its [`WriteSet`]. The path walk
+/// gives a *chained* pc — every arrival there is one step of an arrival
+/// at its one predecessor, in the same order — only the positions that
+/// step can write. The fold of one position depends only on the values
+/// and write stamps that arrive there, in order, so at every other
+/// position the chained report equals its predecessor's, and `finish`
+/// takes those from the predecessor's finished report.
 pub(crate) struct ReportAcc {
     first: AbsState,
+    folds: WriteSet,
     regs: Option<Box<Folded<RegValue, REGS>>>,
     chunks: [Option<Box<Folded<StackSlot, CHUNK_SLOTS>>>; STACK_CHUNKS],
 }
 
 impl ReportAcc {
-    /// A report holding only its first arrival.
-    pub(crate) fn new(first: AbsState) -> ReportAcc {
+    /// A report holding only its first arrival, folding the positions of
+    /// `folds` from later ones.
+    pub(crate) fn new(first: AbsState, folds: WriteSet) -> ReportAcc {
         ReportAcc {
             first,
+            folds,
             regs: None,
             chunks: Default::default(),
         }
@@ -1191,8 +1223,13 @@ impl ReportAcc {
 
     /// Joins one more arrival into the report.
     pub(crate) fn absorb(&mut self, arrival: &AbsState) {
-        fold_cells(&mut self.regs, &self.first.regs, &arrival.regs);
-        if Rc::ptr_eq(&self.first.stack, &arrival.stack) {
+        fold_cells(
+            &mut self.regs,
+            &self.first.regs,
+            &arrival.regs,
+            u32::from(self.folds.regs),
+        );
+        if !self.folds.stack || Rc::ptr_eq(&self.first.stack, &arrival.stack) {
             return;
         }
         for (c, folded) in self.chunks.iter_mut().enumerate() {
@@ -1200,19 +1237,25 @@ impl ReportAcc {
                 folded,
                 &self.first.stack.chunks[c],
                 &arrival.stack.chunks[c],
+                CHUNK_POSITIONS,
             );
         }
     }
 
     /// The joined state: the first arrival with every changed position
     /// written (reduced once), sharing every component that did not
-    /// change.
-    pub(crate) fn finish(self) -> AbsState {
+    /// change. A report that folds only part of the state takes every
+    /// other position from `pred`, its predecessor's finished report.
+    pub(crate) fn finish(self, pred: Option<&AbsState>) -> AbsState {
         let ReportAcc {
             mut first,
+            folds,
             regs,
             chunks,
         } = self;
+        if let Some(pred) = pred {
+            first.take_unfolded(pred, folds);
+        }
         if let Some(folded) = regs {
             for (i, v) in folded.changed() {
                 if first.regs.vals[i] != v {
@@ -1233,6 +1276,52 @@ impl ReportAcc {
     }
 }
 
+impl AbsState {
+    /// The positions written since `before`, a state this one was stepped
+    /// from: registers whose write stamp differs, and whether any stack
+    /// chunk differs by `Rc` identity.
+    #[cfg(test)]
+    pub(crate) fn written_since(&self, before: &AbsState) -> WriteSet {
+        WriteSet {
+            regs: (0..REGS)
+                .filter(|&i| self.regs.stamps[i] != before.regs.stamps[i])
+                .fold(0, |mask, i| mask | 1 << i),
+            stack: (0..STACK_CHUNKS)
+                .any(|c| !Rc::ptr_eq(&self.stack.chunks[c], &before.stack.chunks[c])),
+        }
+    }
+
+    /// Writes `pred`'s value at every position outside `folds` where it
+    /// differs from this state's. Positions neither side wrote since they
+    /// forked share a stamp (registers, slots) or a chunk, so only the
+    /// others are compared.
+    fn take_unfolded(&mut self, pred: &AbsState, folds: WriteSet) {
+        if !Rc::ptr_eq(&self.regs, &pred.regs) {
+            for i in positions(u32::from(!folds.regs & WriteSet::ALL.regs)) {
+                let v = pred.regs.vals[i];
+                if self.regs.stamps[i] != pred.regs.stamps[i] && self.regs.vals[i] != v {
+                    self.regs_mut().set(i, v);
+                }
+            }
+        }
+        if folds.stack || Rc::ptr_eq(&self.stack, &pred.stack) {
+            return;
+        }
+        for (c, theirs) in pred.stack.chunks.iter().enumerate() {
+            if Rc::ptr_eq(&self.stack.chunks[c], theirs) {
+                continue;
+            }
+            for j in 0..CHUNK_SLOTS {
+                let mine = &self.stack.chunks[c];
+                if mine.stamps[j] != theirs.stamps[j] && mine.vals[j] != theirs.vals[j] {
+                    self.frame_mut()
+                        .set_slot(c * CHUNK_SLOTS + j, theirs.vals[j]);
+                }
+            }
+        }
+    }
+}
+
 // Position sets of a `Folded` are `u32` bit masks.
 const _: () = assert!(REGS <= 32 && CHUNK_SLOTS <= 32);
 
@@ -1242,17 +1331,16 @@ struct Folded<T, const N: usize> {
     /// Per position: a raw join of reduced values (`raw` positions), or
     /// the first arrival's unreduced value.
     vals: [T; N],
-    /// Per position, the stamp of an arrival known to change nothing;
-    /// 0, which no write draws, once there is none.
+    /// Per position, the stamp of a later arrival known to change
+    /// nothing; 0, which no write draws, while there is none. The first
+    /// arrival's own stamp always changes nothing: the report holds its
+    /// value from the start and only grows.
     skip: [u64; N],
     /// Positions whose first-arrival value has been classified.
     seen: u32,
     /// Positions holding a raw join of reduced values: the report holds
     /// its reduction.
     raw: u32,
-    /// Positions whose raw join still includes the first arrival's
-    /// (reduced) value, so that arrival's stamp changes nothing.
-    first_in: u32,
     /// Positions whose value may differ from the first arrival's; all
     /// of them are `raw`.
     changed: u32,
@@ -1263,7 +1351,7 @@ impl<T: Component, const N: usize> Folded<T, N> {
     /// `s`, is known to change nothing there; `first_stamp` is the first
     /// arrival's stamp at `i`.
     fn skips(&self, i: usize, first_stamp: u64, s: u64) -> bool {
-        s == self.skip[i] || (s == first_stamp && self.first_in & (1 << i) != 0)
+        s == first_stamp || s == self.skip[i]
     }
 
     /// Folds the arrival's value at position `i` into the report; `first`
@@ -1274,7 +1362,6 @@ impl<T: Component, const N: usize> Folded<T, N> {
             self.seen |= bit;
             if first.is_reduced_at(i) {
                 self.raw |= bit;
-                self.first_in |= bit;
             }
         }
         let (v, s) = (arrival.vals[i], arrival.stamps[i]);
@@ -1304,7 +1391,6 @@ impl<T: Component, const N: usize> Folded<T, N> {
         // The stamps skipped so far need not be included in it.
         self.vals[i] = cur.union(v);
         self.raw |= bit;
-        self.first_in &= !bit;
         self.skip[i] = 0;
         self.changed |= bit;
     }
@@ -1317,27 +1403,42 @@ impl<T: Component, const N: usize> Folded<T, N> {
     }
 }
 
-/// Folds one array of an arrival into its share of a [`ReportAcc`],
-/// copying the first arrival's values only once a stamp differs.
+/// Every position of a stack chunk, as a `Folded` position set.
+const CHUNK_POSITIONS: u32 = (1 << CHUNK_SLOTS) - 1;
+
+/// The positions in the bit set `mask`, lowest first.
+fn positions(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (i < 32).then_some(i)
+    })
+}
+
+/// Folds the positions in `mask` of one array of an arrival into its
+/// share of a [`ReportAcc`], copying the first arrival's values only
+/// once a stamp there differs.
 fn fold_cells<T: Component, const N: usize>(
     folded: &mut Option<Box<Folded<T, N>>>,
     first: &Rc<Cells<T, N>>,
     arrival: &Rc<Cells<T, N>>,
+    mask: u32,
 ) {
-    if Rc::ptr_eq(first, arrival) || (folded.is_none() && first.stamps == arrival.stamps) {
+    if Rc::ptr_eq(first, arrival)
+        || (folded.is_none() && positions(mask).all(|i| first.stamps[i] == arrival.stamps[i]))
+    {
         return;
     }
     let folded = folded.get_or_insert_with(|| {
         Box::new(Folded {
             vals: first.vals,
-            skip: first.stamps,
+            skip: [0; N],
             seen: 0,
             raw: 0,
-            first_in: 0,
             changed: 0,
         })
     });
-    for i in 0..N {
+    for i in positions(mask) {
         if !folded.skips(i, first.stamps[i], arrival.stamps[i]) {
             folded.absorb(i, first, arrival);
         }
@@ -1880,56 +1981,82 @@ mod tests {
         }
     }
 
+    /// Snapshots of a pool of states forked from each other, taken after
+    /// every write, so they share components and write stamps the way a
+    /// walk's arrivals do.
+    fn report_history(rng: &mut SplitMix64) -> Vec<AbsState> {
+        let mut pool: Vec<AbsState> = vec![AbsState::entry(); 3];
+        let mut history = Vec::new();
+        for _ in 0..48 {
+            let a = rng.below(3) as usize;
+            match rng.below(6) {
+                0 | 1 => {
+                    // Four registers take most writes, so arrivals fold
+                    // several values at each.
+                    let regs = if rng.coin() { 4 } else { REGS as u64 };
+                    let reg = Reg::ALL[rng.below(regs) as usize];
+                    pool[a].set_reg(reg, report_value(rng));
+                }
+                2 => {
+                    // Two chunks take most writes, so chunk stamps
+                    // collide; any slot may be written.
+                    let i = if rng.coin() {
+                        rng.below(2 * CHUNK_SLOTS as u64)
+                    } else {
+                        rng.below(SLOTS as u64)
+                    };
+                    pool[a].set_stack_slot(i as i64 * 8 - 512, report_slot(rng));
+                }
+                3 => {
+                    let start = -(rng.range(1, 512) as i64);
+                    pool[a].smear_stack(start, (start + rng.range(1, 24) as i64).min(0));
+                }
+                4 => {
+                    // Liveness cleaning: one dead register, one dead
+                    // chunk.
+                    let dead_chunk = 0xFFu64 << (CHUNK_SLOTS * rng.below(2) as usize);
+                    pool[a].clear_dead(!(1 << rng.below(10)), !dead_chunk);
+                }
+                _ => pool[a] = pool[rng.below(3) as usize].clone(),
+            }
+            history.push(pool[a].clone());
+        }
+        history
+    }
+
+    fn report_slot(rng: &mut SplitMix64) -> StackSlot {
+        match rng.below(4) {
+            0 => StackSlot::Uninit,
+            1 => StackSlot::Misc,
+            _ => StackSlot::Spill(report_value(rng)),
+        }
+    }
+
+    /// Asserts that `got` is `want` as a report: the same values and
+    /// fingerprint, sharing the same components with `first`.
+    fn assert_same_report(got: &AbsState, want: &AbsState, first: &AbsState, what: &str) {
+        assert_eq!(values(got), values(want), "{what}: values diverge");
+        assert_eq!(got.fingerprint(), want.fingerprint(), "{what}: fingerprint");
+        assert_eq!(
+            got.shares_regs_with(first),
+            want.shares_regs_with(first),
+            "{what}: register file shared differently"
+        );
+        assert_eq!(
+            got.shared_stack_chunks(first),
+            want.shared_stack_chunks(first),
+            "{what}: stack chunks shared differently"
+        );
+    }
+
     #[test]
     fn report_accumulator_matches_the_flow_join_fold() {
-        // A pool of states forked from each other, so arrivals share
-        // components and write stamps the way a walk's arrivals do, is
-        // snapshotted after every write; each round folds a random
-        // sequence of snapshots both ways and compares the results.
+        // Each round folds random sequences of a history's snapshots both
+        // ways and compares the results.
         let mut rng = SplitMix64::new(0x4E_9047);
         let mut unreduced = 0;
         for _ in 0..200 {
-            let mut pool: Vec<AbsState> = vec![AbsState::entry(); 3];
-            let mut history = Vec::new();
-            for _ in 0..48 {
-                let a = rng.below(3) as usize;
-                match rng.below(6) {
-                    0 | 1 => {
-                        // Four registers take most writes, so arrivals
-                        // fold several values at each.
-                        let regs = if rng.coin() { 4 } else { REGS as u64 };
-                        let reg = Reg::ALL[rng.below(regs) as usize];
-                        pool[a].set_reg(reg, report_value(&mut rng));
-                    }
-                    2 => {
-                        // Two chunks take most writes, so chunk stamps
-                        // collide; any slot may be written.
-                        let i = if rng.coin() {
-                            rng.below(2 * CHUNK_SLOTS as u64)
-                        } else {
-                            rng.below(SLOTS as u64)
-                        };
-                        let slot = match rng.below(4) {
-                            0 => StackSlot::Uninit,
-                            1 => StackSlot::Misc,
-                            _ => StackSlot::Spill(report_value(&mut rng)),
-                        };
-                        pool[a].set_stack_slot(i as i64 * 8 - 512, slot);
-                    }
-                    3 => {
-                        let start = -(rng.range(1, 512) as i64);
-                        pool[a].smear_stack(start, (start + rng.range(1, 24) as i64).min(0));
-                    }
-                    4 => {
-                        // Liveness cleaning: one dead register, one dead
-                        // chunk.
-                        let dead_chunk = 0xFFu64 << (CHUNK_SLOTS * rng.below(2) as usize);
-                        pool[a].clear_dead(!(1 << rng.below(10)), !dead_chunk);
-                    }
-                    _ => pool[a] = pool[rng.below(3) as usize].clone(),
-                }
-                history.push(pool[a].clone());
-            }
+            let history = report_history(&mut rng);
             for _ in 0..8 {
                 let arrivals: Vec<&AbsState> = (0..rng.range(2, 12))
                     .map(|_| &history[rng.below(history.len() as u64) as usize])
@@ -1939,22 +2066,7 @@ mod tests {
                 for &arrival in &arrivals[1..] {
                     want.flow_join(arrival, None);
                 }
-                assert_eq!(
-                    values(&got),
-                    values(&want),
-                    "report diverges from flow_join"
-                );
-                assert_eq!(got.fingerprint(), want.fingerprint());
-                assert_eq!(
-                    got.shares_regs_with(arrivals[0]),
-                    want.shares_regs_with(arrivals[0]),
-                    "register file shared differently"
-                );
-                assert_eq!(
-                    got.shared_stack_chunks(arrivals[0]),
-                    want.shared_stack_chunks(arrivals[0]),
-                    "stack chunks shared differently"
-                );
+                assert_same_report(&got, &want, arrivals[0], "report vs flow_join");
                 unreduced += arrivals
                     .iter()
                     .filter(|s| s.regs.vals.iter().any(|v| !v.is_reduced()))
@@ -1965,5 +2077,118 @@ mod tests {
             unreduced > 500,
             "only {unreduced} arrivals carry unreduced values"
         );
+    }
+
+    /// One step of a chained pc's predecessor: `class` picks what it
+    /// writes (a register like `Alu`/`Load`/`LoadImm64`, the stack like
+    /// `Store`, r0-r5 and the stack like `Call`, nothing like `Ja`),
+    /// `dst` the register of the first class. Returns its write set.
+    fn chained_step(rng: &mut SplitMix64, class: u64, dst: Reg, state: &mut AbsState) -> WriteSet {
+        match class {
+            0 => {
+                state.set_reg(dst, report_value(rng));
+                WriteSet {
+                    regs: 1 << dst.index(),
+                    stack: false,
+                }
+            }
+            1 | 2 => {
+                if rng.coin() {
+                    let i = rng.below(2 * CHUNK_SLOTS as u64);
+                    state.set_stack_slot(i as i64 * 8 - 512, report_slot(rng));
+                } else {
+                    let start = -(rng.range(1, 512) as i64);
+                    state.smear_stack(start, (start + rng.range(1, 24) as i64).min(0));
+                }
+                if class == 1 {
+                    return WriteSet {
+                        regs: 0,
+                        stack: true,
+                    };
+                }
+                for r in [Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5] {
+                    state.set_reg(r, RegValue::Uninit);
+                }
+                state.set_reg(Reg::R0, report_value(rng));
+                WriteSet {
+                    regs: 0b11_1111,
+                    stack: true,
+                }
+            }
+            _ => WriteSet {
+                regs: 0,
+                stack: false,
+            },
+        }
+    }
+
+    /// `rounds` rounds of chains `o → p → q`: arrivals at `o` drawn from a
+    /// history, each `p` and `q` arrival one chained step of the one
+    /// before it. The reports of `p` and `q`, each folding only its
+    /// predecessor's write set and finished from its predecessor's
+    /// report, must be the full fold of their arrivals, and no looser
+    /// than their `flow_join` fold.
+    fn check_chained_reports(seed: u64, rounds: usize) {
+        let mut rng = SplitMix64::new(seed);
+        let mut unreduced = 0;
+        for _ in 0..rounds {
+            let history = report_history(&mut rng);
+            for _ in 0..16 {
+                let mut arrivals: Vec<AbsState> = (0..rng.range(2, 12))
+                    .map(|_| history[rng.below(history.len() as u64) as usize].clone())
+                    .collect();
+                unreduced += arrivals
+                    .iter()
+                    .filter(|s| s.regs.vals.iter().any(|v| !v.is_reduced()))
+                    .count();
+                let mut pred = AbsState::join_all(&arrivals).unwrap();
+                for link in ["o -> p", "p -> q"] {
+                    let class = rng.below(4);
+                    let dst = Reg::ALL[rng.below(4) as usize];
+                    let mut folds = WriteSet::ALL;
+                    let stepped: Vec<AbsState> = arrivals
+                        .iter()
+                        .map(|a| {
+                            let mut b = a.clone();
+                            folds = chained_step(&mut rng, class, dst, &mut b);
+                            b
+                        })
+                        .collect();
+                    let mut report = ReportAcc::new(stepped[0].clone(), folds);
+                    for b in &stepped[1..] {
+                        report.absorb(b);
+                    }
+                    let got = report.finish(Some(&pred));
+                    let want = AbsState::join_all(&stepped).unwrap();
+                    let what = format!("{link} after a class-{class} step");
+                    assert_same_report(&got, &want, &stepped[0], &what);
+                    // Unreduced arrivals can leave the fold tighter than
+                    // the `flow_join` fold; it must never be looser.
+                    let mut flow = stepped[0].clone();
+                    for b in &stepped[1..] {
+                        flow.flow_join(b, None);
+                    }
+                    assert!(got.is_subset_of(&flow), "{what}: looser than flow_join");
+                    (arrivals, pred) = (stepped, got);
+                }
+            }
+        }
+        assert!(
+            unreduced > rounds,
+            "only {unreduced} arrivals carry unreduced values"
+        );
+    }
+
+    #[test]
+    fn chained_report_matches_the_full_fold() {
+        check_chained_reports(0xC4A1_14ED, 200);
+    }
+
+    /// About 1M chains; in release: `cargo test --release -p verifier
+    /// --lib -- --ignored chained_report`.
+    #[test]
+    #[ignore = "long campaign: run in release"]
+    fn chained_report_long_campaign() {
+        check_chained_reports(0x10C4_A14E, 1 << 16);
     }
 }

@@ -26,7 +26,7 @@ use crate::branch::{refine, refine32};
 use crate::error::VerifierError;
 use crate::memo::{MemoEffect, MemoKey};
 use crate::scalar::Scalar;
-use crate::state::{value_fingerprint, AbsState, StackSlot};
+use crate::state::{value_fingerprint, AbsState, StackSlot, WriteSet};
 use crate::value::RegValue;
 
 /// The successor contributions of one abstract step: at most two
@@ -88,6 +88,29 @@ impl IntoIterator for Successors {
 #[derive(Clone, Debug)]
 pub struct Transfer {
     options: AnalyzerOptions,
+    /// [`AnalyzerOptions::ctx_size`] as the end of the ctx region,
+    /// saturated: a size past `i64::MAX` bounds no access further.
+    ctx_end: i64,
+}
+
+/// The positions one [`Transfer::step`] of `insn` can write, for the
+/// instructions with one successor whatever the state: `None` for a
+/// conditional jump and for `exit`. The path walk's report leans on it
+/// (`ReportAcc`), so it must cover every write `step` makes; the
+/// `step_writes_only_its_write_set` test checks that it does.
+pub(crate) fn write_set(insn: Insn) -> Option<WriteSet> {
+    let writes = |regs: u16, stack: bool| Some(WriteSet { regs, stack });
+    match insn {
+        Insn::Alu { dst, .. } | Insn::LoadImm64 { dst, .. } | Insn::Load { dst, .. } => {
+            writes(1 << dst.index(), false)
+        }
+        Insn::Store { .. } => writes(0, true),
+        // r0 takes the return value, r1-r5 are clobbered, and a helper
+        // may write a stack region it was handed.
+        Insn::Call { .. } => writes(0b11_1111, true),
+        Insn::Ja { .. } => writes(0, false),
+        Insn::Jmp { .. } | Insn::Exit => None,
+    }
 }
 
 /// The abstract value produced by a load of `size` bytes whose content is
@@ -107,7 +130,8 @@ impl Transfer {
     /// Builds the transfer layer for one analysis configuration.
     #[must_use]
     pub fn new(options: AnalyzerOptions) -> Transfer {
-        Transfer { options }
+        let ctx_end = i64::try_from(options.ctx_size).unwrap_or(i64::MAX);
+        Transfer { options, ctx_end }
     }
 
     /// Executes one instruction abstractly: runs every safety check and
@@ -490,15 +514,7 @@ impl Transfer {
                 }
             }
             RegValue::CtxPtr { offset } => {
-                self.check_region(
-                    "ctx",
-                    offset,
-                    off,
-                    size,
-                    0,
-                    self.options.ctx_size as i64,
-                    pc,
-                )?;
+                self.check_region("ctx", offset, off, size, 0, self.ctx_end, pc)?;
                 Ok(loaded_value(size))
             }
             RegValue::MapValuePtr { or_null: true, .. } => {
@@ -544,15 +560,7 @@ impl Transfer {
                 Ok(())
             }
             RegValue::CtxPtr { offset } => {
-                self.check_region(
-                    "ctx",
-                    offset,
-                    off,
-                    size,
-                    0,
-                    self.options.ctx_size as i64,
-                    pc,
-                )?;
+                self.check_region("ctx", offset, off, size, 0, self.ctx_end, pc)?;
                 Ok(())
             }
             RegValue::MapValuePtr { or_null: true, .. } => {
@@ -706,5 +714,153 @@ impl Transfer {
             });
         }
         Ok((lo, hi))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Strategy, VerificationSession};
+    use domain::rng::SplitMix64;
+    use ebpf::asm::assemble;
+
+    /// The instruction classes [`write_set`] covers, in table order.
+    const CLASSES: [&str; 6] = ["alu", "lddw", "load", "store", "call", "ja"];
+
+    fn class(insn: Insn) -> Option<usize> {
+        Some(match insn {
+            Insn::Alu { .. } => 0,
+            Insn::LoadImm64 { .. } => 1,
+            Insn::Load { .. } => 2,
+            Insn::Store { .. } => 3,
+            Insn::Call { .. } => 4,
+            Insn::Ja { .. } => 5,
+            Insn::Jmp { .. } | Insn::Exit => return None,
+        })
+    }
+
+    /// Steps `state` at `pc` while a clone of it stays alive (as the path
+    /// walk's report keeps one), checks that an instruction with a write
+    /// set has one successor and wrote nothing outside the set, counts it
+    /// in `seen` by class, and returns the successors (none on an error).
+    fn checked_step(
+        transfer: &Transfer,
+        prog: &Program,
+        state: AbsState,
+        pc: usize,
+        seen: &mut [u32; 6],
+        at: &str,
+    ) -> Vec<(usize, AbsState)> {
+        let insn = prog.insns()[pc];
+        let before = state.clone();
+        let Ok(succs) = transfer.step(prog, state, pc) else {
+            return Vec::new();
+        };
+        let succs: Vec<_> = succs.into_iter().collect();
+        if let (Some(writes), Some(c)) = (write_set(insn), class(insn)) {
+            assert_eq!(succs.len(), 1, "{at}: pc {pc} ({insn:?}) forked");
+            let written = succs[0].1.written_since(&before);
+            assert!(
+                written.regs & !writes.regs == 0 && (writes.stack || !written.stack),
+                "{at}: pc {pc} ({insn:?}) wrote {written:?} outside its write set {writes:?}"
+            );
+            seen[c] += 1;
+        }
+        succs
+    }
+
+    /// Variable-offset loads through stack, ctx and map-value pointers,
+    /// both `lddw` forms, a helper call and a `goto` to the next pc: what
+    /// the random programs and the fixtures reach rarely or never.
+    const SHAPES: &str = "
+        r2 = *(u8 *)(r1 + 0)
+        r2 &= 6
+        *(u64 *)(r10 - 8) = 0
+        *(u64 *)(r10 - 16) = 0
+        r3 = r10
+        r3 += -16
+        r3 += r2
+        r4 = *(u8 *)(r3 + 0)
+        *(u8 *)(r3 + 1) = 7
+        r5 = r1
+        r5 += r2
+        r6 = *(u8 *)(r5 + 0)
+        r7 = 4294967296 ll
+        goto next
+    next:
+        *(u32 *)(r10 - 20) = 1
+        r1 = map 0
+        r2 = r10
+        r2 += -20
+        call 1
+        if r0 == 0 goto out
+        r9 = r6
+        r9 &= 3
+        r0 += r9
+        r8 = *(u8 *)(r0 + 0)
+    out:
+        r0 = 0
+        exit
+    ";
+
+    #[test]
+    fn step_writes_only_its_write_set() {
+        // Every state the path walk and the fixpoint report on the
+        // fixtures, the bench suite and the shapes above, stepped once.
+        let mut seen = [0u32; 6];
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../fixtures");
+        let mut progs = vec![("shapes".to_string(), assemble(SHAPES).expect("assembles"))];
+        for entry in std::fs::read_dir(dir).expect("fixtures directory") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_some_and(|x| x == "ebpf") {
+                let source = std::fs::read_to_string(&path).expect("fixture reads");
+                let prog = assemble(&source).expect("fixture assembles");
+                progs.push((path.display().to_string(), prog));
+            }
+        }
+        use bench::fixpoint_suite as suite;
+        progs.extend(
+            suite::sweep_configs()
+                .into_iter()
+                .chain(suite::parshard_configs(4, 8))
+                .map(|(label, prog, _)| (label, prog)),
+        );
+        let options = AnalyzerOptions::default();
+        let transfer = Transfer::new(options.clone());
+        for (label, prog) in &progs {
+            for strategy in [Strategy::PathSensitive, Strategy::WideningFixpoint] {
+                let session = VerificationSession::new()
+                    .with_strategy(strategy)
+                    .with_options(options.clone());
+                let Ok(analysis) = session.run(prog) else {
+                    continue;
+                };
+                for pc in 0..prog.len() {
+                    if let Some(state) = analysis.state_before(pc) {
+                        checked_step(&transfer, prog, state.clone(), pc, &mut seen, label);
+                    }
+                }
+            }
+        }
+        // Random programs need not verify: walk each one from the entry,
+        // ending a path where a step is rejected, for a few hundred steps.
+        let mut rng = SplitMix64::new(0x3B17_5E75);
+        for round in 0..1_500 {
+            let len = 2 + rng.below(40) as usize;
+            let prog = crate::cfg::tests::random_program(&mut rng, len);
+            let at = format!("round {round}:\n{}", prog.disassemble());
+            let mut stack = vec![(0, AbsState::entry())];
+            let mut steps = 0;
+            while let Some((pc, state)) = stack.pop() {
+                steps += 1;
+                if steps > 300 {
+                    break;
+                }
+                stack.extend(checked_step(&transfer, &prog, state, pc, &mut seen, &at));
+            }
+        }
+        for (c, name) in CLASSES.iter().enumerate() {
+            assert!(seen[c] >= 8, "only {} {name} steps checked", seen[c]);
+        }
     }
 }
