@@ -1,7 +1,9 @@
 //! The exploration-strategy sweep shared by the `fixpoint` bench and the
 //! `fixpoint_guard` CI binary: the masked-memset workload across trip
 //! counts × widening delays (fixpoint strategy) × unroll bounds
-//! (path-sensitive strategy), the two-back-edge pruning workload, the
+//! (path-sensitive strategy), the register-bounded loop across the
+//! delays that prove it (the fixpoint's delayed retry), the
+//! two-back-edge pruning workload, the
 //! spill-heavy workload behind the chunked-frame `bytes_materialized`
 //! numbers, the visited-cap ablation at the deep-unroll point, the
 //! batched `throughput/` family (the 64-program mixed batch per worker
@@ -41,6 +43,35 @@ pub fn masked_memset(trips: u32) -> Program {
             r1 += 1
             if r1 < {trips} goto loop
             r0 = r1
+            exit
+        "
+    ))
+    .expect("assembles")
+}
+
+/// The register-bounded store loop of `fixtures/reg_bound_loop.ebpf`
+/// at `trips` trips, plus an accumulator `r6 += r1`. No comparison
+/// immediate bounds the counter, so the fixpoint's eager ascent loses
+/// the store proof and only its delayed retry keeps it: at
+/// `widen_delay` 0 the program is rejected. The accumulator keeps the
+/// loop head changing until it has burnt its own delay, so the retry's
+/// cost grows with the delay.
+#[must_use]
+pub fn reg_bound_loop(trips: u32) -> Program {
+    assemble(&format!(
+        r"
+            r1 = 0
+            r6 = 0
+            r7 = {trips}
+        loop:
+            r6 += r1
+            r3 = r10
+            r3 += -{trips}
+            r3 += r1
+            *(u8 *)(r3 + 0) = 0
+            r1 += 1
+            if r1 < r7 goto loop
+            r0 = r6
             exit
         "
     ))
@@ -404,8 +435,16 @@ pub fn parshard_rows() -> Vec<(String, f64, AnalysisStats)> {
 /// default unroll bound (32).
 pub const TRIPS: [u32; 5] = [4, 8, 16, 64, 1024];
 
-/// Widening delays swept per trip count (fixpoint strategy).
+/// Widening delays swept per trip count (fixpoint strategy). The
+/// eager ascent proves the masked memset on its own, so its rows no
+/// longer differ by delay; the register-bounded loop's rows
+/// ([`REG_BOUND_TRIPS`]) run the delayed retry at each delay that
+/// proves it.
 pub const DELAYS: [u32; 4] = [0, 4, 16, 64];
+
+/// Trips of the sweep's [`reg_bound_loop`]: every delay of [`DELAYS`]
+/// but 0 proves it.
+pub const REG_BOUND_TRIPS: u32 = 4;
 
 /// Unroll bounds swept per trip count (path-sensitive strategy): 0 is
 /// the pure widening fallback, 64 unrolls everything but the 1024-trip
@@ -415,7 +454,8 @@ pub const UNROLLS: [u32; 3] = [0, 16, 64];
 /// Every `(label, program, session)` configuration of the sweep, in the
 /// order the bench reports them: the masked-memset trips × delays under
 /// the fixpoint strategy, trips × unrolls under the path-sensitive
-/// strategy, the ablation and pruning workloads, then the map-helper
+/// strategy, the register-bounded loop per delay that proves it, the
+/// ablation and pruning workloads, then the map-helper
 /// `maps/` family ([`maps_configs`]).
 #[must_use]
 pub fn sweep_configs() -> Vec<(String, Program, VerificationSession)> {
@@ -444,6 +484,16 @@ pub fn sweep_configs() -> Vec<(String, Program, VerificationSession)> {
                     }),
             ));
         }
+    }
+    for &delay in DELAYS.iter().filter(|&&d| d > 0) {
+        out.push((
+            format!("fixpoint/reg_bound_loop/trips={REG_BOUND_TRIPS}/delay={delay}"),
+            reg_bound_loop(REG_BOUND_TRIPS),
+            VerificationSession::new().with_options(AnalyzerOptions {
+                widen_delay: delay,
+                ..AnalyzerOptions::default()
+            }),
+        ));
     }
     // Visited-cap ablation at the deep-unroll point (trips=1024,
     // unroll=64): unbounded chains isolate what fingerprint gating alone
@@ -480,6 +530,7 @@ pub fn sweep_configs() -> Vec<(String, Program, VerificationSession)> {
         "fixpoint/trips=1024/delay=16/masking=off".to_string(),
         masked_memset(1024),
         VerificationSession::new().with_options(AnalyzerOptions {
+            widen_delay: 16,
             liveness_pruning: false,
             ..AnalyzerOptions::default()
         }),
@@ -613,10 +664,10 @@ mod tests {
         let stats = collect_stats();
         assert_eq!(
             stats.len(),
-            // trips sweep + cap ablation (2) + masking ablation (2) +
-            // dead-scratch masking pair (2) + two-back-edge (3) +
-            // spill loop (2) + maps family (6).
-            TRIPS.len() * (DELAYS.len() + UNROLLS.len()) + 17
+            // trips sweep + register-bounded loop (3) + cap ablation
+            // (2) + masking ablation (2) + dead-scratch masking pair (2)
+            // + two-back-edge (3) + spill loop (2) + maps family (6).
+            TRIPS.len() * (DELAYS.len() + UNROLLS.len()) + 20
         );
         let total: u64 = stats.iter().map(|(_, s)| s.states_allocated).sum();
         assert!(total > 0);

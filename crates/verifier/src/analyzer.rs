@@ -47,11 +47,14 @@ pub struct AnalyzerOptions {
     /// pre-bounded-loop verifier behaviour. Off by default: loops are
     /// analyzed by fixpoint iteration.
     pub reject_loops: bool,
-    /// How many *changing* joins each register (and stack slot) absorbs
-    /// exactly at a loop head before that component widens. The budget is
-    /// per component — an accumulator that keeps churning no longer
-    /// burns the delay a bounded counter needs to reach its exit-test
-    /// fixpoint (PR 2 shared one counter per head).
+    /// The widening delay of the fixpoint's retry: how many *changing*
+    /// joins each register (and stack slot) absorbs exactly at a loop
+    /// head before that component widens. The fixpoint first ascends
+    /// with no delay; only if that ascent fails after a loop head grew
+    /// does it ascend again with this delay, so every rejection is the
+    /// delayed ascent's. The budget is per component — an accumulator
+    /// that keeps churning does not burn the delay a bounded counter
+    /// needs to reach its exit-test fixpoint. `0` turns the retry off.
     pub widen_delay: u32,
     /// Harvest the comparison immediates of the program into the
     /// interval widening ladders ("widening with thresholds"), so a
@@ -764,6 +767,35 @@ mod tests {
         let head = analysis.state_before(1).unwrap();
         let i = head.reg(Reg::R1).as_scalar().unwrap();
         assert_eq!((i.bounds().umin(), i.bounds().umax()), (0, 12));
+    }
+
+    #[test]
+    fn delayed_retry_keeps_the_register_bounded_loop() {
+        // The 13-trip memset bounded by `r7`: no comparison immediate
+        // names 13, so thresholds cannot catch the counter. The default
+        // session's eager ascent loses the bound and its delayed retry
+        // keeps it; without a delay there is no retry, and the store is
+        // rejected.
+        let prog = assemble(include_str!("../../../fixtures/reg_bound_loop.ebpf")).unwrap();
+        VerificationSession::new()
+            .run(&prog)
+            .expect("the delayed retry keeps the bound");
+        let eager = VerificationSession::new().with_options(AnalyzerOptions {
+            widen_delay: 0,
+            ..AnalyzerOptions::default()
+        });
+        let err = eager.run(&prog).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                VerifierError::OutOfBounds {
+                    region: "stack",
+                    pc: 5,
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

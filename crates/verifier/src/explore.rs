@@ -8,9 +8,10 @@
 //! [`VerificationSession`](crate::VerificationSession):
 //!
 //! * [`WideningFixpoint`] — the reverse-postorder priority worklist of
-//!   [`crate::fixpoint`]: joins every path at merge points, widens at
-//!   loop heads (per-register delay + harvested thresholds), narrows
-//!   once. States live only at loop heads and merge points, the code
+//!   [`crate::fixpoint`]: joins every path at merge points, widens
+//!   eagerly at loop heads (harvested thresholds), narrows to a
+//!   fixpoint, and retries with the per-register delay when the eager
+//!   ascent fails. States live only at loop heads and merge points, the code
 //!   between them is stepped in place; cost is near-linear in the
 //!   program, precision pays the join/widening toll.
 //! * [`PathSensitive`] — a kernel-style depth-first branch walker: each
@@ -164,9 +165,10 @@ impl Strategy {
 }
 
 /// The widening-fixpoint strategy: the RPO priority worklist with joins
-/// at merge points, per-register delayed widening with harvested
-/// thresholds at loop heads, one narrowing pass, and the visit budget —
-/// see [`crate::fixpoint`] for the engine itself.
+/// at merge points, eager widening with harvested thresholds at loop
+/// heads, a decreasing sequence of narrowing walks, a retry with
+/// per-register delayed widening when the eager ascent fails, and the
+/// visit budget — see [`crate::fixpoint`] for the engine itself.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WideningFixpoint;
 

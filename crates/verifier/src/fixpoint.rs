@@ -11,17 +11,26 @@
 //! code between two such heads is stepped in place on one state, like
 //! the path walk does.
 //! Arrivals join at merge points ([`crate::AbsState::flow_join`]) and
-//! widen per component at loop heads (each register and stack slot
-//! burns its own [`crate::AnalyzerOptions::widen_delay`], see
-//! [`crate::state::JoinCounters`]), with widening thresholds harvested
-//! from the program's comparison immediates, and one narrowing pass
-//! after stabilization records the per-pc report (see `run`).
+//! widen per component at loop heads, with widening thresholds
+//! harvested from the program's comparison immediates, and a decreasing
+//! sequence of narrowing walks after stabilization records the per-pc
+//! report (see `run`).
+//!
+//! The ascent is eager: every changing loop-head join widens at once.
+//! Only when that ascent fails does the run ascend again with a delay:
+//! each register and stack slot then absorbs
+//! [`crate::AnalyzerOptions::widen_delay`] changing joins of its own
+//! exactly before it widens (see [`crate::state::JoinCounters`]). The
+//! retry keeps the loops only the delay proves (a counter bounded by a
+//! register, which no threshold names), so a rejection is always the
+//! delayed ascent's; the narrowing walks recover what eager widening
+//! gives up, so the common loop no longer pays the delay's rounds.
 //!
 //! A widened scalar's tnum half jumps ([`tnum::Tnum::widen`]): every
 //! trit from the lowest newly unknown one upward turns unknown, since
 //! the paper's add, sub and mul carry uncertainty only upward. A
 //! churning accumulator then settles in one widening instead of giving
-//! up about one trit per round, and the narrowing pass re-derives the
+//! up about one trit per round, and the narrowing walks re-derive the
 //! report from the widened heads, recovering what the jump
 //! over-extrapolates. The path walk's loop-head summaries keep the tnum
 //! join: they are its report, and nothing re-derives them.
@@ -71,7 +80,10 @@ pub struct AnalysisStats {
     /// Widening operator applications to individual registers or stack
     /// slots at loop heads.
     pub widenings_applied: u64,
-    /// Instruction visits consumed from the analysis budget.
+    /// Instruction visits consumed from the analysis budget. A fixpoint
+    /// run whose eager ascent failed and was retried with the widening
+    /// delay counts the visits of both ascents (each was charged against
+    /// the whole budget).
     pub visits: u64,
     /// Branch states discarded because they were included in an
     /// already-explored state at the same instruction (the kernel's
@@ -211,9 +223,27 @@ pub(crate) fn harvest_thresholds(prog: &Program) -> WidenThresholds {
     }))
 }
 
+/// The most narrowing walks one ascent's decreasing sequence takes. On
+/// the benchmark corpus no sequence needed more than two.
+const NARROWING_WALKS: usize = 4;
+
 /// Runs the head worklist over `plan`'s program to a (widened)
-/// post-fixpoint and, for a cyclic program, one narrowing pass,
-/// returning per-instruction states and the run's counters.
+/// post-fixpoint and, for a cyclic program, a decreasing sequence of
+/// narrowing walks, returning per-instruction states and the run's
+/// counters.
+///
+/// **Eager ascent, delayed retry.** The run first ascends with no
+/// widening delay: every changing join at a loop head widens. Where the
+/// delay's exact rounds are what proves a loop (a counter bounded by a
+/// register, which no harvested threshold can catch), that ascent fails;
+/// if it failed after its first changing loop-head join — the first
+/// point where an ascent with a delay can differ — the run ascends again
+/// from scratch with [`crate::AnalyzerOptions::widen_delay`] and returns
+/// that result. So every rejection is the delayed ascent's rejection,
+/// and every acceptance comes from a completed ascent. Both ascents
+/// share the plan; the retry gets the whole visit budget, and a retried
+/// run's counters count both ascents. A blown deadline is returned as
+/// it stands: the retry would start past it.
 ///
 /// States are kept only at **heads**: the entry plus every
 /// [`Cfg::is_checkpoint`](crate::Cfg::is_checkpoint) pc (loop heads and
@@ -230,20 +260,25 @@ pub(crate) fn harvest_thresholds(prog: &Program) -> WidenThresholds {
 /// and the `fixpoint-visit` fail-point.
 ///
 /// The report: an acyclic program pops every head once, so its walks
-/// record each pc's state directly. A cyclic program is reported by the
-/// narrowing pass: each segment is walked once more from its widened
-/// head state, every non-head pc records the state it is reached with
-/// (reduced: widened values are carried unreduced), and the arrivals
-/// at each head are joined (without widening) into that head's report
-/// — the entry's starts from the entry state. The widened head states
-/// are a post-fixpoint, so every recorded state is sound, and one step
-/// from them undoes over-extrapolated widening jumps: a loop head
-/// re-tightens to `entry ⊔ refined back-edge`. A loop body is thus
-/// reported as walked from the final head state alone, not as the join
-/// of every round's walk. The transfers are not monotone — a
-/// variable-offset stack store marks every slot its offset range
-/// touches `Misc`, below the `Uninit` top, so a wider range leaves
-/// tighter slots — and this can be tighter.
+/// record each pc's state directly. A cyclic program is reported by a
+/// decreasing sequence of narrowing walks (Miné's widening-then-narrowing
+/// scheme). Each walk steps every segment once from the previous walk's
+/// head states — the first from the widened ones — records every
+/// non-head pc's state as reached (reduced: widened values are carried
+/// unreduced), and joins the arrivals at each head (without widening)
+/// into that head's new state; the entry's starts from the entry state.
+/// The sequence stops when a walk leaves every head state as it found
+/// it, or after [`NARROWING_WALKS`] walks, and the last walk's records
+/// and head states are the report. Every walk starts from head states
+/// that cover every reachable state, so every walk's report is sound,
+/// though the transfers are not monotone: a variable-offset stack store
+/// marks every slot its offset range touches `Misc`, below the `Uninit`
+/// top, so a wider range leaves tighter slots. For the same reason a
+/// later walk can fail a check an earlier one passed; the sequence then
+/// ends with the earlier walk's report, which checked every pc. A loop
+/// head re-tightens to `entry ⊔ refined back-edge`, and a loop body is
+/// reported as walked from the last head state alone, not as the join
+/// of every round's walk.
 ///
 /// # Errors
 ///
@@ -251,43 +286,24 @@ pub(crate) fn harvest_thresholds(prog: &Program) -> WidenThresholds {
 /// or [`VerifierError::AnalysisBudgetExhausted`] when the iteration
 /// exceeds its visit budget.
 pub(crate) fn run(plan: &Plan<'_>) -> Result<Exploration, VerifierError> {
-    let cfg = &plan.cfg;
-    let acyclic = cfg.back_edges().is_empty();
-    let mut fixpoint = Fixpoint {
-        plan,
-        counters: vec![JoinCounters::new(); plan.heads()],
-        queue: RpoWorklist::new(cfg.rpo().len()),
-        arms: Vec::new(),
-        totals: WalkTotals::default(),
-    };
-
-    let mut heads: Vec<Option<AbsState>> = vec![None; plan.prog.len()];
-    heads[0] = Some(fixpoint.entry());
-    fixpoint.queue.push(cfg.rpo_pos(0));
-    while let Some(pos) = fixpoint.queue.pop() {
-        let head = cfg.rpo()[pos];
-        let state = heads[head].clone().expect("queued heads have a state");
-        fixpoint.walk(Pass::Widen { record: acyclic }, head, state, &mut heads)?;
-    }
-
-    // Acyclic programs never widen: the single pass already recorded
-    // the exact states, and narrowing would reproduce them verbatim at
-    // the cost of re-running every transfer.
-    let states = if acyclic {
-        heads
-    } else {
-        let mut report: Vec<Option<AbsState>> = vec![None; plan.prog.len()];
-        report[0] = Some(fixpoint.entry());
-        for &pc in cfg.rpo() {
-            if let Some(state) = heads[pc].take() {
-                fixpoint.walk(Pass::Narrow, pc, state, &mut report)?;
-            }
+    let delay = plan.options.widen_delay;
+    let mut eager = Fixpoint::new(plan, 0);
+    let mut states = eager.solve();
+    let mut totals = eager.totals;
+    if let Err(e) = &states {
+        let retry =
+            eager.diverged && delay > 0 && !matches!(e, VerifierError::DeadlineExceeded { .. });
+        if retry {
+            let mut delayed = Fixpoint::new(plan, delay);
+            states = delayed.solve();
+            totals.dead_components_cleared += delayed.totals.dead_components_cleared;
         }
-        report
-    };
-
-    let stats = AnalysisStats::of_run(plan.spent(), Ledger::default(), fixpoint.totals);
-    Ok(Exploration { states, stats })
+    }
+    let stats = AnalysisStats::of_run(plan.spent(), Ledger::default(), totals);
+    Ok(Exploration {
+        states: states?,
+        stats,
+    })
 }
 
 /// Which pass a segment walk serves.
@@ -299,14 +315,18 @@ enum Pass {
     /// non-head pc's state is stored as reached (acyclic programs,
     /// whose one pass is their report).
     Widen { record: bool },
-    /// The narrowing pass: each non-head pc's state is recorded and head
+    /// A narrowing walk: each non-head pc's state is recorded and head
     /// arrivals are joined plainly into the report.
     Narrow,
 }
 
-/// One fixpoint run's engine state, shared by both passes.
+/// One ascent's engine state, shared by its widening iteration and its
+/// narrowing walks.
 struct Fixpoint<'p> {
     plan: &'p Plan<'p>,
+    /// How many changing joins each loop-head component absorbs exactly
+    /// before it widens.
+    delay: u32,
     /// Per-loop-head (by the plan's dense head index), per-component
     /// changing-join counters driving the per-register delayed widening.
     counters: Vec<JoinCounters>,
@@ -317,12 +337,90 @@ struct Fixpoint<'p> {
     /// The current segment walk's pending instructions, reused across
     /// walks.
     arms: Vec<(usize, AbsState)>,
+    /// The exploration's visits before this ascent: each ascent is
+    /// charged against the whole budget.
+    visits_before: u64,
+    /// Whether a loop-head join has changed a head state: from then on,
+    /// ascents with different delays can differ.
+    diverged: bool,
     /// The fixpoint joins instead of pruning and never unrolls: of the
     /// walk totals it only counts cleaned components.
     totals: WalkTotals,
 }
 
-impl Fixpoint<'_> {
+impl<'p> Fixpoint<'p> {
+    fn new(plan: &'p Plan<'p>, delay: u32) -> Fixpoint<'p> {
+        Fixpoint {
+            plan,
+            delay,
+            counters: vec![JoinCounters::new(); plan.heads()],
+            queue: RpoWorklist::new(plan.cfg.rpo().len()),
+            arms: Vec::new(),
+            visits_before: plan.spent().visits,
+            diverged: false,
+            totals: WalkTotals::default(),
+        }
+    }
+
+    /// One ascent and its narrowing walks: the per-pc report.
+    fn solve(&mut self) -> Result<Vec<Option<AbsState>>, VerifierError> {
+        let cfg = &self.plan.cfg;
+        let acyclic = cfg.back_edges().is_empty();
+        let mut heads: Vec<Option<AbsState>> = vec![None; self.plan.prog.len()];
+        heads[0] = Some(self.entry());
+        self.queue.push(cfg.rpo_pos(0));
+        while let Some(pos) = self.queue.pop() {
+            let head = cfg.rpo()[pos];
+            let state = heads[head].clone().expect("queued heads have a state");
+            self.walk(Pass::Widen { record: acyclic }, head, state, &mut heads)?;
+        }
+        // Acyclic programs never widen: the single pass already recorded
+        // the exact states, and narrowing would reproduce them verbatim
+        // at the cost of re-running every transfer.
+        if acyclic {
+            return Ok(heads);
+        }
+        let mut report = self.narrow(&heads)?;
+        for _ in 1..NARROWING_WALKS {
+            let from = self.head_states(&report);
+            if from == heads {
+                break;
+            }
+            match self.narrow(&from) {
+                Ok(next) => report = next,
+                Err(_) => break,
+            }
+            heads = from;
+        }
+        Ok(report)
+    }
+
+    /// `report`'s states at the heads, `None` elsewhere.
+    fn head_states(&self, report: &[Option<AbsState>]) -> Vec<Option<AbsState>> {
+        let cfg = &self.plan.cfg;
+        report
+            .iter()
+            .enumerate()
+            .map(|(pc, state)| state.clone().filter(|_| pc == 0 || cfg.is_checkpoint(pc)))
+            .collect()
+    }
+
+    /// One narrowing walk: every segment stepped once from its head's
+    /// state in `heads`, in reverse postorder.
+    fn narrow(
+        &mut self,
+        heads: &[Option<AbsState>],
+    ) -> Result<Vec<Option<AbsState>>, VerifierError> {
+        let mut report: Vec<Option<AbsState>> = vec![None; heads.len()];
+        report[0] = Some(self.entry());
+        for &pc in self.plan.cfg.rpo() {
+            if let Some(state) = &heads[pc] {
+                self.walk(Pass::Narrow, pc, state.clone(), &mut report)?;
+            }
+        }
+        Ok(report)
+    }
+
     /// The entry state, cleaned when the entry is a checkpoint.
     fn entry(&mut self) -> AbsState {
         let mut entry = AbsState::entry();
@@ -346,7 +444,8 @@ impl Fixpoint<'_> {
         while let Some((pc, state)) = self.arms.pop() {
             match pass {
                 Pass::Widen { record } => {
-                    plan.charge(plan.count_visit(), pc, FaultSite::FixpointVisit)?;
+                    let visits = plan.count_visit() - self.visits_before;
+                    plan.charge(visits, pc, FaultSite::FixpointVisit)?;
                     if record && pc != head {
                         out[pc] = Some(state.clone());
                     }
@@ -393,13 +492,16 @@ impl Fixpoint<'_> {
             Some(existing) => {
                 !next.is_subset_of(existing) && {
                     let plan = self.plan;
-                    let widen = plan.head(succ).map(|h| WidenCtx {
+                    let loop_head = plan.head(succ);
+                    let widen = loop_head.map(|h| WidenCtx {
                         counters: &mut self.counters[h],
-                        delay: plan.options.widen_delay,
+                        delay: self.delay,
                         thresholds: &plan.thresholds,
                         tnum_jump: true,
                     });
-                    existing.flow_join(&next, widen)
+                    let grew = existing.flow_join(&next, widen);
+                    self.diverged |= grew && loop_head.is_some();
+                    grew
                 }
             }
         };
@@ -422,6 +524,26 @@ mod tests {
         (states, stats)
     }
 
+    /// The delayed ascent alone, as `run` retries it: no eager ascent
+    /// first.
+    fn delayed(
+        prog: &Program,
+        options: &crate::AnalyzerOptions,
+    ) -> Result<Exploration, VerifierError> {
+        let plan = Plan::new(prog, options);
+        let mut fixpoint = Fixpoint::new(&plan, options.widen_delay);
+        let states = fixpoint.solve()?;
+        let stats = AnalysisStats::of_run(plan.spent(), Ledger::default(), fixpoint.totals);
+        Ok(Exploration { states, stats })
+    }
+
+    fn analyze_delayed(src: &str) -> (Vec<Option<AbsState>>, AnalysisStats) {
+        let prog = assemble(src).expect("assembles");
+        let options = crate::AnalyzerOptions::default();
+        let Exploration { states, stats } = delayed(&prog, &options).expect("accepted");
+        (states, stats)
+    }
+
     /// A counted loop whose body is `body` ALU instructions.
     fn counted_loop(body: usize) -> String {
         format!(
@@ -432,8 +554,8 @@ mod tests {
 
     #[test]
     fn loop_body_length_costs_one_report_record_per_instruction() {
-        let (_, short) = analyze(&counted_loop(4));
-        let (_, long) = analyze(&counted_loop(32));
+        let (_, short) = analyze_delayed(&counted_loop(4));
+        let (_, long) = analyze_delayed(&counted_loop(32));
         let extra: u64 = 32 - 4;
         // The longer body is walked once per round...
         let rounds = (long.visits - short.visits) / extra;
@@ -450,6 +572,23 @@ mod tests {
     }
 
     #[test]
+    fn eager_ascent_walks_a_long_body_fewer_rounds_at_the_same_record_cost() {
+        // The default path on the same loops: the eager ascent settles in
+        // 7 rounds (the delayed one takes at least 10), and the narrowing
+        // walks still allocate at most one record per body instruction.
+        let (_, short) = analyze(&counted_loop(4));
+        let (_, long) = analyze(&counted_loop(32));
+        let extra: u64 = 32 - 4;
+        assert_eq!((long.visits - short.visits) / extra, 7);
+        assert!(
+            long.states_allocated <= short.states_allocated + extra,
+            "allocations grew {} -> {}",
+            short.states_allocated,
+            long.states_allocated
+        );
+    }
+
+    #[test]
     fn churning_accumulator_widens_in_one_jump() {
         // 48 trips of a counter `r1` and an accumulator `r6` that churns
         // its low bits every round. The tnum ∇ jumps (every trit from the
@@ -457,7 +596,7 @@ mod tests {
         // has burned its delay one widening settles it. With the tnum join
         // as ∇, `r6` gave up about one trit per round: 164 visits and 13
         // widenings, for the same report.
-        let (states, stats) = analyze(
+        let (states, stats) = analyze_delayed(
             "r1 = 0\nr6 = 0\nloop:\nr6 *= 3\nr6 ^= 5\nr6 += r1\nr1 += 1\n\
              if r1 < 48 goto loop\nr0 = r6\nexit\n",
         );
@@ -472,6 +611,143 @@ mod tests {
             report(8),
             "AbsState {\n  r0: unknown\n  r1: 48\n  r6: unknown\n  r10: stack+0\n  \
              stack: 0/64 slots written\n}"
+        );
+    }
+
+    #[test]
+    fn churning_accumulator_ascends_eagerly_to_the_same_report() {
+        // The default path on the accumulator above: the eager ascent
+        // needs no retry and takes 33 visits and 6 widenings instead of
+        // the delayed ascent's 101 and 4, and the narrowing walks report
+        // exactly what the delayed ascent does.
+        let src = "r1 = 0\nr6 = 0\nloop:\nr6 *= 3\nr6 ^= 5\nr6 += r1\nr1 += 1\n\
+                   if r1 < 48 goto loop\nr0 = r6\nexit\n";
+        let (states, stats) = analyze(src);
+        assert_eq!((stats.visits, stats.widenings_applied), (33, 6));
+        assert_eq!(states, analyze_delayed(src).0);
+    }
+
+    /// The 13-trip store loop bounded by a register (`r7`), which no
+    /// harvested threshold catches.
+    const REG_BOUND_LOOP: &str = include_str!("../../../fixtures/reg_bound_loop.ebpf");
+
+    #[test]
+    fn a_failed_eager_ascent_retries_with_the_delay() {
+        let prog = assemble(REG_BOUND_LOOP).expect("assembles");
+        let options = crate::AnalyzerOptions::default();
+        let plan = Plan::new(&prog, &options);
+        let mut eager = Fixpoint::new(&plan, 0);
+        let err = eager.solve().expect_err("the eager ascent loses the bound");
+        assert!(matches!(err, VerifierError::OutOfBounds { .. }), "{err}");
+        assert!(eager.diverged);
+        let eager_visits = plan.spent().visits;
+        // The retry reports what the delayed ascent alone does, and
+        // counts both ascents' visits.
+        let Exploration { states, stats } = run(&Plan::new(&prog, &options)).expect("retried");
+        let alone = delayed(&prog, &options).expect("the delay keeps the bound");
+        assert_eq!(states, alone.states);
+        assert_eq!(stats.visits, eager_visits + alone.stats.visits);
+        // The retry gets the whole budget: a budget the delayed ascent
+        // fits in, but not with the eager ascent's visits on top.
+        let tight = crate::AnalyzerOptions {
+            analysis_budget: alone.stats.visits,
+            ..options
+        };
+        run(&Plan::new(&prog, &tight)).expect("the retry fits its budget");
+    }
+
+    /// A random counted loop storing through its counter into a buffer
+    /// that may be one byte short, bounded by an immediate or a register,
+    /// with an accumulator that may churn: safe, unsafe, and safe only
+    /// with the delay.
+    fn store_loop(rng: &mut domain::rng::SplitMix64) -> String {
+        let trips = 1 + rng.below(24);
+        let buf = trips + rng.below(3) - 1;
+        let bound = if rng.coin() {
+            format!("r7 = {trips}\nr6 = 0\nloop:\n")
+        } else {
+            "r6 = 0\nloop:\n".to_string()
+        };
+        let guard = if bound.starts_with("r7") {
+            "r7".to_string()
+        } else {
+            trips.to_string()
+        };
+        let churn = ["", "r6 += r1\n", "r6 *= 3\nr6 ^= 5\n", "r6 += 1\n"][rng.below(4) as usize];
+        format!(
+            "r1 = 0\n{bound}{churn}r3 = r10\nr3 += -{}\nr3 += r1\n*(u8 *)(r3 + 0) = 0\n\
+             r1 += 1\nif r1 < {guard} goto loop\nr0 = r6\nexit\n",
+            buf.max(1)
+        )
+    }
+
+    #[test]
+    fn rejections_are_the_delayed_ascents_rejections() {
+        // Every fixture, every program of the bench sweep under its own
+        // options, and random programs: whenever `run` rejects, the
+        // delayed ascent alone rejects with the same error, and whenever
+        // the delayed ascent accepts, `run` accepts. `run` may accept
+        // where the delayed ascent rejects (its eager ascent proved the
+        // program); that is sound, and counted.
+        let defaults = crate::AnalyzerOptions::default();
+        let mut progs: Vec<(String, Program, crate::AnalyzerOptions)> = Vec::new();
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../fixtures");
+        for entry in std::fs::read_dir(dir).expect("fixtures directory") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_some_and(|x| x == "ebpf") {
+                let source = std::fs::read_to_string(&path).expect("fixture reads");
+                let prog = assemble(&source).expect("fixture assembles");
+                progs.push((path.display().to_string(), prog, defaults.clone()));
+            }
+        }
+        // The bench crate links its own build of this one: carry over
+        // the options the fixpoint reads.
+        for (label, prog, session) in bench::fixpoint_suite::sweep_configs() {
+            let theirs = session.options();
+            let options = crate::AnalyzerOptions {
+                widen_delay: theirs.widen_delay,
+                harvest_thresholds: theirs.harvest_thresholds,
+                liveness_pruning: theirs.liveness_pruning,
+                ..defaults.clone()
+            };
+            progs.push((label, prog, options));
+        }
+        let mut rng = domain::rng::SplitMix64::new(0x7E7_2A11);
+        for round in 0..400 {
+            let len = 2 + rng.below(30) as usize;
+            let prog = crate::cfg::tests::random_program(&mut rng, len);
+            progs.push((format!("random round {round}"), prog, defaults.clone()));
+        }
+        for round in 0..200 {
+            let prog = assemble(&store_loop(&mut rng)).expect("assembles");
+            progs.push((format!("store loop {round}"), prog, defaults.clone()));
+        }
+        let (mut rejected, mut retried, mut eager_only) = (0, 0, 0);
+        for (label, prog, options) in &progs {
+            let plan = Plan::new(prog, options);
+            let mut eager = Fixpoint::new(&plan, 0);
+            if eager.solve().is_err() && eager.diverged {
+                retried += 1;
+            }
+            let at = || format!("{label}:\n{}", prog.disassemble());
+            match (run(&Plan::new(prog, options)), delayed(prog, options)) {
+                (Err(got), Err(want)) => {
+                    assert_eq!(got, want, "{}", at());
+                    rejected += 1;
+                }
+                (Err(got), Ok(_)) => panic!("rejected ({got}) where the delay accepts: {}", at()),
+                (Ok(_), Err(_)) => eager_only += 1,
+                (Ok(_), Ok(_)) => {}
+            }
+        }
+        println!(
+            "{} programs: {rejected} rejected, {retried} retried, {eager_only} accepted by \
+             the eager ascent alone",
+            progs.len()
+        );
+        assert!(
+            rejected >= 100 && retried >= 50,
+            "{rejected} rejected, {retried} retried"
         );
     }
 

@@ -36,11 +36,13 @@
 //!   bit-identical to the sequential walk while no job widens a loop
 //!   head;
 //! * [`fixpoint`] — the reverse-postorder priority worklist behind the
-//!   fixpoint strategy: joins at merge points, **per-register delayed
-//!   widening** at loop heads (each register and stack slot burns its
-//!   own [`AnalyzerOptions::widen_delay`]), widening thresholds
-//!   harvested from the program's comparison immediates, one narrowing
-//!   pass after stabilization, and a total-visit budget.
+//!   fixpoint strategy: joins at merge points, eager widening at loop
+//!   heads with widening thresholds harvested from the program's
+//!   comparison immediates, a decreasing sequence of narrowing walks
+//!   after stabilization, a retry with **per-register delayed
+//!   widening** (each register and stack slot burns its own
+//!   [`AnalyzerOptions::widen_delay`]) when the eager ascent fails, and
+//!   a total-visit budget.
 //!
 //! The per-program-point state ([`state::AbsState`]) is **copy-on-write**:
 //! the register file and the stack frame — itself [`STACK_CHUNKS`]

@@ -211,7 +211,7 @@ where
     /// reductive, and re-sharpening a freshly widened component from the
     /// other one could undo the extrapolation jump and re-open the slow
     /// ascent widening exists to cut short. The analyzer re-normalizes
-    /// naturally at the next join and during its narrowing pass.
+    /// naturally at the next join and during its narrowing walks.
     #[must_use]
     pub fn widen(self, newer: Self) -> Self {
         Product {

@@ -50,6 +50,13 @@ fn loopy() -> Program {
     .expect("assembles")
 }
 
+/// The register-bounded store loop of `fixtures/reg_bound_loop.ebpf`:
+/// the fixpoint's eager ascent fails on it and its delayed retry proves
+/// it, so a fixpoint run's visits span both ascents.
+fn reg_bound_loop() -> Program {
+    assemble(include_str!("../../../fixtures/reg_bound_loop.ebpf")).expect("assembles")
+}
+
 /// A branch tree over ALU ops feeding one guarded store — forky enough
 /// that the parallel explorer spawns real subtree jobs.
 fn branchy() -> Program {
@@ -279,10 +286,26 @@ fn a_visit_panic_at_hit_n_leaves_exactly_n_visits_in_the_batch() {
     // The fail-point fires after the visit is counted, so the unwound
     // walk has charged exactly `n` visits, and the batch counts each.
     for strategy in [Strategy::WideningFixpoint, Strategy::PathSensitive] {
+        let prog = match strategy {
+            Strategy::WideningFixpoint => reg_bound_loop(),
+            _ => loopy(),
+        };
+        let unfailed = {
+            let _quiet = failpoint::install(FaultPlan::new());
+            session(strategy, &options_for(strategy))
+                .run(&prog)
+                .expect("accepted")
+                .stats()
+                .visits
+        };
+        assert!(
+            unfailed >= 37,
+            "{strategy:?}: {unfailed} visits, every hit must fire"
+        );
         for n in [1u64, 10, 37] {
             let report = {
                 let _guard = failpoint::install(FaultPlan::new().panic_at(site_of(strategy), n));
-                session(strategy, &options_for(strategy)).run_batch(&[loopy()], 1)
+                session(strategy, &options_for(strategy)).run_batch(std::slice::from_ref(&prog), 1)
             };
             assert!(
                 matches!(report.results[0], Err(VerifierError::InternalFault { .. })),

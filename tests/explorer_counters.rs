@@ -122,7 +122,7 @@ fn parallel_explorer_without_spawns_walks_like_the_sequential_one() {
         })
         .collect();
     programs.sort();
-    assert_eq!(programs.len(), 8, "every fixture is covered");
+    assert_eq!(programs.len(), 9, "every fixture is covered");
     programs.push(("fork_order".to_string(), FORK_ORDER.to_string()));
     for (name, source) in programs {
         let prog = assemble(&source).expect("program assembles");
