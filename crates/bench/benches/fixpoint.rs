@@ -4,13 +4,16 @@
 //! two-back-edge pruning workload, an unbounded loop (pure widening
 //! cost), and the VM executing the same loops for scale.
 //!
-//! For the fixpoint, trip counts at or below the widening delay are
-//! analyzed with full precision and cost grows with the trip count;
-//! above it, widening extrapolates and the cost flattens. The
-//! path-sensitive strategy trades the same way on `unroll_k` — per-trip
-//! exact states below the bound, widening fallback above it — but pays
+//! For the fixpoint, the eager ascent widens the memset's loop head at
+//! its first changing join and the narrowing walks recover the exit
+//! bound, so the memset is proved at every trip count and delay at
+//! about the same cost. The delay is paid only by an ascent retried
+//! after the eager one fails: the register-bounded loop's rows, whose
+//! retry costs more the longer the delay. The
+//! path-sensitive strategy trades on `unroll_k` instead — per-trip
+//! exact states below the bound, widening fallback above it — and pays
 //! per *path*, with the visited table pruning re-convergent ones. The
-//! sweep measures both sides of both knobs.
+//! sweep measures both knobs.
 //!
 //! Every configuration also reports its `AnalysisStats` — deep copies
 //! vs. shared clones vs. short-circuited joins under the copy-on-write

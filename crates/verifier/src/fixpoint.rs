@@ -80,10 +80,12 @@ pub struct AnalysisStats {
     /// Widening operator applications to individual registers or stack
     /// slots at loop heads.
     pub widenings_applied: u64,
-    /// Instruction visits consumed from the analysis budget. A fixpoint
-    /// run whose eager ascent failed and was retried with the widening
-    /// delay counts the visits of both ascents (each was charged against
-    /// the whole budget).
+    /// Instruction visits consumed from the analysis budget: every
+    /// instruction a strategy stepped. Under the widening fixpoint that
+    /// is every instruction of its widening walks and of its narrowing
+    /// walks; a run whose eager ascent failed and was retried with the
+    /// widening delay counts the visits of both ascents (each was
+    /// charged against the whole budget).
     pub visits: u64,
     /// Branch states discarded because they were included in an
     /// already-explored state at the same instruction (the kernel's
@@ -255,9 +257,9 @@ const NARROWING_WALKS: usize = 4;
 /// segment on one in-place state, forking only at branch arms, and
 /// flows each arrival at a head into that head's state: a subset test,
 /// else a join (per-component delayed widening at loop heads) that
-/// re-queues the head when it grew. Every instruction of a widening
-/// walk is one visit the plan charges against the budget, the deadline
-/// and the `fixpoint-visit` fail-point.
+/// re-queues the head when it grew. Every instruction of every walk,
+/// widening or narrowing, is one visit the plan charges against the
+/// budget, the deadline and the `fixpoint-visit` fail-point.
 ///
 /// The report: an acyclic program pops every head once, so its walks
 /// record each pc's state directly. A cyclic program is reported by a
@@ -275,7 +277,8 @@ const NARROWING_WALKS: usize = 4;
 /// marks every slot its offset range touches `Misc`, below the `Uninit`
 /// top, so a wider range leaves tighter slots. For the same reason a
 /// later walk can fail a check an earlier one passed; the sequence then
-/// ends with the earlier walk's report, which checked every pc. A loop
+/// ends with the earlier walk's report, which checked every pc. A blown
+/// budget or deadline in any walk fails the ascent. A loop
 /// head re-tightens to `entry ⊔ refined back-edge`, and a loop body is
 /// reported as walked from the last head state alone, not as the join
 /// of every round's walk.
@@ -306,14 +309,14 @@ pub(crate) fn run(plan: &Plan<'_>) -> Result<Exploration, VerifierError> {
     })
 }
 
-/// Which pass a segment walk serves.
+/// Which pass a segment walk serves. Every instruction of either is a
+/// charged visit.
 #[derive(Clone, Copy)]
 enum Pass {
-    /// The widening iteration: every instruction is a charged visit,
-    /// and head arrivals join (widening at loop heads) into the head
-    /// states, re-queueing the heads that grew. With `record`, each
-    /// non-head pc's state is stored as reached (acyclic programs,
-    /// whose one pass is their report).
+    /// The widening iteration: head arrivals join (widening at loop
+    /// heads) into the head states, re-queueing the heads that grew.
+    /// With `record`, each non-head pc's state is stored as reached
+    /// (acyclic programs, whose one pass is their report).
     Widen { record: bool },
     /// A narrowing walk: each non-head pc's state is recorded and head
     /// arrivals are joined plainly into the report.
@@ -388,6 +391,10 @@ impl<'p> Fixpoint<'p> {
             }
             match self.narrow(&from) {
                 Ok(next) => report = next,
+                Err(
+                    e @ (VerifierError::AnalysisBudgetExhausted { .. }
+                    | VerifierError::DeadlineExceeded { .. }),
+                ) => return Err(e),
                 Err(_) => break,
             }
             heads = from;
@@ -442,10 +449,10 @@ impl<'p> Fixpoint<'p> {
         let plan = self.plan;
         self.arms.push((head, state));
         while let Some((pc, state)) = self.arms.pop() {
+            let visits = plan.count_visit() - self.visits_before;
+            plan.charge(visits, pc, FaultSite::FixpointVisit)?;
             match pass {
                 Pass::Widen { record } => {
-                    let visits = plan.count_visit() - self.visits_before;
-                    plan.charge(visits, pc, FaultSite::FixpointVisit)?;
                     if record && pc != head {
                         out[pc] = Some(state.clone());
                     }
@@ -574,12 +581,14 @@ mod tests {
     #[test]
     fn eager_ascent_walks_a_long_body_fewer_rounds_at_the_same_record_cost() {
         // The default path on the same loops: the eager ascent settles in
-        // 7 rounds (the delayed one takes at least 10), and the narrowing
-        // walks still allocate at most one record per body instruction.
+        // 7 rounds (the delayed one takes at least 10) and two narrowing
+        // walks follow, so each body instruction costs nine visits. The
+        // narrowing walks still allocate at most one record per body
+        // instruction.
         let (_, short) = analyze(&counted_loop(4));
         let (_, long) = analyze(&counted_loop(32));
         let extra: u64 = 32 - 4;
-        assert_eq!((long.visits - short.visits) / extra, 7);
+        assert_eq!((long.visits - short.visits) / extra, 9);
         assert!(
             long.states_allocated <= short.states_allocated + extra,
             "allocations grew {} -> {}",
@@ -593,14 +602,15 @@ mod tests {
         // 48 trips of a counter `r1` and an accumulator `r6` that churns
         // its low bits every round. The tnum ∇ jumps (every trit from the
         // lowest newly unknown one upward turns unknown), so once `r6`
-        // has burned its delay one widening settles it. With the tnum join
-        // as ∇, `r6` gave up about one trit per round: 164 visits and 13
+        // has burned its delay one widening settles it. The visits count
+        // the two narrowing walks (9 each). With the tnum join as ∇, `r6`
+        // gave up about one trit per round: 164 ascent visits and 13
         // widenings, for the same report.
         let (states, stats) = analyze_delayed(
             "r1 = 0\nr6 = 0\nloop:\nr6 *= 3\nr6 ^= 5\nr6 += r1\nr1 += 1\n\
              if r1 < 48 goto loop\nr0 = r6\nexit\n",
         );
-        assert_eq!((stats.visits, stats.widenings_applied), (101, 4));
+        assert_eq!((stats.visits, stats.widenings_applied), (119, 4));
         let report = |pc: usize| format!("{:?}", states[pc].as_ref().expect("reachable"));
         assert_eq!(
             report(2),
@@ -617,14 +627,41 @@ mod tests {
     #[test]
     fn churning_accumulator_ascends_eagerly_to_the_same_report() {
         // The default path on the accumulator above: the eager ascent
-        // needs no retry and takes 33 visits and 6 widenings instead of
-        // the delayed ascent's 101 and 4, and the narrowing walks report
-        // exactly what the delayed ascent does.
+        // needs no retry and takes 51 visits (two narrowing walks
+        // included) and 6 widenings instead of the delayed ascent's 119
+        // and 4, and the narrowing walks report exactly what the delayed
+        // ascent does.
         let src = "r1 = 0\nr6 = 0\nloop:\nr6 *= 3\nr6 ^= 5\nr6 += r1\nr1 += 1\n\
                    if r1 < 48 goto loop\nr0 = r6\nexit\n";
         let (states, stats) = analyze(src);
-        assert_eq!((stats.visits, stats.widenings_applied), (33, 6));
+        assert_eq!((stats.visits, stats.widenings_applied), (51, 6));
         assert_eq!(states, analyze_delayed(src).0);
+    }
+
+    #[test]
+    fn the_budget_bounds_the_narrowing_walks() {
+        // The accumulator's eager ascent takes 33 visits and its two
+        // narrowing walks 18 more: a budget of 50 fits the ascent but not
+        // the narrowing, and the delayed retry (119 visits) fits neither.
+        let prog = assemble(
+            "r1 = 0\nr6 = 0\nloop:\nr6 *= 3\nr6 ^= 5\nr6 += r1\nr1 += 1\n\
+             if r1 < 48 goto loop\nr0 = r6\nexit\n",
+        )
+        .expect("assembles");
+        let budget = |analysis_budget| crate::AnalyzerOptions {
+            analysis_budget,
+            ..crate::AnalyzerOptions::default()
+        };
+        let fits = run(&Plan::new(&prog, &budget(51))).expect("the narrowing fits");
+        assert_eq!(fits.stats.visits, 51);
+        let err = run(&Plan::new(&prog, &budget(50))).expect_err("the narrowing is charged");
+        assert!(
+            matches!(
+                err,
+                VerifierError::AnalysisBudgetExhausted { budget: 50, .. }
+            ),
+            "{err}"
+        );
     }
 
     /// The 13-trip store loop bounded by a register (`r7`), which no

@@ -1,12 +1,23 @@
-//! Static-analysis passes over the [`Cfg`]: a reusable forward/backward
-//! dataflow solver plus the passes the analyzer ships with — per-pc
-//! register/stack-slot **liveness** and **unreachable/dead-code**
-//! detection.
+//! Static-analysis passes over the [`Cfg`]: per-pc register/stack-slot
+//! **liveness** and **unreachable/dead-code** detection.
+//!
+//! Two private solvers compute them. A forward stack-taint solve marks
+//! the registers that may hold a stack-derived pointer; a backward
+//! liveness solve, over every reachable pc or over a region closed under
+//! successors, marks what may still be read. Both pop a bitset
+//! `RpoWorklist`, the one the fixpoint engine iterates with: the taint
+//! solve in reverse postorder, liveness in mirrored reverse postorder
+//! (post-order), so facts propagate in long runs instead of ping-ponging
+//! across back edges. Their edges are the [`Cfg`]'s own successor and
+//! CSR predecessor arrays, and their facts are bitsets (`u16` over
+//! registers, `u64` over the 64 stack slots), so a solver step is a
+//! handful of word operations and a solve allocates only its fact
+//! vectors and one worklist word per 64 pcs.
 //!
 //! Only what the exploration engines read is computed per analysis: the
 //! live-in masks at checkpoints, solved by the crate-private
 //! `CheckpointLiveness` over the pcs reachable from a checkpoint (with
-//! the [`StackTaint`] prerequisite only when that region loads through a
+//! the stack-taint prerequisite only when that region loads through a
 //! base other than `r10`, and nothing at all for a program without
 //! checkpoints). The whole-program bundle, [`ProgramPasses::compute`]
 //! — liveness at every pc plus the unreachable pcs and dead definitions
@@ -26,18 +37,6 @@
 //! only in dead components become *equal* after cleaning and prune each
 //! other for free.
 //!
-//! The framework half is deliberately generic: [`DataflowPass`] couples
-//! a per-point fact with a join and a transfer, and [`solve`] runs the
-//! classic priority worklist — reverse postorder for forward passes,
-//! post-order (reversed RPO priority) for backward ones — until the
-//! facts stabilize. The worklist is the bitset `RpoWorklist` the
-//! fixpoint engine also iterates with, and the edges come from the
-//! [`Cfg`]'s own successor and CSR predecessor arrays, so the solver
-//! itself allocates only the fact vectors and one worklist word per 64 pcs.
-//! All built-in passes use bitset facts (`u16` over registers, `u64`
-//! over the 64 stack slots), so one solver iteration is a handful of
-//! word operations.
-//!
 //! Soundness of the liveness facts is calibrated against the transfer
 //! layer's *actual* read surface, over-approximated where the static
 //! pass cannot know better:
@@ -51,9 +50,9 @@
 //! * a load through `r10` at a constant offset reads exactly the slots
 //!   covering its byte range (including the whole-slot reads of
 //!   `stack_range_initialized`); a load through any register that *may*
-//!   hold a derived stack pointer reads **all** slots — a dedicated
-//!   forward [`StackTaint`] pass tracks which registers may be
-//!   stack-derived, including spilled-and-reloaded pointers;
+//!   hold a derived stack pointer reads **all** slots — the stack-taint
+//!   solve tracks which registers may be stack-derived, including
+//!   spilled-and-reloaded pointers;
 //! * a store through `r10` overwrites every slot its byte range
 //!   intersects (both the tracked-spill and the `Misc`-smear paths
 //!   replace the old contents wholesale), so those slots are *killed*;
@@ -72,161 +71,10 @@ const ALL_REGS: u16 = (1 << 11) - 1;
 /// Bitmask of the helper-call clobbers `r0`–`r5`.
 const CALL_CLOBBERS: u16 = (1 << 6) - 1;
 
-/// The direction facts flow in a [`DataflowPass`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
-    /// Facts flow with control flow (entry → exits); the solver
-    /// processes instructions in reverse-postorder priority.
-    Forward,
-    /// Facts flow against control flow (exits → entry); the solver
-    /// processes instructions in post-order priority.
-    Backward,
+/// The register-bitset bit of `r`.
+const fn bit(r: Reg) -> u16 {
+    1 << r.index()
 }
-
-/// One dataflow problem over the instruction-level [`Cfg`]: a per-point
-/// fact, a join, and a per-instruction transfer. [`solve`] runs it to a
-/// fixpoint.
-pub trait DataflowPass {
-    /// The per-program-point fact (a bitset in every built-in pass).
-    type Fact: Clone + PartialEq;
-
-    /// Whether facts flow with or against control flow.
-    const DIRECTION: Direction;
-
-    /// The fact at the flow boundary: program entry for forward passes,
-    /// every exit for backward ones.
-    fn boundary_fact(&self) -> Self::Fact;
-
-    /// The neutral element of [`DataflowPass::join`] — the fact of an
-    /// edge never taken.
-    fn empty_fact(&self) -> Self::Fact;
-
-    /// Accumulates `from` into `into`, reporting whether `into` changed.
-    fn join(&self, into: &mut Self::Fact, from: &Self::Fact) -> bool;
-
-    /// Transfers the fact across instruction `pc`: from the point before
-    /// it for forward passes, from the point after it for backward ones.
-    fn transfer(&self, pc: usize, insn: Insn, fact: &Self::Fact) -> Self::Fact;
-}
-
-/// The stabilized facts of one [`solve`] run, indexed by pc in program
-/// orientation regardless of the pass direction: `before[pc]` is the
-/// fact at the point *preceding* the instruction, `after[pc]` at the
-/// point following it. Unreachable instructions keep the empty fact.
-#[derive(Clone, Debug)]
-pub struct Solution<F> {
-    /// Fact at the program point before each instruction.
-    pub before: Vec<F>,
-    /// Fact at the program point after each instruction.
-    pub after: Vec<F>,
-}
-
-/// Runs `pass` over `prog` to a fixpoint with a priority worklist:
-/// reverse-postorder order for forward passes, reversed-RPO (post-order)
-/// for backward ones, so facts propagate in long runs instead of
-/// ping-ponging across back edges.
-///
-/// The worklist is a bitset over priorities (`RpoWorklist`) that starts
-/// with every reachable pc pending and always pops the lowest pending
-/// priority. Forward passes join over
-/// [`Cfg::predecessors`] and re-queue successors; backward passes join
-/// over [`Cfg::successors`] and re-queue predecessors. Both adjacency
-/// lists cover the reachable subgraph only.
-pub fn solve<P: DataflowPass>(pass: &P, prog: &Program, cfg: &Cfg) -> Solution<P::Fact> {
-    solve_within(pass, prog, cfg, None)
-}
-
-/// [`solve`] over the reachable pcs `region` marks (every reachable pc
-/// when `None`): only they start pending, and a changed fact re-queues
-/// only neighbours inside it. Facts outside the region stay empty, so
-/// the result is exact only for a region closed under the pass's
-/// dependencies — successors for a backward pass, predecessors for a
-/// forward one.
-fn solve_within<P: DataflowPass>(
-    pass: &P,
-    prog: &Program,
-    cfg: &Cfg,
-    region: Option<&[bool]>,
-) -> Solution<P::Fact> {
-    let n = prog.len();
-    let mut before = vec![pass.empty_fact(); n];
-    let mut after = vec![pass.empty_fact(); n];
-
-    // Priorities are RPO positions, mirrored for backward passes; the
-    // mirror is an involution, so it maps a priority back to its pc too.
-    let total = cfg.rpo().len();
-    let priority = |pos: usize| match P::DIRECTION {
-        Direction::Forward => pos,
-        Direction::Backward => total - 1 - pos,
-    };
-    let in_region = |pc: usize| region.map_or(true, |r| r[pc]);
-
-    let mut queue = match region {
-        None => RpoWorklist::full(total),
-        Some(_) => {
-            let mut queue = RpoWorklist::new(total);
-            for (pos, &pc) in cfg.rpo().iter().enumerate() {
-                if in_region(pc) {
-                    queue.push(priority(pos));
-                }
-            }
-            queue
-        }
-    };
-    while let Some(prio) = queue.pop() {
-        let pc = cfg.rpo()[priority(prio)];
-        let insn = prog.insns()[pc];
-        match P::DIRECTION {
-            Direction::Forward => {
-                let mut input = if pc == 0 {
-                    pass.boundary_fact()
-                } else {
-                    pass.empty_fact()
-                };
-                for &p in cfg.predecessors(pc) {
-                    pass.join(&mut input, &after[p]);
-                }
-                let output = pass.transfer(pc, insn, &input);
-                before[pc] = input;
-                if output != after[pc] {
-                    after[pc] = output;
-                    for &s in cfg.successors(pc) {
-                        if in_region(s) {
-                            queue.push(priority(cfg.rpo_pos(s)));
-                        }
-                    }
-                }
-            }
-            Direction::Backward => {
-                let succs = cfg.successors(pc);
-                let mut output = if succs.is_empty() {
-                    pass.boundary_fact()
-                } else {
-                    pass.empty_fact()
-                };
-                for &s in succs {
-                    pass.join(&mut output, &before[s]);
-                }
-                let input = pass.transfer(pc, insn, &output);
-                after[pc] = output;
-                if input != before[pc] {
-                    before[pc] = input;
-                    for &p in cfg.predecessors(pc) {
-                        if in_region(p) {
-                            queue.push(priority(cfg.rpo_pos(p)));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    Solution { before, after }
-}
-
-// ---------------------------------------------------------------------
-// Liveness
-// ---------------------------------------------------------------------
 
 /// A per-pc liveness fact: which registers (bits `0..=10`) and 8-byte
 /// stack slots (one bit per slot, bit `i` = slot `i` = bytes
@@ -251,7 +99,7 @@ impl LiveSet {
     /// Whether register `r` is live.
     #[must_use]
     pub const fn contains_reg(self, r: Reg) -> bool {
-        self.regs & (1 << r.index()) != 0
+        self.regs & bit(r) != 0
     }
 
     /// Whether stack slot `i` is live.
@@ -290,81 +138,91 @@ fn covering_slots(start: i64, bytes: i64) -> u64 {
     mask
 }
 
-/// Forward may-alias pass: which registers *may* hold a stack-derived
-/// pointer at each point. Fact: `u16` register bitset.
+// ---------------------------------------------------------------------
+// Stack taint (forward)
+// ---------------------------------------------------------------------
+
+/// The stack-taint transfer across `insn`: which registers *may* hold a
+/// stack-derived pointer after it, given the set `t` before it.
 ///
-/// `r10` seeds the set; 64-bit `mov` copies propagate it, other ALU ops
-/// keep a destination tainted when either operand is (pointer ± scalar
-/// keeps the region), and **every load taints its destination** — a
-/// spilled stack pointer reloads through an arbitrary slot, and this
+/// `r10` is always tainted; 64-bit `mov` copies propagate taint, other
+/// ALU ops keep a destination tainted when either operand is (pointer ±
+/// scalar keeps the region), and **every load taints its destination** —
+/// a spilled stack pointer reloads through an arbitrary slot, and this
 /// pass does not track slot contents. Immediate loads and 32-bit moves
 /// scalarize and clear; helper calls clobber `r0`–`r5`. Over-tainting is
 /// always sound here: taint only ever *adds* stack-slot liveness.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StackTaint;
-
-impl DataflowPass for StackTaint {
-    type Fact = u16;
-    const DIRECTION: Direction = Direction::Forward;
-
-    fn boundary_fact(&self) -> u16 {
-        1 << Reg::R10.index()
-    }
-
-    fn empty_fact(&self) -> u16 {
-        0
-    }
-
-    fn join(&self, into: &mut u16, from: &u16) -> bool {
-        let merged = *into | *from;
-        let changed = merged != *into;
-        *into = merged;
-        changed
-    }
-
-    fn transfer(&self, _pc: usize, insn: Insn, fact: &u16) -> u16 {
-        let bit = |r: Reg| 1u16 << r.index();
-        let mut t = *fact;
-        match insn {
-            Insn::Alu {
-                op: AluOp::Mov,
-                width: Width::W64,
-                dst,
-                src: Src::Reg(r),
-            } => {
+fn taint_step(insn: Insn, mut t: u16) -> u16 {
+    match insn {
+        Insn::Alu {
+            op: AluOp::Mov,
+            width: Width::W64,
+            dst,
+            src: Src::Reg(r),
+        } => {
+            if t & bit(r) != 0 {
+                t |= bit(dst);
+            } else {
+                t &= !bit(dst);
+            }
+        }
+        // Immediate and 32-bit moves scalarize the destination.
+        Insn::Alu {
+            op: AluOp::Mov,
+            dst,
+            ..
+        } => t &= !bit(dst),
+        Insn::Alu { dst, src, .. } => {
+            // Pointer ± scalar keeps the region; anything else with
+            // a tainted operand conservatively stays tainted.
+            if let Src::Reg(r) = src {
                 if t & bit(r) != 0 {
                     t |= bit(dst);
-                } else {
-                    t &= !bit(dst);
                 }
             }
-            // Immediate and 32-bit moves scalarize the destination.
-            Insn::Alu {
-                op: AluOp::Mov,
-                dst,
-                ..
-            } => t &= !bit(dst),
-            Insn::Alu { dst, src, .. } => {
-                // Pointer ± scalar keeps the region; anything else with
-                // a tainted operand conservatively stays tainted.
-                if let Src::Reg(r) = src {
-                    if t & bit(r) != 0 {
-                        t |= bit(dst);
-                    }
-                }
-            }
-            Insn::LoadImm64 { dst, .. } => t &= !bit(dst),
-            // A load may reload a spilled stack pointer.
-            Insn::Load { dst, .. } => t |= bit(dst),
-            Insn::Call { .. } => t &= !CALL_CLOBBERS,
-            Insn::Store { .. } | Insn::Jmp { .. } | Insn::Ja { .. } | Insn::Exit => {}
         }
-        t | bit(Reg::R10)
+        Insn::LoadImm64 { dst, .. } => t &= !bit(dst),
+        // A load may reload a spilled stack pointer.
+        Insn::Load { dst, .. } => t |= bit(dst),
+        Insn::Call { .. } => t &= !CALL_CLOBBERS,
+        Insn::Store { .. } | Insn::Jmp { .. } | Insn::Ja { .. } | Insn::Exit => {}
     }
+    t | bit(Reg::R10)
 }
 
-/// Backward may-use liveness over registers *and* stack slots, the
-/// kernel's `mark_reg_read` analogue. Fact: [`LiveSet`].
+/// Solves stack taint over every reachable pc of `prog` in reverse
+/// postorder, starting from `r10` at the entry: the taint fact at the
+/// point before each instruction (empty at unreachable ones).
+fn stack_taint(prog: &Program, cfg: &Cfg) -> Vec<u16> {
+    let mut before = vec![0u16; prog.len()];
+    let mut after = vec![0u16; prog.len()];
+    let mut queue = RpoWorklist::full(cfg.rpo().len());
+    while let Some(pos) = queue.pop() {
+        let pc = cfg.rpo()[pos];
+        let mut input = if pc == 0 { bit(Reg::R10) } else { 0 };
+        for &p in cfg.predecessors(pc) {
+            input |= after[p];
+        }
+        let output = taint_step(prog.insns()[pc], input);
+        before[pc] = input;
+        if output != after[pc] {
+            after[pc] = output;
+            for &s in cfg.successors(pc) {
+                queue.push(cfg.rpo_pos(s));
+            }
+        }
+    }
+    before
+}
+
+// ---------------------------------------------------------------------
+// Liveness (backward)
+// ---------------------------------------------------------------------
+
+/// The liveness transfer across instruction `pc`: the live-in set from
+/// the live-out set `live`, the kernel's `mark_reg_read` analogue.
+/// `taint_in` holds the stack-taint facts before each instruction; it is
+/// read only at a load whose base is not `r10`.
 ///
 /// Uses mirror the transfer layer's checks exactly — a helper call
 /// reads its registry arity's argument registers (`r1..r1+n` per
@@ -372,129 +230,136 @@ impl DataflowPass for StackTaint {
 /// helper) and, when its signature takes a stack-region argument, may
 /// read any stack slot; `exit` reads `r0` — plus the slot reads of
 /// stack loads (exact covering slots through `r10`, all slots through a
-/// possibly-stack-derived base per [`StackTaint`]). Kills are the
-/// register writes of `def_reg`, the `r0`–`r5` clobber of a call, and
-/// the wholesale slot overwrites of `r10`-relative stores.
-#[derive(Clone, Debug)]
-pub struct Liveness {
-    /// Per-pc [`StackTaint`] facts at the point *before* each
-    /// instruction.
-    taint_in: Vec<u16>,
-}
-
-impl Liveness {
-    /// Builds the pass for one program, running the [`StackTaint`]
-    /// prerequisite pass.
-    #[must_use]
-    pub fn new(prog: &Program, cfg: &Cfg) -> Liveness {
-        Liveness {
-            taint_in: solve(&StackTaint, prog, cfg).before,
-        }
-    }
-}
-
-impl DataflowPass for Liveness {
-    type Fact = LiveSet;
-    const DIRECTION: Direction = Direction::Backward;
-
-    fn boundary_fact(&self) -> LiveSet {
-        // Nothing is live after an exit; `exit`'s own `r0` read is part
-        // of its transfer.
-        LiveSet::default()
-    }
-
-    fn empty_fact(&self) -> LiveSet {
-        LiveSet::default()
-    }
-
-    fn join(&self, into: &mut LiveSet, from: &LiveSet) -> bool {
-        let merged = LiveSet {
-            regs: into.regs | from.regs,
-            slots: into.slots | from.slots,
-        };
-        let changed = merged != *into;
-        *into = merged;
-        changed
-    }
-
-    fn transfer(&self, pc: usize, insn: Insn, fact: &LiveSet) -> LiveSet {
-        let bit = |r: Reg| 1u16 << r.index();
-        let mut live = *fact;
-
-        // Kills first (live-in = (live-out ∖ defs) ∪ uses).
-        match insn {
-            Insn::Call { .. } => live.regs &= !CALL_CLOBBERS,
-            _ => {
-                if let Some(d) = insn.def_reg() {
-                    live.regs &= !bit(d);
-                }
+/// possibly-stack-derived base). Kills are the register writes of
+/// `def_reg`, the `r0`–`r5` clobber of a call, and the wholesale slot
+/// overwrites of `r10`-relative stores.
+fn live_step(insn: Insn, pc: usize, taint_in: &[u16], mut live: LiveSet) -> LiveSet {
+    // Kills first (live-in = (live-out ∖ defs) ∪ uses).
+    match insn {
+        Insn::Call { .. } => live.regs &= !CALL_CLOBBERS,
+        _ => {
+            if let Some(d) = insn.def_reg() {
+                live.regs &= !bit(d);
             }
         }
-        if let Insn::Store {
-            size,
-            base,
-            off,
-            src: _,
-        } = insn
-        {
-            if base == Reg::R10 {
-                // Both store paths (tracked spill and `Misc` smear)
-                // replace every intersecting slot wholesale.
-                live.slots &= !covering_slots(off as i64, size.bytes() as i64);
-            }
+    }
+    if let Insn::Store {
+        size,
+        base,
+        off,
+        src: _,
+    } = insn
+    {
+        if base == Reg::R10 {
+            // Both store paths (tracked spill and `Misc` smear)
+            // replace every intersecting slot wholesale.
+            live.slots &= !covering_slots(off as i64, size.bytes() as i64);
         }
+    }
 
-        // Uses: a call reads its helper's argument registers per the
-        // registry arity (conservatively all of r1–r5 when the id is
-        // unknown — the verifier will reject it anyway), and any
-        // stack-region argument may read arbitrary slots through the
-        // passed pointer; everything else reads its `use_regs`. `exit`
-        // reads `r0` directly (return-value and pointer-leak checks).
-        if let Insn::Call { helper } = insn {
-            match ebpf::helpers::helper_sig(helper) {
-                Some(sig) => {
-                    for i in 0..sig.args.len() {
-                        live.regs |= 1 << (i + 1);
-                    }
-                    if sig
-                        .args
-                        .iter()
-                        .any(|a| matches!(a, ebpf::helpers::ArgKind::StackRegion { .. }))
-                    {
-                        live.slots = u64::MAX;
-                    }
+    // Uses: a call reads its helper's argument registers per the
+    // registry arity (conservatively all of r1–r5 when the id is
+    // unknown — the verifier will reject it anyway), and any
+    // stack-region argument may read arbitrary slots through the
+    // passed pointer; everything else reads its `use_regs`. `exit`
+    // reads `r0` directly (return-value and pointer-leak checks).
+    if let Insn::Call { helper } = insn {
+        match ebpf::helpers::helper_sig(helper) {
+            Some(sig) => {
+                for i in 0..sig.args.len() {
+                    live.regs |= 1 << (i + 1);
                 }
-                None => {
-                    live.regs |= CALL_CLOBBERS & !bit(Reg::R0);
+                if sig
+                    .args
+                    .iter()
+                    .any(|a| matches!(a, ebpf::helpers::ArgKind::StackRegion { .. }))
+                {
                     live.slots = u64::MAX;
                 }
             }
-        } else {
-            for r in insn.use_regs() {
-                live.regs |= bit(r);
-            }
-        }
-        if matches!(insn, Insn::Exit) {
-            live.regs |= bit(Reg::R0);
-        }
-        if let Insn::Load {
-            size, base, off, ..
-        } = insn
-        {
-            if base == Reg::R10 {
-                live.slots |= covering_slots(off as i64, size.bytes() as i64);
-            } else if self.taint_in[pc] & bit(base) != 0 {
-                // A derived stack pointer may read anywhere in the
-                // frame (variable offsets probe whole byte ranges).
+            None => {
+                live.regs |= CALL_CLOBBERS & !bit(Reg::R0);
                 live.slots = u64::MAX;
             }
         }
-
-        // The frame pointer is pinned live: every stack access
-        // re-derives from it.
-        live.regs |= bit(Reg::R10);
-        live
+    } else {
+        for r in insn.use_regs() {
+            live.regs |= bit(r);
+        }
     }
+    if matches!(insn, Insn::Exit) {
+        live.regs |= bit(Reg::R0);
+    }
+    if let Insn::Load {
+        size, base, off, ..
+    } = insn
+    {
+        if base == Reg::R10 {
+            live.slots |= covering_slots(off as i64, size.bytes() as i64);
+        } else if taint_in[pc] & bit(base) != 0 {
+            // A derived stack pointer may read anywhere in the
+            // frame (variable offsets probe whole byte ranges).
+            live.slots = u64::MAX;
+        }
+    }
+
+    // The frame pointer is pinned live: every stack access
+    // re-derives from it.
+    live.regs |= bit(Reg::R10);
+    live
+}
+
+/// Solves liveness backward over the reachable pcs `region` marks
+/// (every reachable pc when `None`) in post-order, returning the
+/// live-in and live-out sets of each instruction. Only region pcs start
+/// pending, and a changed live-in set re-queues only predecessors
+/// inside the region; sets outside it stay empty. Nothing is live after
+/// an exit. The result is exact for a region closed under successors,
+/// since liveness at a pc depends only on the pcs reachable from it.
+fn liveness(
+    prog: &Program,
+    cfg: &Cfg,
+    taint_in: &[u16],
+    region: Option<&[bool]>,
+) -> (Vec<LiveSet>, Vec<LiveSet>) {
+    let mut live_in = vec![LiveSet::default(); prog.len()];
+    let mut live_out = vec![LiveSet::default(); prog.len()];
+    // Priorities are mirrored RPO positions; the mirror is an
+    // involution, so it maps a priority back to its position too.
+    let total = cfg.rpo().len();
+    let mirror = |pos: usize| total - 1 - pos;
+    let in_region = |pc: usize| region.map_or(true, |r| r[pc]);
+    let mut queue = match region {
+        None => RpoWorklist::full(total),
+        Some(_) => {
+            let mut queue = RpoWorklist::new(total);
+            for (pos, &pc) in cfg.rpo().iter().enumerate() {
+                if in_region(pc) {
+                    queue.push(mirror(pos));
+                }
+            }
+            queue
+        }
+    };
+    while let Some(prio) = queue.pop() {
+        let pc = cfg.rpo()[mirror(prio)];
+        let mut out = LiveSet::default();
+        for &s in cfg.successors(pc) {
+            out.regs |= live_in[s].regs;
+            out.slots |= live_in[s].slots;
+        }
+        let input = live_step(prog.insns()[pc], pc, taint_in, out);
+        live_out[pc] = out;
+        if input != live_in[pc] {
+            live_in[pc] = input;
+            for &p in cfg.predecessors(pc) {
+                if in_region(p) {
+                    queue.push(mirror(cfg.rpo_pos(p)));
+                }
+            }
+        }
+    }
+    (live_in, live_out)
 }
 
 // ---------------------------------------------------------------------
@@ -510,9 +375,9 @@ impl DataflowPass for Liveness {
 /// so solving the backward problem over the **checkpoint region** —
 /// every pc forward-reachable from a checkpoint, a set closed under
 /// successors — yields exactly the live-in facts of the whole-program
-/// solve there. The [`StackTaint`] prerequisite runs only when the
-/// region holds a load whose base is not `r10`, the one instruction
-/// whose liveness transfer reads taint. A program with no checkpoint
+/// solve there. The stack-taint prerequisite runs only when the region
+/// holds a load whose base is not `r10`, the one instruction whose
+/// liveness transfer reads taint. A program with no checkpoint
 /// (straight-line and fork-only code) gets no liveness at all.
 #[derive(Clone, Debug)]
 pub(crate) struct CheckpointLiveness {
@@ -541,16 +406,13 @@ impl CheckpointLiveness {
                     matches!(prog.insns()[pc], Insn::Load { base, .. } if base != Reg::R10);
             }
         }
-        let liveness = Liveness {
-            taint_in: if reads_taint {
-                solve(&StackTaint, prog, cfg).before
-            } else {
-                Vec::new()
-            },
+        let taint_in = if reads_taint {
+            stack_taint(prog, cfg)
+        } else {
+            Vec::new()
         };
-        Some(CheckpointLiveness {
-            live_in: solve_within(&liveness, prog, cfg, Some(&in_region)).before,
-        })
+        let (live_in, _) = liveness(prog, cfg, &taint_in, Some(&in_region));
+        Some(CheckpointLiveness { live_in })
     }
 
     /// The liveness mask at the point before checkpoint `pc` (equal to
@@ -578,15 +440,11 @@ pub struct ProgramPasses {
 }
 
 impl ProgramPasses {
-    /// Runs liveness (with its [`StackTaint`] prerequisite) and
-    /// dead-code detection over `prog`.
+    /// Solves stack taint and liveness over every reachable pc of `prog`
+    /// and derives dead code from them.
     #[must_use]
     pub fn compute(prog: &Program, cfg: &Cfg) -> ProgramPasses {
-        let liveness = Liveness::new(prog, cfg);
-        let live = solve(&liveness, prog, cfg);
-
-        let mut live_in = live.before;
-        let live_out = live.after;
+        let (mut live_in, live_out) = liveness(prog, cfg, &stack_taint(prog, cfg), None);
         let mut unreachable = vec![false; prog.len()];
         let mut dead_def = vec![false; prog.len()];
         let mut dead_insns = 0u64;
@@ -750,12 +608,11 @@ mod tests {
         )
         .expect("assembles");
         let cfg = Cfg::build(&prog);
-        let taint = solve(&StackTaint, &prog, &cfg);
-        let bit = |r: Reg| 1u16 << r.index();
-        assert_eq!(taint.before[1] & bit(Reg::R3), bit(Reg::R3));
-        assert_eq!(taint.before[2] & bit(Reg::R4), bit(Reg::R4), "copy");
-        assert_eq!(taint.before[3] & bit(Reg::R4), 0, "imm mov clears");
-        assert_ne!(taint.before[0] & bit(Reg::R10), 0, "r10 seeded");
+        let taint = stack_taint(&prog, &cfg);
+        assert_eq!(taint[1] & bit(Reg::R3), bit(Reg::R3));
+        assert_eq!(taint[2] & bit(Reg::R4), bit(Reg::R4), "copy");
+        assert_eq!(taint[3] & bit(Reg::R4), 0, "imm mov clears");
+        assert_ne!(taint[0] & bit(Reg::R10), 0, "r10 seeded");
     }
 
     #[test]
@@ -941,5 +798,113 @@ mod tests {
         )
         .expect("assembles");
         assert!(CheckpointLiveness::compute(&prog, &Cfg::build(&prog)).is_none());
+    }
+
+    /// The round-robin reference for both solvers: every reachable pc
+    /// swept in index order, over predecessor lists rebuilt from
+    /// [`Cfg::successors`], until a sweep changes no fact. Returns the
+    /// taint facts before each pc and the live-in and live-out sets.
+    fn round_robin(prog: &Program, cfg: &Cfg) -> (Vec<u16>, Vec<LiveSet>, Vec<LiveSet>) {
+        let n = prog.len();
+        let reachable: Vec<usize> = (0..n).filter(|&pc| cfg.rpo_pos(pc) != usize::MAX).collect();
+        let mut preds = vec![Vec::new(); n];
+        for &pc in &reachable {
+            for &s in cfg.successors(pc) {
+                preds[s].push(pc);
+            }
+        }
+        let (mut taint_in, mut taint_out) = (vec![0u16; n], vec![0u16; n]);
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &pc in &reachable {
+                let mut input = if pc == 0 { bit(Reg::R10) } else { 0 };
+                for &p in &preds[pc] {
+                    input |= taint_out[p];
+                }
+                let output = taint_step(prog.insns()[pc], input);
+                changed |= (input, output) != (taint_in[pc], taint_out[pc]);
+                (taint_in[pc], taint_out[pc]) = (input, output);
+            }
+        }
+        let (mut live_in, mut live_out) =
+            (vec![LiveSet::default(); n], vec![LiveSet::default(); n]);
+        changed = true;
+        while changed {
+            changed = false;
+            for &pc in &reachable {
+                let mut out = LiveSet::default();
+                for &s in cfg.successors(pc) {
+                    out.regs |= live_in[s].regs;
+                    out.slots |= live_in[s].slots;
+                }
+                let input = live_step(prog.insns()[pc], pc, &taint_in, out);
+                changed |= (input, out) != (live_in[pc], live_out[pc]);
+                (live_in[pc], live_out[pc]) = (input, out);
+            }
+        }
+        (taint_in, live_in, live_out)
+    }
+
+    /// Both solvers, whole-program and checkpoint-scoped, against the
+    /// round-robin reference.
+    fn assert_solvers_match_round_robin(prog: &Program, at: &str) {
+        let cfg = Cfg::build(prog);
+        let (taint_in, live_in, live_out) = round_robin(prog, &cfg);
+        let taint = stack_taint(prog, &cfg);
+        assert_eq!(taint, taint_in, "{at}: stack taint");
+        let (got_in, got_out) = liveness(prog, &cfg, &taint, None);
+        assert_eq!(got_in, live_in, "{at}: live-in");
+        assert_eq!(got_out, live_out, "{at}: live-out");
+        if let Some(live) = CheckpointLiveness::compute(prog, &cfg) {
+            for pc in (0..prog.len()).filter(|&pc| cfg.is_checkpoint(pc)) {
+                assert_eq!(live.live_in(pc), live_in[pc], "{at}: checkpoint {pc}");
+            }
+        }
+    }
+
+    #[test]
+    fn solvers_match_the_round_robin_reference_on_fixtures_and_bench_programs() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../fixtures");
+        let mut fixtures = 0;
+        for entry in std::fs::read_dir(dir).expect("fixtures directory") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_some_and(|x| x == "ebpf") {
+                let source = std::fs::read_to_string(&path).expect("fixture reads");
+                let prog = assemble(&source).expect("fixture assembles");
+                assert_solvers_match_round_robin(&prog, &path.display().to_string());
+                fixtures += 1;
+            }
+        }
+        assert!(fixtures >= 8, "found {fixtures} fixtures");
+
+        use bench::fixpoint_suite as suite;
+        let labelled = suite::sweep_configs()
+            .into_iter()
+            .chain(suite::parshard_configs(4, 8))
+            .map(|(label, prog, _)| (label, prog))
+            .chain(
+                suite::throughput_batch()
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, prog)| (format!("throughput #{i}"), prog)),
+            );
+        for (label, prog) in labelled {
+            assert_solvers_match_round_robin(&prog, &label);
+        }
+    }
+
+    #[test]
+    fn solvers_match_the_round_robin_reference_on_random_programs() {
+        // The programs of `checkpoint_liveness_is_exact_on_random_programs`.
+        let mut rng = domain::rng::SplitMix64::new(0x11FE_C4EC);
+        for round in 0..2_000 {
+            let len = 2 + rng.below(40) as usize;
+            let prog = crate::cfg::tests::random_program(&mut rng, len);
+            assert_solvers_match_round_robin(
+                &prog,
+                &format!("round {round}:\n{}", prog.disassemble()),
+            );
+        }
     }
 }

@@ -2119,9 +2119,12 @@ mod tests {
         );
     }
 
+    /// 16k folds. A fold that treats every value as reduced first goes
+    /// wrong at round 485 of this seed, and about once per 600 rounds
+    /// after it, so fewer rounds would not guard the unreduced branch.
     #[test]
     fn report_accumulator_matches_the_flow_join_fold() {
-        check_report_accumulator(0x4E_9047, 200);
+        check_report_accumulator(0x4E_9047, 2_000);
     }
 
     /// 1.6M folds; in release: `cargo test --release -p verifier --lib
