@@ -1,19 +1,18 @@
 //! Benchmarks of the exploration strategies over loopy programs: a
-//! masked-memset loop swept across trip counts × widening delays
-//! (fixpoint strategy) × unroll bounds (path-sensitive strategy), the
-//! two-back-edge pruning workload, an unbounded loop (pure widening
+//! masked-memset loop swept across trip counts (fixpoint strategy) ×
+//! unroll bounds (path-sensitive strategy), the register-bounded loop,
+//! the two-back-edge pruning workload, an unbounded loop (pure widening
 //! cost), and the VM executing the same loops for scale.
 //!
 //! For the fixpoint, the eager ascent widens the memset's loop head at
 //! its first changing join and the narrowing walks recover the exit
-//! bound, so the memset is proved at every trip count and delay at
-//! about the same cost. The delay is paid only by an ascent retried
-//! after the eager one fails: the register-bounded loop's rows, whose
-//! retry costs more the longer the delay. The
+//! bound, so the memset is proved at every trip count at about the same
+//! cost. The register-bounded loop's ascent widens its counter past the
+//! buffer; its narrowing walks, which run the checks, re-tighten the
+//! counter and prove the store in one more walk. The
 //! path-sensitive strategy trades on `unroll_k` instead — per-trip
 //! exact states below the bound, widening fallback above it — and pays
-//! per *path*, with the visited table pruning re-convergent ones. The
-//! sweep measures both knobs.
+//! per *path*, with the visited table pruning re-convergent ones.
 //!
 //! Every configuration also reports its `AnalysisStats` — deep copies
 //! vs. shared clones vs. short-circuited joins under the copy-on-write

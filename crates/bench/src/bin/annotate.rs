@@ -14,7 +14,7 @@
 //! cargo run -p bench --release --bin annotate -- --file prog.s \
 //!     [--strategy fixpoint|path|parshard] [--ctx-size 64] \
 //!     [--strict-alignment] [--no-refine] [--reject-loops] \
-//!     [--widen-delay 16] [--unroll-k 32] [--visited-cap 32] \
+//!     [--unroll-k 32] [--visited-cap 32] \
 //!     [--no-thresholds] [--budget 1000000] [--memo] [--no-liveness] \
 //!     [--explore-jobs 4] [--spawn-depth 2] [--deadline-ms 5000] \
 //!     [--fail-fast]
@@ -45,9 +45,11 @@
 //! `--jobs` and `--explore-jobs` take 0 (all cores) to 256.
 //!
 //! Exit status: 0 when every program is accepted, 1 when any is
-//! rejected, 2 on assembly or usage errors.
+//! rejected, 2 on assembly or usage errors. A reader that closes the
+//! pipe early (`annotate ... | head -1`) only cuts the report short:
+//! the status is still the verdict's.
 
-use std::io::Read;
+use std::io::{self, Read, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -55,7 +57,7 @@ use bench::cli::{Args, Flag};
 use ebpf::asm::assemble;
 use ebpf::Program;
 use verifier::{
-    AnalyzerOptions, Cfg, DegradationPolicy, ProgramPasses, Strategy, TransferMemo,
+    AnalyzerOptions, BatchReport, Cfg, DegradationPolicy, ProgramPasses, Strategy, TransferMemo,
     VerificationSession,
 };
 
@@ -75,7 +77,6 @@ const FLAGS: &[Flag] = &[
     Flag::Switch("strict-alignment"),
     Flag::Switch("no-refine"),
     Flag::Switch("reject-loops"),
-    Flag::Int("widen-delay"),
     Flag::Switch("no-thresholds"),
     Flag::Int("budget"),
     Flag::Int("unroll-k"),
@@ -100,8 +101,7 @@ fn main() -> ExitCode {
         }
     };
     if args.has("list-helpers") {
-        list_helpers();
-        return ExitCode::SUCCESS;
+        return report(ExitCode::SUCCESS, list_helpers);
     }
     if args.has("passes") {
         return if let Some(dir) = args.get_str("dir") {
@@ -131,7 +131,6 @@ fn main() -> ExitCode {
         strict_alignment: args.has("strict-alignment"),
         refine_branches: !args.has("no-refine"),
         reject_loops: args.has("reject-loops"),
-        widen_delay: args.get_u32_in("widen-delay", defaults.widen_delay, 0..=u32::MAX),
         harvest_thresholds: !args.has("no-thresholds"),
         analysis_budget: args.get_u64("budget", defaults.analysis_budget),
         unroll_k: args.get_u32_in("unroll-k", defaults.unroll_k, 0..=u32::MAX),
@@ -161,9 +160,24 @@ fn main() -> ExitCode {
     run_single(&args, &session)
 }
 
+/// Writes a report through a locked stdout and returns `code`, the
+/// verdict's exit status, also when the reader closed the pipe before
+/// the report ended; any other write error exits 2.
+fn report(code: ExitCode, write: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> ExitCode {
+    let mut out = io::stdout().lock();
+    match write(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => code,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => code,
+        Err(e) => {
+            eprintln!("cannot write the report: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
 /// `--list-helpers`: the registry the verifier and VM share — every
 /// helper signature plus the static map geometry.
-fn list_helpers() {
+fn list_helpers(out: &mut dyn Write) -> io::Result<()> {
     use ebpf::helpers::{ArgKind, RegionSize, RetKind, DEFAULT_MAPS, HELPERS};
     let region = |size: &RegionSize, writable: bool| {
         let dir = if writable { "writable" } else { "readable" };
@@ -175,7 +189,7 @@ fn list_helpers() {
             RegionSize::Fixed(n) => format!("{dir} stack region, {n} bytes"),
         }
     };
-    println!("helpers ({}):", HELPERS.len());
+    writeln!(out, "helpers ({}):", HELPERS.len())?;
     for sig in HELPERS {
         let args: Vec<String> = sig
             .args
@@ -197,20 +211,23 @@ fn list_helpers() {
                 format!("value pointer into the map of r{} or NULL", map_arg + 1)
             }
         };
-        println!(
+        writeln!(
+            out,
             "  {:>2}  {:<12} ({}) -> {ret}",
             sig.id,
             sig.name,
             args.join(", ")
-        );
+        )?;
     }
-    println!("\nmaps ({}):", DEFAULT_MAPS.len());
+    writeln!(out, "\nmaps ({}):", DEFAULT_MAPS.len())?;
     for (i, m) in DEFAULT_MAPS.iter().enumerate() {
-        println!(
+        writeln!(
+            out,
             "  map {i}: key_size={} value_size={} max_entries={}",
             m.key_size, m.value_size, m.max_entries
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Loads the program source from `--file` or stdin.
@@ -281,10 +298,10 @@ fn collect_fixtures(dir: &str) -> Result<(Vec<String>, Vec<Program>), ExitCode> 
 
 /// The per-pc pass dump of one program: live registers, live stack-slot
 /// counts, and dead-code diagnostics.
-fn dump_passes(prog: &Program, passes: &ProgramPasses) {
+fn dump_passes(out: &mut dyn Write, prog: &Program, passes: &ProgramPasses) -> io::Result<()> {
     for (pc, insn) in prog.insns().iter().enumerate() {
         if passes.is_unreachable(pc) {
-            println!("{pc:>3}: {insn:<32} [unreachable]");
+            writeln!(out, "{pc:>3}: {insn:<32} [unreachable]")?;
             continue;
         }
         let live = passes.live_in(pc);
@@ -297,12 +314,14 @@ fn dump_passes(prog: &Program, passes: &ProgramPasses) {
         } else {
             ""
         };
-        println!(
+        writeln!(
+            out,
             "{pc:>3}: {insn:<32} live={{{}}} slots={}{note}",
             regs.join(","),
             live.slot_count(),
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// `--passes` on a single program: the full per-pc fact table.
@@ -315,29 +334,34 @@ fn run_passes_single(source: &str) -> ExitCode {
         }
     };
     let passes = ProgramPasses::compute(&prog, &Cfg::build(&prog));
-    println!(
-        "PASSES ({} instructions, {} dead)\n",
-        prog.len(),
-        passes.dead_insns()
-    );
-    dump_passes(&prog, &passes);
-    ExitCode::SUCCESS
+    report(ExitCode::SUCCESS, |out| {
+        writeln!(
+            out,
+            "PASSES ({} instructions, {} dead)\n",
+            prog.len(),
+            passes.dead_insns()
+        )?;
+        dump_passes(out, &prog, &passes)
+    })
 }
 
 /// `--passes --dir`: the per-pc fact table of every fixture, with a
 /// per-file header.
 fn run_passes_dir(names: &[String], progs: &[Program]) -> ExitCode {
-    for (name, prog) in names.iter().zip(progs) {
-        let passes = ProgramPasses::compute(prog, &Cfg::build(prog));
-        println!(
-            "== {name} ({} instructions, {} dead)",
-            prog.len(),
-            passes.dead_insns()
-        );
-        dump_passes(prog, &passes);
-        println!();
-    }
-    ExitCode::SUCCESS
+    report(ExitCode::SUCCESS, |out| {
+        for (name, prog) in names.iter().zip(progs) {
+            let passes = ProgramPasses::compute(prog, &Cfg::build(prog));
+            writeln!(
+                out,
+                "== {name} ({} instructions, {} dead)",
+                prog.len(),
+                passes.dead_insns()
+            )?;
+            dump_passes(out, prog, &passes)?;
+            writeln!(out)?;
+        }
+        Ok(())
+    })
 }
 
 /// The classic single-program mode: one source from `--file` or stdin,
@@ -357,32 +381,33 @@ fn run_single(args: &Args, session: &VerificationSession) -> ExitCode {
     };
 
     match session.run(&prog) {
-        Ok(analysis) => {
-            println!(
+        Ok(analysis) => report(ExitCode::SUCCESS, |out| {
+            writeln!(
+                out,
                 "ACCEPTED ({} instructions, {} strategy)\n",
                 prog.len(),
                 analysis.strategy().name()
-            );
+            )?;
             let degradations = analysis.stats().degradations;
             if degradations > 0 {
-                println!(
+                writeln!(
+                    out,
                     "note: degraded {degradations} rung(s) down the ladder after \
                      contained governance faults; verdict is from the {} strategy\n",
                     analysis.strategy().name()
-                );
+                )?;
             }
-            print!("{}", analysis.annotate(&prog));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            println!("REJECTED: {e}\n");
+            write!(out, "{}", analysis.annotate(&prog))
+        }),
+        Err(e) => report(ExitCode::FAILURE, |out| {
+            writeln!(out, "REJECTED: {e}\n")?;
             // Show the program with the faulting instruction marked.
             for (i, insn) in prog.insns().iter().enumerate() {
                 let marker = if i == e.pc() { " <-- here" } else { "" };
-                println!("{i:>3}: {insn}{marker}");
+                writeln!(out, "{i:>3}: {insn}{marker}")?;
             }
-            ExitCode::FAILURE
-        }
+            Ok(())
+        }),
     }
 }
 
@@ -395,21 +420,33 @@ fn run_dir(session: &VerificationSession, dir: &str, jobs: usize) -> ExitCode {
         Err(code) => return code,
     };
 
-    let report = session.run_batch(&progs, jobs);
+    let batch = session.run_batch(&progs, jobs);
+    let code = if batch.results.iter().all(Result::is_ok) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    };
+    report(code, |out| write_batch(out, &names, &progs, &batch))
+}
+
+/// The verdict table and the throughput summary of a batch run.
+fn write_batch(
+    out: &mut dyn Write,
+    names: &[String],
+    progs: &[Program],
+    batch: &BatchReport,
+) -> io::Result<()> {
     let name_width = names.iter().map(String::len).max().unwrap_or(4).max(4);
-    println!("{:<name_width$}  {:>5}  verdict", "file", "insns");
-    let mut rejected = 0usize;
-    for (name, (prog, result)) in names.iter().zip(progs.iter().zip(&report.results)) {
+    writeln!(out, "{:<name_width$}  {:>5}  verdict", "file", "insns")?;
+    for (name, (prog, result)) in names.iter().zip(progs.iter().zip(&batch.results)) {
         match result {
-            Ok(_) => println!("{name:<name_width$}  {:>5}  ACCEPTED", prog.len()),
-            Err(e) => {
-                rejected += 1;
-                println!("{name:<name_width$}  {:>5}  REJECTED: {e}", prog.len());
-            }
+            Ok(_) => writeln!(out, "{name:<name_width$}  {:>5}  ACCEPTED", prog.len())?,
+            Err(e) => writeln!(out, "{name:<name_width$}  {:>5}  REJECTED: {e}", prog.len())?,
         }
     }
-    let stats = &report.stats;
-    println!(
+    let stats = &batch.stats;
+    writeln!(
+        out,
         "\n{} programs ({} accepted, {} rejected) in {:.1} ms on {} jobs: {:.1} programs/sec",
         stats.programs,
         stats.accepted,
@@ -417,29 +454,28 @@ fn run_dir(session: &VerificationSession, dir: &str, jobs: usize) -> ExitCode {
         stats.elapsed.as_secs_f64() * 1e3,
         stats.jobs,
         stats.programs_per_sec()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "threads: {} outer x {} inner = {} of the budget utilized",
         stats.jobs,
         stats.inner_jobs,
         stats.jobs * stats.inner_jobs
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "memo: {} hits / {} misses ({:.1}% hit rate), {} evicted",
         stats.memo_hits,
         stats.memo_misses,
         stats.memo_hit_rate() * 100.0,
         stats.memo_evicted
-    );
+    )?;
     if stats.deadline_exceeded + stats.internal_faults > 0 || stats.degradations > 0 {
-        println!(
+        writeln!(
+            out,
             "governance: {} deadline rejections, {} contained faults, {} ladder downgrades",
             stats.deadline_exceeded, stats.internal_faults, stats.degradations
-        );
+        )?;
     }
-    if rejected == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(())
 }

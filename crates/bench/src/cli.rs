@@ -170,7 +170,7 @@ mod tests {
     const FLAGS: &[Flag] = &[
         Flag::Int("pairs"),
         Flag::Int("width"),
-        Flag::Int("widen-delay"),
+        Flag::Int("unroll-k"),
         Flag::Value("strategy"),
         Flag::Switch("full"),
         Flag::Switch("naive"),
@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn reports_the_first_undeclared_flag() {
-        let e = args(&["--widen-delay", "0", "--no-threshold", "--stratgy", "path"]).unwrap_err();
+        let e = args(&["--unroll-k", "0", "--no-threshold", "--stratgy", "path"]).unwrap_err();
         assert!(e.starts_with("unknown flag --no-threshold;"), "{e}");
         assert!(
             e.contains("--no-thresholds"),
@@ -232,8 +232,8 @@ mod tests {
     #[test]
     fn rejects_a_value_flag_without_its_value() {
         assert_eq!(
-            args(&["--widen-delay"]).unwrap_err(),
-            "--widen-delay expects a value"
+            args(&["--unroll-k"]).unwrap_err(),
+            "--unroll-k expects a value"
         );
         assert_eq!(
             args(&["--strategy", "--no-thresholds"]).unwrap_err(),

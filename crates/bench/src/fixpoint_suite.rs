@@ -1,9 +1,8 @@
 //! The exploration-strategy sweep shared by the `fixpoint` bench and the
 //! `fixpoint_guard` CI binary: the masked-memset workload across trip
-//! counts × widening delays (fixpoint strategy) × unroll bounds
-//! (path-sensitive strategy), the register-bounded loop across the
-//! delays that prove it (the fixpoint's delayed retry), the
-//! two-back-edge pruning workload, the
+//! counts under the fixpoint strategy and × unroll bounds under the
+//! path-sensitive strategy, the register-bounded loop (proved by the
+//! fixpoint's narrowing walks), the two-back-edge pruning workload, the
 //! spill-heavy workload behind the chunked-frame `bytes_materialized`
 //! numbers, the visited-cap ablation at the deep-unroll point, the
 //! batched `throughput/` family (the 64-program mixed batch per worker
@@ -51,11 +50,9 @@ pub fn masked_memset(trips: u32) -> Program {
 
 /// The register-bounded store loop of `fixtures/reg_bound_loop.ebpf`
 /// at `trips` trips, plus an accumulator `r6 += r1`. No comparison
-/// immediate bounds the counter, so the fixpoint's eager ascent loses
-/// the store proof and only its delayed retry keeps it: at
-/// `widen_delay` 0 the program is rejected. The accumulator keeps the
-/// loop head changing until it has burnt its own delay, so the retry's
-/// cost grows with the delay.
+/// immediate bounds the counter, so the fixpoint's ascent widens it past
+/// the buffer and the store check fails there; the narrowing walks
+/// re-tighten the counter to the exit test and prove the store.
 #[must_use]
 pub fn reg_bound_loop(trips: u32) -> Program {
     assemble(&format!(
@@ -431,19 +428,10 @@ pub fn parshard_rows() -> Vec<(String, f64, AnalysisStats)> {
         .collect()
 }
 
-/// Trip counts straddling the default widening delay (16) and the
-/// default unroll bound (32).
+/// Trip counts straddling the default unroll bound (32).
 pub const TRIPS: [u32; 5] = [4, 8, 16, 64, 1024];
 
-/// Widening delays swept per trip count (fixpoint strategy). The
-/// eager ascent proves the masked memset on its own, so its rows no
-/// longer differ by delay; the register-bounded loop's rows
-/// ([`REG_BOUND_TRIPS`]) run the delayed retry at each delay that
-/// proves it.
-pub const DELAYS: [u32; 4] = [0, 4, 16, 64];
-
-/// Trips of the sweep's [`reg_bound_loop`]: every delay of [`DELAYS`]
-/// but 0 proves it.
+/// Trips of the sweep's [`reg_bound_loop`].
 pub const REG_BOUND_TRIPS: u32 = 4;
 
 /// Unroll bounds swept per trip count (path-sensitive strategy): 0 is
@@ -452,9 +440,9 @@ pub const REG_BOUND_TRIPS: u32 = 4;
 pub const UNROLLS: [u32; 3] = [0, 16, 64];
 
 /// Every `(label, program, session)` configuration of the sweep, in the
-/// order the bench reports them: the masked-memset trips × delays under
-/// the fixpoint strategy, trips × unrolls under the path-sensitive
-/// strategy, the register-bounded loop per delay that proves it, the
+/// order the bench reports them: the masked-memset trips under the
+/// fixpoint strategy, trips × unrolls under the path-sensitive
+/// strategy, the register-bounded loop, the
 /// ablation and pruning workloads, then the map-helper
 /// `maps/` family ([`maps_configs`]).
 #[must_use]
@@ -462,16 +450,11 @@ pub fn sweep_configs() -> Vec<(String, Program, VerificationSession)> {
     let mut out = Vec::new();
     for &trips in &TRIPS {
         let prog = masked_memset(trips);
-        for &delay in &DELAYS {
-            out.push((
-                format!("fixpoint/trips={trips}/delay={delay}"),
-                prog.clone(),
-                VerificationSession::new().with_options(AnalyzerOptions {
-                    widen_delay: delay,
-                    ..AnalyzerOptions::default()
-                }),
-            ));
-        }
+        out.push((
+            format!("fixpoint/trips={trips}"),
+            prog.clone(),
+            VerificationSession::new(),
+        ));
         for &unroll in &UNROLLS {
             out.push((
                 format!("path/trips={trips}/unroll={unroll}"),
@@ -485,16 +468,11 @@ pub fn sweep_configs() -> Vec<(String, Program, VerificationSession)> {
             ));
         }
     }
-    for &delay in DELAYS.iter().filter(|&&d| d > 0) {
-        out.push((
-            format!("fixpoint/reg_bound_loop/trips={REG_BOUND_TRIPS}/delay={delay}"),
-            reg_bound_loop(REG_BOUND_TRIPS),
-            VerificationSession::new().with_options(AnalyzerOptions {
-                widen_delay: delay,
-                ..AnalyzerOptions::default()
-            }),
-        ));
-    }
+    out.push((
+        format!("fixpoint/reg_bound_loop/trips={REG_BOUND_TRIPS}"),
+        reg_bound_loop(REG_BOUND_TRIPS),
+        VerificationSession::new(),
+    ));
     // Visited-cap ablation at the deep-unroll point (trips=1024,
     // unroll=64): unbounded chains isolate what fingerprint gating alone
     // buys; cap=8 shows the chain cap's marginal effect past the default.
@@ -527,10 +505,9 @@ pub fn sweep_configs() -> Vec<(String, Program, VerificationSession)> {
             }),
     ));
     out.push((
-        "fixpoint/trips=1024/delay=16/masking=off".to_string(),
+        "fixpoint/trips=1024/masking=off".to_string(),
         masked_memset(1024),
         VerificationSession::new().with_options(AnalyzerOptions {
-            widen_delay: 16,
             liveness_pruning: false,
             ..AnalyzerOptions::default()
         }),
@@ -664,10 +641,10 @@ mod tests {
         let stats = collect_stats();
         assert_eq!(
             stats.len(),
-            // trips sweep + register-bounded loop (3) + cap ablation
+            // trips sweep + register-bounded loop (1) + cap ablation
             // (2) + masking ablation (2) + dead-scratch masking pair (2)
             // + two-back-edge (3) + spill loop (2) + maps family (6).
-            TRIPS.len() * (DELAYS.len() + UNROLLS.len()) + 20
+            TRIPS.len() * (1 + UNROLLS.len()) + 18
         );
         let total: u64 = stats.iter().map(|(_, s)| s.states_allocated).sum();
         assert!(total > 0);
@@ -783,8 +760,8 @@ mod tests {
         );
         // The fixpoint strategy keeps its verdict-relevant work identical
         // under masking (same visits), it only cleans.
-        let fx_masked = by_label("fixpoint/trips=1024/delay=16");
-        let fx_unmasked = by_label("fixpoint/trips=1024/delay=16/masking=off");
+        let fx_masked = by_label("fixpoint/trips=1024");
+        let fx_unmasked = by_label("fixpoint/trips=1024/masking=off");
         assert_eq!(fx_masked.visits, fx_unmasked.visits);
         assert!(fx_masked.dead_components_cleared > 0, "{fx_masked:?}");
     }

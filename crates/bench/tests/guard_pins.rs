@@ -28,7 +28,7 @@ fn deterministic_guard_gates_are_pinned() {
     let stats = fixpoint_suite::collect_stats();
     let total = |field: fn(&AnalysisStats) -> u64| stats.iter().map(|(_, s)| field(s)).sum::<u64>();
 
-    assert_eq!(total(|s| s.states_allocated), 4_623, "states allocated");
+    assert_eq!(total(|s| s.states_allocated), 3_552, "states allocated");
     assert_eq!(
         (total(|s| s.states_pruned), total(|s| s.subset_checks)),
         (140, 2_667),

@@ -47,20 +47,11 @@ pub struct AnalyzerOptions {
     /// pre-bounded-loop verifier behaviour. Off by default: loops are
     /// analyzed by fixpoint iteration.
     pub reject_loops: bool,
-    /// The widening delay of the fixpoint's retry: how many *changing*
-    /// joins each register (and stack slot) absorbs exactly at a loop
-    /// head before that component widens. The fixpoint first ascends
-    /// with no delay; only if that ascent fails after a loop head grew
-    /// does it ascend again with this delay, so every rejection is the
-    /// delayed ascent's. The budget is per component — an accumulator
-    /// that keeps churning does not burn the delay a bounded counter
-    /// needs to reach its exit-test fixpoint. `0` turns the retry off.
-    pub widen_delay: u32,
     /// Harvest the comparison immediates of the program into the
     /// interval widening ladders ("widening with thresholds"), so a
     /// widened bound lands on the loop's `i < N` guard instead of
     /// jumping to a register-width extreme. Disable to measure what the
-    /// delay alone buys.
+    /// narrowing walks alone prove.
     pub harvest_thresholds: bool,
     /// Upper bound on total instruction visits during the exploration
     /// (every instruction of a fixpoint segment walk, DFS arrivals for
@@ -163,7 +154,6 @@ impl Default for AnalyzerOptions {
             strict_alignment: false,
             refine_branches: true,
             reject_loops: false,
-            widen_delay: 16,
             harvest_thresholds: true,
             analysis_budget: 1_000_000,
             unroll_k: 32,
@@ -722,31 +712,24 @@ mod tests {
     ";
 
     #[test]
-    fn eager_widening_loses_the_loop_proof_delay_keeps() {
-        // The head needs 12 precise joins before the exit test caps the
-        // counter. Widening eagerly (delay 0, thresholds off) jumps the
-        // interval to the built-in ladder before the test can cap it, so
-        // the store check fails; the default delay keeps the bound.
+    fn narrowing_recovers_the_bound_widening_loses() {
+        // Without thresholds the ascent widens the counter to the
+        // built-in i32::MAX rung before the exit test can cap it, so the
+        // store check fails on the ascent's heads; the narrowing walks
+        // re-tighten the head to `entry ⊔ refined back edge` and prove
+        // the store.
         let prog = assemble(MEMSET_13).unwrap();
-        let eager = VerificationSession::new().with_options(AnalyzerOptions {
-            widen_delay: 0,
-            harvest_thresholds: false,
-            ..AnalyzerOptions::default()
-        });
-        assert!(matches!(
-            eager.run(&prog).unwrap_err(),
-            VerifierError::OutOfBounds {
-                region: "stack",
-                ..
-            }
-        ));
-        VerificationSession::new()
+        let analysis = VerificationSession::new()
             .with_options(AnalyzerOptions {
                 harvest_thresholds: false,
                 ..AnalyzerOptions::default()
             })
             .run(&prog)
-            .expect("delayed widening keeps the bound");
+            .expect("the narrowing walks recover the bound");
+        assert!(analysis.stats().widenings_applied > 0, "widening did fire");
+        let i = analysis.state_before(1).unwrap().reg(Reg::R1);
+        let i = i.as_scalar().unwrap();
+        assert_eq!((i.bounds().umin(), i.bounds().umax()), (0, 12));
     }
 
     #[test]
@@ -756,13 +739,9 @@ mod tests {
         // the counter on [0, 12] instead of [0, i32::MAX] — the same
         // program the previous test shows eager widening losing.
         let prog = assemble(MEMSET_13).unwrap();
-        let eager = VerificationSession::new().with_options(AnalyzerOptions {
-            widen_delay: 0,
-            ..AnalyzerOptions::default()
-        });
-        let analysis = eager
+        let analysis = VerificationSession::new()
             .run(&prog)
-            .expect("thresholds recover the bound without any delay");
+            .expect("thresholds recover the bound");
         assert!(analysis.stats().widenings_applied > 0, "widening did fire");
         let head = analysis.state_before(1).unwrap();
         let i = head.reg(Reg::R1).as_scalar().unwrap();
@@ -770,45 +749,48 @@ mod tests {
     }
 
     #[test]
-    fn delayed_retry_keeps_the_register_bounded_loop() {
+    fn narrowing_keeps_the_register_bounded_loop() {
         // The 13-trip memset bounded by `r7`: no comparison immediate
-        // names 13, so thresholds cannot catch the counter. The default
-        // session's eager ascent loses the bound and its delayed retry
-        // keeps it; without a delay there is no retry, and the store is
-        // rejected.
+        // names 13, so thresholds cannot catch the counter, with or
+        // without them the ascent loses the bound, and the narrowing
+        // walks prove the store. One trip more overruns the window, and
+        // the store is rejected either way.
         let prog = assemble(include_str!("../../../fixtures/reg_bound_loop.ebpf")).unwrap();
-        VerificationSession::new()
-            .run(&prog)
-            .expect("the delayed retry keeps the bound");
-        let eager = VerificationSession::new().with_options(AnalyzerOptions {
-            widen_delay: 0,
-            ..AnalyzerOptions::default()
-        });
-        let err = eager.run(&prog).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                VerifierError::OutOfBounds {
-                    region: "stack",
-                    pc: 5,
-                    ..
-                }
-            ),
-            "{err}"
-        );
+        let overrun = assemble(include_str!(
+            "../../../fixtures/rejected/reg_bound_overrun.ebpf"
+        ))
+        .unwrap();
+        for harvest_thresholds in [true, false] {
+            let session = VerificationSession::new().with_options(AnalyzerOptions {
+                harvest_thresholds,
+                ..AnalyzerOptions::default()
+            });
+            session
+                .run(&prog)
+                .expect("the narrowing walks keep the bound");
+            let err = session.run(&overrun).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    VerifierError::OutOfBounds {
+                        region: "stack",
+                        pc: 5,
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]
-    fn per_register_delay_verifies_counter_plus_accumulator() {
+    fn two_back_edges_keep_the_counter_bound() {
         // A continue-style loop with two back-edges: every round the head
         // absorbs one changing join from each edge (the accumulator r6
-        // differs on the two paths), so PR 2's shared per-head counter
-        // burned its delay twice per trip and widened the counter r1
-        // mid-ascent at trip ~9 — rejecting the store. Per-register
-        // counters charge r1 only for its own 12 changing joins (one per
-        // round: the second edge's r1 is already included), which fit the
-        // default delay of 16. Thresholds are disabled so the regression
-        // isolates the per-register accounting.
+        // differs on the two paths). PR 2's shared per-head widening
+        // counter widened the counter r1 mid-ascent and rejected the
+        // store; now every changing join widens, and the narrowing walks
+        // re-tighten r1 to the exit test, with or without thresholds.
         let prog = assemble(
             r"
                 r1 = 0              ; i
@@ -830,31 +812,18 @@ mod tests {
             ",
         )
         .unwrap();
-        let analyzer = VerificationSession::new().with_options(AnalyzerOptions {
-            harvest_thresholds: false,
-            ..AnalyzerOptions::default()
-        });
-        let analysis = analyzer
-            .run(&prog)
-            .expect("per-register delay keeps the counter bound");
-        let exit_state = analysis.state_before(prog.len() - 1).unwrap();
-        let r0 = exit_state.reg(Reg::R0).as_scalar().unwrap();
-        assert_eq!(r0.as_constant(), Some(13), "narrowed exit counter");
-        // Sanity: the delay still matters — a tiny per-register budget
-        // widens the counter before its 12 precise joins and loses the
-        // proof, exactly as the shared counter did.
-        let tiny = VerificationSession::new().with_options(AnalyzerOptions {
-            widen_delay: 4,
-            harvest_thresholds: false,
-            ..AnalyzerOptions::default()
-        });
-        assert!(matches!(
-            tiny.run(&prog).unwrap_err(),
-            VerifierError::OutOfBounds {
-                region: "stack",
-                ..
-            }
-        ));
+        for harvest_thresholds in [true, false] {
+            let analysis = VerificationSession::new()
+                .with_options(AnalyzerOptions {
+                    harvest_thresholds,
+                    ..AnalyzerOptions::default()
+                })
+                .run(&prog)
+                .expect("the narrowing walks keep the counter bound");
+            let exit_state = analysis.state_before(prog.len() - 1).unwrap();
+            let r0 = exit_state.reg(Reg::R0).as_scalar().unwrap();
+            assert_eq!(r0.as_constant(), Some(13), "narrowed exit counter");
+        }
     }
 
     #[test]
@@ -1384,7 +1353,7 @@ mod tests {
     }
 
     /// The two-back-edge counter+accumulator loop of
-    /// `per_register_delay_verifies_counter_plus_accumulator`, shared by
+    /// `two_back_edges_keep_the_counter_bound`, shared by
     /// the path-sensitive tests below.
     const TWO_BACK_EDGE: &str = r"
         r1 = 0              ; i
@@ -1408,8 +1377,8 @@ mod tests {
     #[test]
     fn path_sensitive_unrolls_counter_plus_accumulator_exactly() {
         // 13 trips <= default unroll_k: exact per-trip states, no
-        // widening — the per-register delay machinery the fixpoint needs
-        // for this program is not even consulted.
+        // widening — where the fixpoint needs widening and narrowing
+        // walks for this program.
         let prog = assemble(TWO_BACK_EDGE).unwrap();
         let analysis = path_session().run(&prog).expect("unrolled loop");
         assert_eq!(analysis.stats().widenings_applied, 0);

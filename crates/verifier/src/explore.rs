@@ -9,9 +9,9 @@
 //!
 //! * [`WideningFixpoint`] — the reverse-postorder priority worklist of
 //!   [`crate::fixpoint`]: joins every path at merge points, widens
-//!   eagerly at loop heads (harvested thresholds), narrows to a
-//!   fixpoint, and retries with the per-register delay when the eager
-//!   ascent fails. States live only at loop heads and merge points, the code
+//!   eagerly at loop heads (harvested thresholds), and runs the safety
+//!   checks on the narrowing walks after the ascent, which decide the
+//!   verdict. States live only at loop heads and merge points, the code
 //!   between them is stepped in place; cost is near-linear in the
 //!   program, precision pays the join/widening toll.
 //! * [`PathSensitive`] — a kernel-style depth-first branch walker: each
@@ -38,8 +38,8 @@
 //! deadline and the strategy's fail-point site (`Plan::charge`).
 //!
 //! Both path explorers run **one walk**: the crate-private `Walk` owns
-//! the per-walk accumulators (reported joins, loop-head summaries and
-//! their widening counters, trip and cleaning totals) and runs the
+//! the per-walk accumulators (reported joins, loop-head summaries,
+//! trip and cleaning totals) and runs the
 //! arrival protocol documented on [`PathSensitive`]. Each path
 //! exploration also builds one crate-private `Chains` map, outside the
 //! plan because the fixpoint never folds a report: per pc, the one
@@ -67,7 +67,7 @@ use crate::error::VerifierError;
 use crate::failpoint::FaultSite;
 use crate::fixpoint::{self, AnalysisStats};
 use crate::passes::CheckpointLiveness;
-use crate::state::{AbsState, JoinCounters, ReportAcc, WidenCtx, WriteSet};
+use crate::state::{AbsState, ReportAcc, WidenCtx, WriteSet};
 use crate::tally::{self, Tally};
 use crate::transfer::{self, Transfer};
 use crate::visited::VisitedTable;
@@ -166,9 +166,9 @@ impl Strategy {
 
 /// The widening-fixpoint strategy: the RPO priority worklist with joins
 /// at merge points, eager widening with harvested thresholds at loop
-/// heads, a decreasing sequence of narrowing walks, a retry with
-/// per-register delayed widening when the eager ascent fails, and the
-/// visit budget — see [`crate::fixpoint`] for the engine itself.
+/// heads, a decreasing sequence of narrowing walks that runs the checks
+/// after the ascent, and the visit budget — see [`crate::fixpoint`] for
+/// the engine itself.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WideningFixpoint;
 
@@ -195,8 +195,8 @@ impl ExplorationStrategy for WideningFixpoint {
 ///    [`AnalyzerOptions::unroll_k`] the trip is explored with full
 ///    per-trip precision (no join, no widening — this is what recovers
 ///    exact exit bounds the fixpoint's loop-head join destroys), past it
-///    the arrival is widened into the head's *summary* state (delay 0,
-///    harvested thresholds) and exploration continues from the summary —
+///    the arrival is widened into the head's *summary* state (harvested
+///    thresholds) and exploration continues from the summary —
 ///    the widening fallback that bounds the state space. An arrival that
 ///    does not grow the summary is pruned on the spot: the recorded
 ///    re-entry state's walk already covers it (this is what keeps a
@@ -284,8 +284,7 @@ pub(crate) struct Plan<'a> {
     pub(crate) transfer: Transfer,
     pub(crate) thresholds: WidenThresholds,
     /// Dense loop-head index per pc (`usize::MAX` = not a head), for the
-    /// per-head widening counters, the path walk's per-path trip
-    /// counters and its per-head summaries.
+    /// path walk's per-path trip counters and its per-head summaries.
     head_idx: Vec<usize>,
     /// RPO position per head: heads *later* in RPO are (for reducible
     /// CFGs) nested inside or sequenced after earlier ones, and get
@@ -390,7 +389,7 @@ impl<'a> Plan<'a> {
     /// components (kernel `clean_verifier_state`) before it joins, widens
     /// or probes the visited table, so states differing only in dead
     /// registers or slots join, subset-skip and prune alike, and dead
-    /// components never burn widening delay. Cleaning to `Uninit` (the
+    /// components never widen. Cleaning to `Uninit` (the
     /// join/order top) is monotone, so every engine stays sound on the
     /// live components. Returns how many components it reset.
     pub(crate) fn clear_dead(&self, pc: usize, state: &mut AbsState) -> u64 {
@@ -503,7 +502,6 @@ pub(crate) struct Walk<'p> {
     /// only what its predecessor's step writes.
     report: Vec<Option<ReportAcc>>,
     summaries: Vec<Option<AbsState>>,
-    counters: Vec<JoinCounters>,
     pub(crate) totals: WalkTotals,
 }
 
@@ -514,7 +512,6 @@ impl<'p> Walk<'p> {
             chains,
             report: (0..plan.prog.len()).map(|_| None).collect(),
             summaries: vec![None; plan.heads()],
-            counters: vec![JoinCounters::new(); plan.heads()],
             totals: WalkTotals::default(),
         }
     }
@@ -600,8 +597,6 @@ impl<'p> Walk<'p> {
                             let grew = summary.flow_join(
                                 &state,
                                 Some(WidenCtx {
-                                    counters: &mut self.counters[h],
-                                    delay: 0,
                                     thresholds: &plan.thresholds,
                                     tnum_jump: false,
                                 }),

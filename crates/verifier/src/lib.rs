@@ -39,10 +39,9 @@
 //!   fixpoint strategy: joins at merge points, eager widening at loop
 //!   heads with widening thresholds harvested from the program's
 //!   comparison immediates, a decreasing sequence of narrowing walks
-//!   after stabilization, a retry with **per-register delayed
-//!   widening** (each register and stack slot burns its own
-//!   [`AnalyzerOptions::widen_delay`]) when the eager ascent fails, and
-//!   a total-visit budget.
+//!   after stabilization that runs the safety checks (**checks after
+//!   the fixpoint**: the ascent records a failed check and goes on, and
+//!   the verdict is the narrowing walks'), and a total-visit budget.
 //!
 //! The per-program-point state ([`state::AbsState`]) is **copy-on-write**:
 //! the register file and the stack frame — itself [`STACK_CHUNKS`]
@@ -165,6 +164,6 @@ pub use passes::{LiveSet, ProgramPasses};
 pub use product::Product;
 pub use scalar::Scalar;
 pub use state::value_fingerprint;
-pub use state::{AbsState, JoinCounters, StackSlot, CHUNK_SLOTS, STACK_CHUNKS};
+pub use state::{AbsState, StackSlot, CHUNK_SLOTS, STACK_CHUNKS};
 pub use value::RegValue;
 pub use visited::VisitedTable;

@@ -50,10 +50,9 @@
 //! invariant (equal contents ⟹ equal fingerprint) and the
 //! chunked-frame equivalence with whole-frame semantics.
 //!
-//! The loop-head merge ([`AbsState::flow_join`]) also owns **per-register
-//! widening stabilization** ([`JoinCounters`]): each register and stack
-//! slot burns its *own* widening delay, so an accumulator that keeps
-//! changing no longer spends the precise joins a bounded counter needed.
+//! The loop-head merge ([`AbsState::flow_join`]) also owns widening: it
+//! widens only the registers and stack slots that change, so components
+//! that already stabilized keep their values and stamps.
 //!
 //! Sharing traffic is counted in the crate's thread-local counter block
 //! (`crate::tally`); an exploration's `AnalysisStats` take what it
@@ -496,54 +495,10 @@ fn cells_mut<T: Component, const N: usize>(rc: &mut Rc<Cells<T, N>>) -> &mut Cel
     Rc::make_mut(rc)
 }
 
-/// Per-component changing-join counters at one loop head, driving
-/// **per-register delayed widening**.
-///
-/// The engine of PR 2 kept one counter per loop head: any changing join
-/// burned the shared `widen_delay`, so a still-growing accumulator (or a
-/// second back-edge) could exhaust the delay a bounded counter needed to
-/// reach its exit-test fixpoint, widening the counter to a threshold and
-/// losing the bounds proof. Here every register and every stack slot
-/// counts its *own* changing joins and is widened only once it has
-/// individually absorbed `widen_delay` of them — stable components are
-/// never penalized for their neighbours' churn.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JoinCounters {
-    regs: [u32; REGS],
-    slots: [u32; SLOTS],
-}
-
-impl JoinCounters {
-    /// Fresh counters: no changing joins seen yet.
-    #[must_use]
-    pub fn new() -> JoinCounters {
-        JoinCounters {
-            regs: [0; REGS],
-            slots: [0; SLOTS],
-        }
-    }
-
-    /// The number of changing joins register `reg` has absorbed.
-    #[must_use]
-    pub fn reg_joins(&self, reg: Reg) -> u32 {
-        self.regs[reg.index()]
-    }
-}
-
-impl Default for JoinCounters {
-    fn default() -> JoinCounters {
-        JoinCounters::new()
-    }
-}
-
-/// The widening context of a loop-head merge: the head's per-component
-/// counters, the configured delay, and the harvested interval thresholds.
+/// The widening context of a loop-head merge: the harvested interval
+/// thresholds and how a widened scalar's tnum half moves.
+#[derive(Clone, Copy)]
 pub struct WidenCtx<'a> {
-    /// Per-register / per-slot changing-join counters of this loop head.
-    pub counters: &'a mut JoinCounters,
-    /// How many changing joins each component absorbs exactly before its
-    /// own widening kicks in.
-    pub delay: u32,
     /// Program-derived extra thresholds for the interval ladders.
     pub thresholds: &'a WidenThresholds,
     /// Whether a widened scalar's tnum half jumps ([`Scalar::widen_with`])
@@ -553,16 +508,7 @@ pub struct WidenCtx<'a> {
     pub(crate) tnum_jump: bool,
 }
 
-/// A [`WidenCtx`] without its counters: what one loop-head merge widens
-/// each component that exhausted its delay with.
-#[derive(Clone, Copy)]
-struct Widening<'a> {
-    delay: u32,
-    thresholds: &'a WidenThresholds,
-    tnum_jump: bool,
-}
-
-impl Widening<'_> {
+impl WidenCtx<'_> {
     /// `cur ∇ grown` for one register or stack slot.
     fn widen<T: Component>(self, cur: T, grown: T) -> T {
         let thresholds = self.thresholds;
@@ -815,38 +761,15 @@ impl AbsState {
     /// engine performs when an edge flows into an instruction that
     /// already has a state — and reports whether `self` actually grew.
     ///
-    /// At a loop head (`widen` is `Some`), each register and stack slot
-    /// first absorbs [`WidenCtx::delay`] *of its own* changing joins
-    /// exactly; every later one widens that component
-    /// (`cur ∇ (cur ⊔ incoming)`), extrapolating through the built-in
-    /// and harvested interval thresholds while components that already
-    /// stabilized are left untouched. Components (and chunks) equal by
-    /// `Rc` identity short-circuit without any pointwise work.
+    /// At a loop head (`widen` is `Some`), every register and stack slot
+    /// that changes widens (`cur ∇ (cur ⊔ incoming)`), extrapolating
+    /// through the built-in and harvested interval thresholds, while
+    /// components that already stabilized are left untouched.
+    /// Components (and chunks) equal by `Rc` identity short-circuit
+    /// without any pointwise work.
     pub fn flow_join(&mut self, incoming: &AbsState, widen: Option<WidenCtx<'_>>) -> bool {
-        // Split the widening context into per-component halves so each
-        // array flows with its own counters.
-        let (regs_widen, stack_widen) = match widen {
-            Some(WidenCtx {
-                counters,
-                delay,
-                thresholds,
-                tnum_jump,
-            }) => {
-                let widening = Widening {
-                    delay,
-                    thresholds,
-                    tnum_jump,
-                };
-                let JoinCounters { regs, slots } = counters;
-                (
-                    Some((&mut regs[..], widening)),
-                    Some((&mut slots[..], widening)),
-                )
-            }
-            None => (None, None),
-        };
-        let regs_changed = flow_cells(&mut self.regs, &incoming.regs, regs_widen);
-        let stack_changed = flow_frame(&mut self.stack, &incoming.stack, stack_widen);
+        let regs_changed = flow_cells(&mut self.regs, &incoming.regs, widen);
+        let stack_changed = flow_frame(&mut self.stack, &incoming.stack, widen);
         regs_changed || stack_changed
     }
 
@@ -873,12 +796,9 @@ impl AbsState {
     #[must_use]
     pub fn widen(&self, newer: &AbsState) -> AbsState {
         let mut out = self.clone();
-        let mut counters = JoinCounters::new();
         out.flow_join(
             newer,
             Some(WidenCtx {
-                counters: &mut counters,
-                delay: 0,
                 thresholds: &WidenThresholds::EMPTY,
                 tnum_jump: true,
             }),
@@ -1035,16 +955,13 @@ pub fn value_fingerprint(v: RegValue) -> u64 {
     v.content_hash()
 }
 
-/// In-place flow of `inc` into `dst` with optional per-index delayed
-/// widening — the shared half of [`AbsState::flow_join`]. Returns
+/// In-place flow of `inc` into `dst`, widening each changing index
+/// under `widen` — the shared half of [`AbsState::flow_join`]. Returns
 /// whether `dst` grew; materializes `dst` only on the first real change.
-///
-/// `widen` carries the counter slice for exactly this array's indices
-/// (the register counters, or one chunk's slice of the slot counters).
 fn flow_cells<T: Component, const N: usize>(
     dst: &mut Rc<Cells<T, N>>,
     inc: &Rc<Cells<T, N>>,
-    mut widen: Option<(&mut [u32], Widening<'_>)>,
+    widen: Option<WidenCtx<'_>>,
 ) -> bool {
     if Rc::ptr_eq(dst, inc) {
         tally::bump_short_circuited();
@@ -1062,17 +979,10 @@ fn flow_cells<T: Component, const N: usize>(
             continue;
         }
         let grown = cur.union(incoming);
-        let next = match &mut widen {
-            Some((counters, widening)) => {
-                let joins = &mut counters[i];
-                let next = if *joins >= widening.delay {
-                    tally::bump_widenings();
-                    widening.widen(cur, grown)
-                } else {
-                    grown
-                };
-                *joins = joins.saturating_add(1);
-                next
+        let next = match widen {
+            Some(widen) => {
+                tally::bump_widenings();
+                widen.widen(cur, grown)
             }
             None => grown,
         };
@@ -1099,16 +1009,12 @@ fn frame_spine_mut(rc: &mut Rc<Frame>) -> &mut Frame {
 }
 
 /// The frame half of [`AbsState::flow_join`]: flows chunk by chunk, with
-/// `Rc` identity short-circuits per chunk, slicing the slot counters to
-/// each chunk's window. The spine is materialized up front once any
-/// chunk pair differs by pointer — a deliberate trade against re-scanning
-/// every chunk twice (the copy is the pointer array, a few dozen bytes,
-/// even when the flow then turns out to change nothing).
-fn flow_frame(
-    dst: &mut Rc<Frame>,
-    inc: &Rc<Frame>,
-    mut widen: Option<(&mut [u32], Widening<'_>)>,
-) -> bool {
+/// `Rc` identity short-circuits per chunk. The spine is materialized up
+/// front once any chunk pair differs by pointer — a deliberate trade
+/// against re-scanning every chunk twice (the copy is the pointer array,
+/// a few dozen bytes, even when the flow then turns out to change
+/// nothing).
+fn flow_frame(dst: &mut Rc<Frame>, inc: &Rc<Frame>, widen: Option<WidenCtx<'_>>) -> bool {
     if Rc::ptr_eq(dst, inc) {
         tally::bump_short_circuited();
         return false;
@@ -1130,14 +1036,8 @@ fn flow_frame(
             tally::bump_short_circuited();
             continue;
         }
-        let chunk_widen = widen.as_mut().map(|(slots, widening)| {
-            (
-                &mut slots[c * CHUNK_SLOTS..(c + 1) * CHUNK_SLOTS],
-                *widening,
-            )
-        });
         let old = chunk_contrib(c, frame.chunks[c].fp);
-        if flow_cells(&mut frame.chunks[c], &inc.chunks[c], chunk_widen) {
+        if flow_cells(&mut frame.chunks[c], &inc.chunks[c], widen) {
             frame.fp ^= old ^ chunk_contrib(c, frame.chunks[c].fp);
             changed = true;
         }
@@ -1660,50 +1560,29 @@ mod tests {
     }
 
     #[test]
-    fn per_register_delay_widens_only_exhausted_components() {
-        let th = WidenThresholds::EMPTY;
-        let mut counters = JoinCounters::new();
-        let mut head = AbsState::entry();
-        head.set_reg(Reg::R3, RegValue::Scalar(Scalar::constant(0)));
-        head.set_reg(Reg::R4, RegValue::Scalar(Scalar::constant(0)));
-        // r4 churns for 3 rounds while r3 is stable; with delay 2, r4
-        // widens on its 3rd changing join but r3's budget stays unburned.
-        for k in 1..=3u64 {
+    fn loop_head_widening_touches_only_the_components_that_grow() {
+        // r4 grows 0 -> 2 while r3 is stable: r4 widens at its first
+        // changing join, onto the harvested `< 12` rung with thresholds
+        // and onto the built-in i32::MAX rung without; r3 keeps its
+        // value and its stamp either way.
+        let harvested = WidenThresholds::harvest([12]);
+        for (thresholds, umax) in [(&harvested, 11), (&WidenThresholds::EMPTY, i32::MAX as u64)] {
+            let mut head = AbsState::entry();
+            head.set_reg(Reg::R3, RegValue::Scalar(Scalar::constant(0)));
+            head.set_reg(Reg::R4, RegValue::Scalar(Scalar::constant(0)));
+            let stamp = head.regs.stamps[Reg::R3.index()];
             let mut inc = head.clone();
-            inc.set_reg(Reg::R4, RegValue::Scalar(Scalar::constant(k)));
-            head.flow_join(
-                &inc,
-                Some(WidenCtx {
-                    counters: &mut counters,
-                    delay: 2,
-                    thresholds: &th,
-                    tnum_jump: true,
-                }),
-            );
-        }
-        assert_eq!(counters.reg_joins(Reg::R4), 3);
-        assert_eq!(counters.reg_joins(Reg::R3), 0, "stable reg burns nothing");
-        let r4 = head.reg(Reg::R4).as_scalar().unwrap();
-        assert!(r4.bounds().umax() >= 3, "r4 was widened or joined past 3");
-        // Now r3 grows once: it still gets a precise join (its own
-        // counter is below the delay) even though r4 exhausted its.
-        let mut inc = head.clone();
-        inc.set_reg(Reg::R3, RegValue::Scalar(Scalar::constant(1)));
-        head.flow_join(
-            &inc,
-            Some(WidenCtx {
-                counters: &mut counters,
-                delay: 2,
-                thresholds: &th,
+            inc.set_reg(Reg::R4, RegValue::Scalar(Scalar::constant(2)));
+            let widen = WidenCtx {
+                thresholds,
                 tnum_jump: true,
-            }),
-        );
-        let r3 = head.reg(Reg::R3).as_scalar().unwrap();
-        assert_eq!(
-            (r3.bounds().umin(), r3.bounds().umax()),
-            (0, 1),
-            "precise join, not a widening jump"
-        );
+            };
+            assert!(head.flow_join(&inc, Some(widen)));
+            let r4 = head.reg(Reg::R4).as_scalar().unwrap();
+            assert_eq!((r4.bounds().umin(), r4.bounds().umax()), (0, umax));
+            assert_eq!(head.reg(Reg::R3).as_scalar(), Some(Scalar::constant(0)));
+            assert_eq!(head.regs.stamps[Reg::R3.index()], stamp, "r3 untouched");
+        }
     }
 
     /// A small pool of register values, so equal values written under
@@ -1735,28 +1614,17 @@ mod tests {
 
     /// Pointwise reference of one array's half of `flow_join`, blind to
     /// stamps and `Rc` identity.
-    fn reference_flow<T: Component>(
-        cur: &mut [T],
-        inc: &[T],
-        mut widen: Option<(&mut [u32], u32)>,
-    ) -> bool {
+    fn reference_flow<T: Component>(cur: &mut [T], inc: &[T], widen: bool) -> bool {
         let mut changed = false;
         for i in 0..cur.len() {
             if inc[i] == cur[i] || inc[i].is_subset_of(cur[i]) {
                 continue;
             }
             let grown = cur[i].union(inc[i]);
-            let next = match &mut widen {
-                Some((counters, delay)) => {
-                    let next = if counters[i] >= *delay {
-                        cur[i].merge_scalars(grown, |a, b| a.widen_with(b, &WidenThresholds::EMPTY))
-                    } else {
-                        grown
-                    };
-                    counters[i] += 1;
-                    next
-                }
-                None => grown,
+            let next = if widen {
+                cur[i].merge_scalars(grown, |a, b| a.widen_with(b, &WidenThresholds::EMPTY))
+            } else {
+                grown
             };
             if next != cur[i] {
                 cur[i] = next;
@@ -1767,53 +1635,28 @@ mod tests {
     }
 
     /// Flows `inc` into a copy of `dst` both ways — through the stamped
-    /// state layer and through the reference — and checks that result,
-    /// grew flag and widening counters agree. Returns the stamped result.
-    fn checked_flow(
-        dst: &AbsState,
-        inc: &AbsState,
-        widen: Option<(&JoinCounters, u32)>,
-    ) -> (AbsState, Option<JoinCounters>) {
+    /// state layer and through the reference — widening every changing
+    /// component under `widen`, and checks that result and grew flag
+    /// agree. Returns the stamped result.
+    fn checked_flow(dst: &AbsState, inc: &AbsState, widen: bool) -> AbsState {
         let (mut want_regs, mut want_slots) = values(dst);
         let (inc_regs, inc_slots) = values(inc);
         let mut out = dst.clone();
-        let (grew, want_grew, counters) = match widen {
-            None => {
-                let grew = out.flow_join(inc, None);
-                let want = reference_flow(&mut want_regs, &inc_regs, None)
-                    | reference_flow(&mut want_slots, &inc_slots, None);
-                (grew, want, None)
-            }
-            Some((counters, delay)) => {
-                let mut got = counters.clone();
-                let grew = out.flow_join(
-                    inc,
-                    Some(WidenCtx {
-                        counters: &mut got,
-                        delay,
-                        thresholds: &WidenThresholds::EMPTY,
-                        tnum_jump: true,
-                    }),
-                );
-                let mut want = counters.clone();
-                let want_grew =
-                    reference_flow(&mut want_regs, &inc_regs, Some((&mut want.regs, delay)))
-                        | reference_flow(
-                            &mut want_slots,
-                            &inc_slots,
-                            Some((&mut want.slots, delay)),
-                        );
-                assert_eq!(got, want, "widening counters diverge");
-                (grew, want_grew, Some(got))
-            }
-        };
+        let thresholds = WidenThresholds::EMPTY;
+        let ctx = widen.then_some(WidenCtx {
+            thresholds: &thresholds,
+            tnum_jump: true,
+        });
+        let grew = out.flow_join(inc, ctx);
+        let want_grew = reference_flow(&mut want_regs, &inc_regs, widen)
+            | reference_flow(&mut want_slots, &inc_slots, widen);
         assert_eq!(grew, want_grew, "flow_join grew flag diverges");
         assert_eq!(
             values(&out),
             (want_regs, want_slots),
             "flow_join result diverges"
         );
-        (out, counters)
+        out
     }
 
     /// Every live cell's stamp maps to exactly one value.
@@ -1851,7 +1694,6 @@ mod tests {
         let mut rng = SplitMix64::new(0x57A4);
         for _ in 0..24 {
             let mut pool: Vec<AbsState> = (0..POOL).map(|_| AbsState::entry()).collect();
-            let mut counters: Vec<JoinCounters> = (0..POOL).map(|_| JoinCounters::new()).collect();
             for _ in 0..48 {
                 let a = rng.below(POOL as u64) as usize;
                 let b = rng.below(POOL as u64) as usize;
@@ -1876,14 +1718,7 @@ mod tests {
                         pool[a].clear_dead(regs, slots);
                     }
                     4 => pool[a] = pool[b].clone(),
-                    _ => {
-                        let widen = rng.coin().then(|| (&counters[a], rng.below(3) as u32));
-                        let (out, got) = checked_flow(&pool[a], &pool[b], widen);
-                        pool[a] = out;
-                        if let Some(got) = got {
-                            counters[a] = got;
-                        }
-                    }
+                    _ => pool[a] = checked_flow(&pool[a], &pool[b], rng.coin()),
                 }
                 for x in &pool {
                     for y in &pool {
@@ -1893,8 +1728,8 @@ mod tests {
                             && xs.iter().zip(ys).all(|(p, q)| p.is_subset_of(q));
                         assert_eq!(x.is_subset_of(y), subset, "inclusion diverges");
                         assert_eq!(x == y, (xr, xs) == (yr, ys), "equality diverges");
-                        checked_flow(x, y, None);
-                        checked_flow(x, y, Some((&JoinCounters::new(), 1)));
+                        checked_flow(x, y, false);
+                        checked_flow(x, y, true);
                     }
                 }
                 assert_stamps_determine_values(&pool);
@@ -1903,34 +1738,30 @@ mod tests {
     }
 
     #[test]
-    fn slot_widening_flows_through_chunk_counters() {
-        // A churning spill burns the *slot's* counter, not its chunk
-        // neighbours': after `delay` changing joins the slot widens while
-        // a stable slot in the same chunk keeps precise joins available.
-        let th = WidenThresholds::EMPTY;
-        let mut counters = JoinCounters::new();
-        let mut head = AbsState::entry();
-        head.set_stack_slot(-8, StackSlot::Spill(RegValue::Scalar(Scalar::constant(0))));
-        for k in 1..=3u64 {
+    fn slot_widening_leaves_its_chunk_neighbours() {
+        // A growing spill at -8 widens at its first changing join, onto
+        // the harvested rung or the built-in one, while the stable spill
+        // at -16 in the same chunk keeps its value.
+        let harvested = WidenThresholds::harvest([12]);
+        let spill = |k| StackSlot::Spill(RegValue::Scalar(Scalar::constant(k)));
+        for (thresholds, umax) in [(&harvested, 11), (&WidenThresholds::EMPTY, i32::MAX as u64)] {
+            let mut head = AbsState::entry();
+            head.set_stack_slot(-8, spill(0));
+            head.set_stack_slot(-16, spill(7));
             let mut inc = head.clone();
-            inc.set_stack_slot(-8, StackSlot::Spill(RegValue::Scalar(Scalar::constant(k))));
-            head.flow_join(
-                &inc,
-                Some(WidenCtx {
-                    counters: &mut counters,
-                    delay: 2,
-                    thresholds: &th,
-                    tnum_jump: true,
-                }),
-            );
-        }
-        assert_eq!(counters.slots[63], 3, "slot -8 is flat index 63");
-        assert_eq!(counters.slots[62], 0, "neighbour slot burns nothing");
-        match head.stack_slot(-8).unwrap() {
-            StackSlot::Spill(RegValue::Scalar(s)) => {
-                assert!(s.bounds().umax() >= 3, "widened or joined past 3")
+            inc.set_stack_slot(-8, spill(2));
+            let widen = WidenCtx {
+                thresholds,
+                tnum_jump: true,
+            };
+            assert!(head.flow_join(&inc, Some(widen)));
+            match head.stack_slot(-8).unwrap() {
+                StackSlot::Spill(RegValue::Scalar(s)) => {
+                    assert_eq!((s.bounds().umin(), s.bounds().umax()), (0, umax));
+                }
+                other => panic!("unexpected slot {other:?}"),
             }
-            other => panic!("unexpected slot {other:?}"),
+            assert_eq!(head.stack_slot(-16), Some(spill(7)));
         }
     }
 

@@ -93,6 +93,32 @@ pub struct Transfer {
     ctx_end: i64,
 }
 
+/// Where a walk's failed checks go: the failure sink of
+/// [`Transfer::step_with`].
+pub(crate) trait Checks {
+    /// Fails with `e`, or records `e` and lets the walk go on.
+    fn fail(&mut self, e: VerifierError) -> Result<(), VerifierError>;
+}
+
+/// The verdict's checks: a failed check fails the walk.
+pub(crate) struct Strict;
+
+impl Checks for Strict {
+    fn fail(&mut self, e: VerifierError) -> Result<(), VerifierError> {
+        Err(e)
+    }
+}
+
+/// A recording walk keeps its first failure and goes on: a region check
+/// with the access met with the region, where that meet is not empty;
+/// any other failed check ends the path.
+impl Checks for Option<VerifierError> {
+    fn fail(&mut self, e: VerifierError) -> Result<(), VerifierError> {
+        self.get_or_insert(e);
+        Ok(())
+    }
+}
+
 /// The positions one [`Transfer::step`] of `insn` can write, for the
 /// instructions with one successor whatever the state: `None` for a
 /// conditional jump and for `exit`. The path walk's report leans on it
@@ -147,6 +173,18 @@ impl Transfer {
         state: AbsState,
         pc: usize,
     ) -> Result<Successors, VerifierError> {
+        self.step_with(prog, state, pc, &mut Strict)
+    }
+
+    /// [`Transfer::step`] under `checks`: the error is a failed check
+    /// the step cannot go on past.
+    pub(crate) fn step_with(
+        &self,
+        prog: &Program,
+        state: AbsState,
+        pc: usize,
+        checks: &mut impl Checks,
+    ) -> Result<Successors, VerifierError> {
         let insn = prog.insns()[pc];
         self.check_reads(&state, insn, pc)?;
         match insn {
@@ -174,7 +212,7 @@ impl Transfer {
                 _ => Err(VerifierError::PointerLeak { pc }),
             },
             _ => {
-                let next = self.transfer(state, insn, pc)?;
+                let next = self.transfer(state, insn, pc, checks)?;
                 Ok(Successors::one(pc + 1, next))
             }
         }
@@ -203,6 +241,7 @@ impl Transfer {
         mut state: AbsState,
         insn: Insn,
         pc: usize,
+        checks: &mut impl Checks,
     ) -> Result<AbsState, VerifierError> {
         match insn {
             Insn::Alu {
@@ -233,7 +272,7 @@ impl Transfer {
                 base,
                 off,
             } => {
-                let value = self.check_load(&mut state, size, base, off, pc)?;
+                let value = self.check_load(&mut state, size, base, off, pc, checks)?;
                 state.set_reg(dst, value);
             }
             Insn::Store {
@@ -246,7 +285,7 @@ impl Transfer {
                     Src::Reg(r) => state.reg(r),
                     Src::Imm(v) => RegValue::Scalar(Scalar::constant(v as i64 as u64)),
                 };
-                self.check_store(&mut state, size, base, off, value, pc)?;
+                self.check_store(&mut state, size, base, off, value, pc, checks)?;
             }
             Insn::Call { helper } => {
                 // Never memoized: helper transfers produce pointers and
@@ -491,11 +530,12 @@ impl Transfer {
         base: Reg,
         off: i16,
         pc: usize,
+        checks: &mut impl Checks,
     ) -> Result<RegValue, VerifierError> {
+        let stack = (-(STACK_SIZE as i64), 0);
         match state.reg(base) {
             RegValue::StackPtr { offset } => {
-                let (lo, hi) =
-                    self.check_region("stack", offset, off, size, -(STACK_SIZE as i64), 0, pc)?;
+                let (lo, hi) = self.check_region("stack", offset, off, size, stack, pc, checks)?;
                 if lo == hi && (lo % 8 == 0 || (lo - (lo & !7)) + size.bytes() as i64 <= 8) {
                     // Constant offset: consult the slot contents.
                     match state.stack_slot(lo).expect("in range") {
@@ -514,7 +554,7 @@ impl Transfer {
                 }
             }
             RegValue::CtxPtr { offset } => {
-                self.check_region("ctx", offset, off, size, 0, self.ctx_end, pc)?;
+                self.check_region("ctx", offset, off, size, (0, self.ctx_end), pc, checks)?;
                 Ok(loaded_value(size))
             }
             RegValue::MapValuePtr { or_null: true, .. } => {
@@ -525,7 +565,7 @@ impl Transfer {
                 or_null: false,
                 offset,
             } => {
-                self.check_map_value_region(map, offset, off, size, pc)?;
+                self.check_map_value_region(map, offset, off, size, pc, checks)?;
                 Ok(loaded_value(size))
             }
             RegValue::Uninit => Err(VerifierError::UninitRead { reg: base, pc }),
@@ -536,6 +576,7 @@ impl Transfer {
     }
 
     /// Bounds- and alignment-checks a store, updating the stack state.
+    #[allow(clippy::too_many_arguments)]
     fn check_store(
         &self,
         state: &mut AbsState,
@@ -544,14 +585,15 @@ impl Transfer {
         off: i16,
         value: RegValue,
         pc: usize,
+        checks: &mut impl Checks,
     ) -> Result<(), VerifierError> {
         // Uninitialized store *values* are already rejected by
         // check_reads: a store's use_regs() includes its source register.
         debug_assert!(value.is_readable());
+        let stack = (-(STACK_SIZE as i64), 0);
         match state.reg(base) {
             RegValue::StackPtr { offset } => {
-                let (lo, hi) =
-                    self.check_region("stack", offset, off, size, -(STACK_SIZE as i64), 0, pc)?;
+                let (lo, hi) = self.check_region("stack", offset, off, size, stack, pc, checks)?;
                 if lo == hi && size == MemSize::DW && lo % 8 == 0 {
                     state.set_stack_slot(lo, StackSlot::Spill(value));
                 } else {
@@ -560,7 +602,7 @@ impl Transfer {
                 Ok(())
             }
             RegValue::CtxPtr { offset } => {
-                self.check_region("ctx", offset, off, size, 0, self.ctx_end, pc)?;
+                self.check_region("ctx", offset, off, size, (0, self.ctx_end), pc, checks)?;
                 Ok(())
             }
             RegValue::MapValuePtr { or_null: true, .. } => {
@@ -577,7 +619,7 @@ impl Transfer {
                 if value.is_pointer() {
                     return Err(VerifierError::PointerLeak { pc });
                 }
-                self.check_map_value_region(map, offset, off, size, pc)?;
+                self.check_map_value_region(map, offset, off, size, pc, checks)?;
                 Ok(())
             }
             RegValue::Uninit => Err(VerifierError::UninitRead { reg: base, pc }),
@@ -596,19 +638,13 @@ impl Transfer {
         off: i16,
         size: MemSize,
         pc: usize,
+        checks: &mut impl Checks,
     ) -> Result<(i64, i64), VerifierError> {
         // The map id was validated when the handle was loaded, and the
         // pointer kind only arises from a checked handle.
         let def = ebpf::helpers::map_def(map).expect("handle validated at lddw");
-        self.check_region(
-            "map_value",
-            offset,
-            off,
-            size,
-            0,
-            i64::from(def.value_size),
-            pc,
-        )
+        let region = (0, i64::from(def.value_size));
+        self.check_region("map_value", offset, off, size, region, pc, checks)
     }
 
     /// Proves `region_lo <= offset + off` and
@@ -618,8 +654,12 @@ impl Transfer {
     /// packed remaining inputs ([`Self::mem_check_params`]), so batches
     /// of similar programs (and repeated loop trips) skip the bounds
     /// arithmetic on their recurring accesses. Only `Ok` verdicts are
-    /// cached — errors carry the failing `pc` and abort the walk.
+    /// cached — errors carry the failing `pc`.
     /// Returns the extreme byte offsets of the access start.
+    ///
+    /// An access past the region fails under `checks`; a recording step
+    /// goes on with the access met with the region (`bounds`, as
+    /// `[region_lo, region_hi)`), and an empty meet ends its path.
     #[allow(clippy::too_many_arguments)]
     fn check_region(
         &self,
@@ -627,25 +667,45 @@ impl Transfer {
         offset: Scalar,
         off: i16,
         size: MemSize,
-        region_lo: i64,
-        region_hi: i64,
+        bounds: (i64, i64),
         pc: usize,
+        checks: &mut impl Checks,
     ) -> Result<(i64, i64), VerifierError> {
-        if let (Some(cache), Some(params)) = (
+        let (region_lo, region_hi) = bounds;
+        let checked = match (
             &self.options.memo_cache,
             self.mem_check_params(region, off, size, region_hi),
         ) {
-            let key = MemoKey::mem(value_fingerprint(RegValue::Scalar(offset)), params);
-            let rhs = Scalar::constant(params);
-            if let Some(MemoEffect::Mem(extremes)) = cache.lookup(key, offset, rhs) {
-                return Ok(extremes);
+            (Some(cache), Some(params)) => {
+                let key = MemoKey::mem(value_fingerprint(RegValue::Scalar(offset)), params);
+                let rhs = Scalar::constant(params);
+                if let Some(MemoEffect::Mem(extremes)) = cache.lookup(key, offset, rhs) {
+                    return Ok(extremes);
+                }
+                let checked = self.check_region_uncached(region, offset, off, size, bounds, pc);
+                if let Ok(extremes) = checked {
+                    cache.insert(key, offset, rhs, MemoEffect::Mem(extremes));
+                }
+                checked
             }
-            let extremes =
-                self.check_region_uncached(region, offset, off, size, region_lo, region_hi, pc)?;
-            cache.insert(key, offset, rhs, MemoEffect::Mem(extremes));
-            return Ok(extremes);
+            _ => self.check_region_uncached(region, offset, off, size, bounds, pc),
+        };
+        match checked {
+            Err(
+                e @ VerifierError::OutOfBounds {
+                    min_off, max_end, ..
+                },
+            ) => {
+                let lo = min_off.max(region_lo);
+                let hi = max_end.min(region_hi) - size.bytes() as i64;
+                if lo > hi {
+                    return Err(e);
+                }
+                checks.fail(e)?;
+                Ok((lo, hi))
+            }
+            checked => checked,
         }
-        self.check_region_uncached(region, offset, off, size, region_lo, region_hi, pc)
     }
 
     /// Packs every input of a region check except the offset scalar into
@@ -682,15 +742,13 @@ impl Transfer {
 
     /// The unmemoized region check: the bounds and alignment arithmetic
     /// itself.
-    #[allow(clippy::too_many_arguments)]
     fn check_region_uncached(
         &self,
         region: &'static str,
         offset: Scalar,
         off: i16,
         size: MemSize,
-        region_lo: i64,
-        region_hi: i64,
+        (region_lo, region_hi): (i64, i64),
         pc: usize,
     ) -> Result<(i64, i64), VerifierError> {
         let total = offset.alu64(AluOp::Add, Scalar::constant(off as i64 as u64));

@@ -51,8 +51,9 @@ fn loopy() -> Program {
 }
 
 /// The register-bounded store loop of `fixtures/reg_bound_loop.ebpf`:
-/// the fixpoint's eager ascent fails on it and its delayed retry proves
-/// it, so a fixpoint run's visits span both ascents.
+/// the store check fails on the fixpoint's widened ascent and its
+/// narrowing walks prove it, so a fixpoint run's visits span the ascent
+/// and a walk that fails a check.
 fn reg_bound_loop() -> Program {
     assemble(include_str!("../../../fixtures/reg_bound_loop.ebpf")).expect("assembles")
 }

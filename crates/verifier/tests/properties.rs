@@ -403,7 +403,7 @@ fn tnums_of_width(w: u32) -> Vec<Tnum> {
 
 /// The whole-frame reference for one slot of [`AbsState::flow_join`]:
 /// mirror of the engine's per-component flow (skip included arrivals,
-/// otherwise join, with optional delay-0 widening).
+/// otherwise join, with optional widening).
 fn flat_flow(cur: StackSlot, inc: StackSlot, widen: bool) -> StackSlot {
     if inc == cur || inc.is_subset_of(cur) {
         return cur;

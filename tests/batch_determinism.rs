@@ -27,6 +27,7 @@ fn a_runs_stats_do_not_depend_on_earlier_work_on_its_thread() {
     let mut names: Vec<_> = std::fs::read_dir("fixtures")
         .expect("fixtures directory")
         .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ebpf"))
         .collect();
     names.sort();
     let progs: Vec<_> = names

@@ -56,10 +56,9 @@ fn memset(cmp: &str) -> Case {
     .ret(13)
 }
 
-/// Options without harvested widening thresholds, at `widen_delay`.
-fn no_thresholds(widen_delay: u32) -> AnalyzerOptions {
+/// Options without harvested widening thresholds.
+fn no_thresholds() -> AnalyzerOptions {
     AnalyzerOptions {
-        widen_delay,
         harvest_thresholds: false,
         ..AnalyzerOptions::default()
     }
@@ -81,7 +80,7 @@ fn w32_guarded_memset_verifies_and_matches_vm() {
     // unrefined and the counter widened past the buffer, rejecting a
     // program the VM runs safely. Thresholds stay off so the 32-bit
     // refinement alone carries the proof.
-    check(&memset("w1").options(no_thresholds(16)), &[Accepts, Sound]);
+    check(&memset("w1").options(no_thresholds()), &[Accepts, Sound]);
 }
 
 #[test]
@@ -89,9 +88,9 @@ fn per_register_widening_keeps_counter_plus_accumulator_vs_vm() {
     // A continue-style loop with two back edges hands the head two
     // changing joins per trip (the accumulator differs on the two paths).
     // One shared per-head delay counter was burned twice per trip by the
-    // accumulator and widened the counter mid-ascent; per-register
-    // counters charge the counter only for its own 12 changing joins,
-    // inside the default delay of 16.
+    // accumulator and widened the counter mid-ascent. Now every changing
+    // component widens on its own, and the narrowing walks re-tighten
+    // the counter to the exit test.
     let case = Case::asm(
         r"
             r1 = 0              ; i
@@ -112,30 +111,26 @@ fn per_register_widening_keeps_counter_plus_accumulator_vs_vm() {
             exit
         ",
     )
-    .options(no_thresholds(16))
+    .options(no_thresholds())
     .ret(13);
     let out = check(&case, &[Accepts, Sound]);
     assert_exit_r0(&case, &out, 13);
 }
 
 #[test]
-fn delayed_widening_regression_vs_vm() {
+fn narrowed_widening_regression_vs_vm() {
     // The memset's whole safety argument is i <= 12 (the tnum can only
-    // offer [0, 15]). Eager widening without thresholds extrapolates the
-    // counter before the exit test caps it and must reject; harvested
-    // thresholds land it on the `i < 13` guard; the default delayed
-    // engine accepts, and the VM confirms the acceptance.
+    // offer [0, 15]). Without thresholds the ascent extrapolates the
+    // counter before the exit test caps it and the store check fails on
+    // its heads; the narrowing walks re-tighten it and accept. Harvested
+    // thresholds land it on the `i < 13` guard during the ascent. The VM
+    // confirms both acceptances, and both narrow the exit counter.
     let case = memset("r1");
-    check(&case.clone().options(no_thresholds(0)), &[Rejects]);
-    check(
-        &case.clone().options(AnalyzerOptions {
-            widen_delay: 0,
-            ..AnalyzerOptions::default()
-        }),
-        &[Accepts],
-    );
-    let out = check(&case, &[Accepts, Sound]);
-    assert_exit_r0(&case, &out, 13);
+    for options in [no_thresholds(), AnalyzerOptions::default()] {
+        let case = case.clone().options(options);
+        let out = check(&case, &[Accepts, Sound]);
+        assert_exit_r0(&case, &out, 13);
+    }
 }
 
 #[test]

@@ -112,8 +112,11 @@ fn walk_counters(s: &AnalysisStats) -> [u64; 8] {
 
 #[test]
 fn parallel_explorer_without_spawns_walks_like_the_sequential_one() {
-    let mut programs: Vec<(String, String)> = std::fs::read_dir("fixtures")
-        .expect("fixtures directory")
+    // The accepted fixtures and the ones every strategy must reject: a
+    // rejection must come out the same, with the same diagnosis.
+    let mut programs: Vec<(String, String)> = ["fixtures", "fixtures/rejected"]
+        .into_iter()
+        .flat_map(|dir| std::fs::read_dir(dir).expect("fixtures directory"))
         .map(|entry| entry.expect("fixture entry").path())
         .filter(|path| path.extension().is_some_and(|ext| ext == "ebpf"))
         .map(|path| {
@@ -122,7 +125,7 @@ fn parallel_explorer_without_spawns_walks_like_the_sequential_one() {
         })
         .collect();
     programs.sort();
-    assert_eq!(programs.len(), 9, "every fixture is covered");
+    assert_eq!(programs.len(), 10, "every fixture is covered");
     programs.push(("fork_order".to_string(), FORK_ORDER.to_string()));
     for (name, source) in programs {
         let prog = assemble(&source).expect("program assembles");
@@ -134,12 +137,11 @@ fn parallel_explorer_without_spawns_walks_like_the_sequential_one() {
                 spawn_depth: 1_000_000,
                 ..AnalyzerOptions::default()
             };
-            let analysis = VerificationSession::new()
+            VerificationSession::new()
                 .with_strategy(strategy)
                 .with_options(options)
                 .run(&prog)
-                .unwrap_or_else(|e| panic!("{name} rejected under {strategy:?}: {e}"));
-            walk_counters(&analysis.stats())
+                .map(|analysis| walk_counters(&analysis.stats()))
         };
         let sequential = run(Strategy::PathSensitive, 1);
         for jobs in [1, 2] {

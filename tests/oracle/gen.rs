@@ -138,8 +138,8 @@ impl Mix {
     /// A bounded loop: the counter start, the seeds, a random ALU body
     /// churning the mix's registers every trip, `r8 += 1`, and the back
     /// edge `if r8 < limit` at `width` (32-bit guards exercise
-    /// `refine32`). Limits straddle the default widening delay and the
-    /// `unroll_k` values the campaigns run with.
+    /// `refine32`). Limits straddle the `unroll_k` values the campaigns
+    /// run with.
     pub fn counted_loop(
         &self,
         rng: &mut SplitMix64,

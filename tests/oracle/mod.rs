@@ -10,6 +10,10 @@
 //! * [`Relation::Sound`]: every accepted run contains the VM — on every
 //!   input the VM runs without fault, and every traced scalar lies in the
 //!   state reported before its pc;
+//! * on every accepted fixpoint run, whatever the relations: the heads
+//!   its narrowing walks were checked from are re-walked with the strict
+//!   checks and must cover every reachable state
+//!   ([`assert_covering_heads`]);
 //! * the differential relations: a strategy, an ablation knob or an
 //!   execution layer (the parallel walk, the memo, the batch engine)
 //!   never changes a verdict, and where it promises to, never changes a
@@ -27,8 +31,9 @@ use std::sync::Arc;
 
 use domain::rng::SplitMix64;
 use ebpf::{Program, Reg, Vm};
+use verifier::transfer::Transfer;
 use verifier::{
-    Analysis, AnalyzerOptions, Cfg, ProgramPasses, RegValue, Strategy, TransferMemo,
+    AbsState, Analysis, AnalyzerOptions, Cfg, ProgramPasses, RegValue, Strategy, TransferMemo,
     VerificationSession, VerifierError,
 };
 
@@ -380,7 +385,8 @@ pub fn check(case: &Case, relations: &[Relation]) -> Outcome {
 
 /// One verifier run of `case.prog`. A run with a memo gets a cache of
 /// its own, so no run is served by another's; only [`Relation::Memo`]
-/// shares [`Case::memo`].
+/// shares [`Case::memo`]. An accepted fixpoint run's checked heads are
+/// audited ([`assert_covering_heads`]).
 fn run(
     case: &Case,
     strategy: Strategy,
@@ -389,10 +395,97 @@ fn run(
     if options.memo_cache.is_some() {
         options.memo_cache = Some(Arc::new(TransferMemo::new()));
     }
-    VerificationSession::new()
+    let result = VerificationSession::new()
         .with_strategy(strategy)
-        .with_options(options)
-        .run(&case.prog)
+        .with_options(options.clone())
+        .run(&case.prog);
+    if strategy == Strategy::WideningFixpoint && result.is_ok() {
+        assert_covering_heads(case, &options);
+    }
+    result
+}
+
+/// Re-walks, with the strict checks of [`Transfer::step`] and apart from
+/// the engine, the start heads of every narrowing walk the fixpoint
+/// accepted on `case.prog` under `options`: no check may fail, the
+/// first accepted walk's heads must be inductive (its arrivals at the
+/// heads, entry included, lie inside them), and each later accepted
+/// walk's heads must cover the arrivals of the walk before. So the
+/// accepted report was checked from states covering every reachable
+/// one.
+fn assert_covering_heads(case: &Case, options: &AnalyzerOptions) {
+    let walks = verifier::fixpoint::narrowing_walks(&case.prog, options).unwrap_or_else(|e| {
+        case.fail(&format!(
+            "the fixpoint's walks reject ({e}) where its run accepts"
+        ))
+    });
+    let Some(first) = walks.iter().position(|(_, accepted)| *accepted) else {
+        return; // an acyclic program: its one pass checked every pc
+    };
+    let checked: Vec<&Vec<Option<AbsState>>> = walks[first..]
+        .iter()
+        .take_while(|(_, accepted)| *accepted)
+        .map(|(heads, _)| heads)
+        .collect();
+    let cfg = Cfg::build(&case.prog);
+    let transfer = Transfer::new(options.clone());
+    let arrivals: Vec<_> = checked
+        .iter()
+        .map(|heads| strict_walk(case, &cfg, &transfer, heads))
+        .collect();
+    let inside = |states: &[Option<AbsState>], bounds: &[Option<AbsState>]| {
+        states.iter().zip(bounds).all(|pair| match pair {
+            (None, _) => true,
+            (Some(_), None) => false,
+            (Some(s), Some(b)) => s.is_subset_of(b) || !b.clone().flow_join(s, None),
+        })
+    };
+    if !inside(&arrivals[0], checked[0]) {
+        case.fail(&format!(
+            "walk {first}'s heads are accepted but not inductive"
+        ));
+    }
+    for (i, (arrived, heads)) in arrivals.iter().zip(&checked[1..]).enumerate() {
+        if !inside(arrived, heads) {
+            case.fail(&format!("walk {}'s heads miss arrivals", first + i + 1));
+        }
+    }
+}
+
+/// Steps every head's segment once from `heads` with the strict checks,
+/// returning the arrivals joined at each head (the entry state at pc 0).
+fn strict_walk(
+    case: &Case,
+    cfg: &Cfg,
+    transfer: &Transfer,
+    heads: &[Option<AbsState>],
+) -> Vec<Option<AbsState>> {
+    let mut arrivals = vec![None; heads.len()];
+    arrivals[0] = Some(AbsState::entry());
+    for (head, state) in heads.iter().enumerate() {
+        let Some(state) = state else { continue };
+        let mut arms = vec![(head, state.clone())];
+        while let Some((pc, state)) = arms.pop() {
+            let succs = transfer.step(&case.prog, state, pc).unwrap_or_else(|e| {
+                case.fail(&format!(
+                    "an accepted walk's heads fail a strict check: {e}"
+                ))
+            });
+            for (succ, next) in succs {
+                if !cfg.is_checkpoint(succ) {
+                    arms.push((succ, next));
+                    continue;
+                }
+                match &mut arrivals[succ] {
+                    slot @ None => *slot = Some(next),
+                    Some(joined) => {
+                        joined.flow_join(&next, None);
+                    }
+                }
+            }
+        }
+    }
+    arrivals
 }
 
 /// Runs the VM on `ctx` and asserts that every analysis contains the
