@@ -11,9 +11,11 @@
 //!   [`crate::fixpoint`]: joins every path at merge points, widens
 //!   eagerly at loop heads (harvested thresholds), and runs the safety
 //!   checks on the narrowing walks after the ascent, which decide the
-//!   verdict. States live only at loop heads and merge points, the code
-//!   between them is stepped in place; cost is near-linear in the
-//!   program, precision pays the join/widening toll.
+//!   verdict; the walks start from the ascent's heads reduced once, so
+//!   a loop that narrows no head settles in one walk. States live only
+//!   at loop heads and merge points, the code between them is stepped
+//!   in place; cost is near-linear in the program, precision pays the
+//!   join/widening toll.
 //! * [`PathSensitive`] — a kernel-style depth-first branch walker: each
 //!   conditional forks an O(1) copy-on-write state, a per-pc
 //!   [`VisitedTable`] prunes any arrival included in an already-explored
@@ -166,9 +168,9 @@ impl Strategy {
 
 /// The widening-fixpoint strategy: the RPO priority worklist with joins
 /// at merge points, eager widening with harvested thresholds at loop
-/// heads, a decreasing sequence of narrowing walks that runs the checks
-/// after the ascent, and the visit budget — see [`crate::fixpoint`] for
-/// the engine itself.
+/// heads, a decreasing sequence of narrowing walks from the reduced
+/// ascent heads that runs the checks after the ascent, and the visit
+/// budget — see [`crate::fixpoint`] for the engine itself.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WideningFixpoint;
 

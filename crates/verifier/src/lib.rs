@@ -39,9 +39,11 @@
 //!   fixpoint strategy: joins at merge points, eager widening at loop
 //!   heads with widening thresholds harvested from the program's
 //!   comparison immediates, a decreasing sequence of narrowing walks
-//!   after stabilization that runs the safety checks (**checks after
-//!   the fixpoint**: the ascent records a failed check and goes on, and
-//!   the verdict is the narrowing walks'), and a total-visit budget.
+//!   from the stable ascent's heads, reduced once (a loop that narrows
+//!   no head settles in one walk), that runs the safety checks
+//!   (**checks after the fixpoint**: the ascent records a failed check
+//!   and goes on, and the verdict is the narrowing walks'), and a
+//!   total-visit budget.
 //!
 //! The per-program-point state ([`state::AbsState`]) is **copy-on-write**:
 //! the register file and the stack frame — itself [`STACK_CHUNKS`]
